@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -41,6 +42,17 @@ def _parse_lambda(text):
             f"cannot parse {text!r} as a lambda value") from exc
 
 
+def _finite(parse):
+    """argparse type that parses with ``parse`` and rejects inf and nan."""
+    def convert(text):
+        value = parse(text)
+        if not cmath.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+        return value
+    convert.__name__ = parse.__name__   # argparse: "invalid float value"
+    return convert
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hypersine",
@@ -49,16 +61,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=_finite(float), default=1e-9,
                         help="probability-weight verification tolerance")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--lambda", dest="lambdas", type=_parse_lambda,
-                        action="append", metavar="LAM",
+    common.add_argument("--lambda", dest="lambdas",
+                        type=_finite(_parse_lambda), action="append",
+                        metavar="LAM",
                         help="spectral parameter; repeatable; accepts "
                              "re, re+imj, or re,im")
     common.add_argument("--n-max", type=int, default=None)
-    common.add_argument("--xmax", type=float, default=5.0)
-    common.add_argument("--h", type=float, default=1e-3)
+    common.add_argument("--xmax", type=_finite(float), default=5.0)
+    common.add_argument("--h", type=_finite(float), default=1e-3)
     common.add_argument("--out", default=None,
                         help="write the report here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default=None,
@@ -68,7 +81,7 @@ def build_parser():
         "verify", parents=[common],
         help="run a verification suite and emit its report")
     p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    p_verify.add_argument("--theta", type=float, action="append",
+    p_verify.add_argument("--theta", type=_finite(float), action="append",
                           help="two-point family parameter; repeatable")
     p_verify.add_argument("--alpha", type=float, default=0.5,
                           help="power-weight parameter for the ODE family")
@@ -150,12 +163,6 @@ def cmd_verify(args):
     return 0 if report.passed else 1
 
 
-def _sine_eq_residual(hg, f, m, x, y):
-    conv = hg.convolve(x, y)
-    lhs = sum(w * f(el) for el, w in conv.items())
-    return abs(lhs - f(x) * m(y) - f(y) * m(x))
-
-
 def _tabulate_poly(args, rec):
     n_max = 8 if args.n_max is None else args.n_max
     lam = (args.lambdas or [0.7])[0]
@@ -165,7 +172,7 @@ def _tabulate_poly(args, rec):
     rows = []
     for n in range(n_max + 1):
         rows.append((n, _c(m(n)), _c(f(n)),
-                     repr(_sine_eq_residual(hg, f, m, n, 1))))
+                     repr(sine_residual(hg, f, m, [(n, 1)]).max_abs)))
     return rows, ["element", "m", "sine", "residual"]
 
 
@@ -184,7 +191,7 @@ def _tabulate_su2(args):
     rows = []
     for n in range(n_max + 1):
         rows.append((n, _c(m(n)), _c(f(n)),
-                     repr(_sine_eq_residual(hg, f, m, n, 1))))
+                     repr(sine_residual(hg, f, m, [(n, 1)]).max_abs)))
     return rows, ["element", "m", "sine", "residual"]
 
 
@@ -203,7 +210,7 @@ def _tabulate_product(args):
         for j in range(n_max + 1):
             x = (i, j)
             rows.append((f"{i},{j}", _c(m(x)), _c(f(x)),
-                         repr(_sine_eq_residual(hg, f, m, x, (1, 1)))))
+                         repr(sine_residual(hg, f, m, [(x, (1, 1))]).max_abs)))
     return rows, ["element", "m", "sine", "residual"]
 
 
@@ -216,8 +223,9 @@ def _tabulate_coset(args):
     rows = []
     for t in range(n_max + 1):
         x = (float(np.exp(t / 4.0)), float(t))
+        rep = sine_residual(hg, f, m, [(x, (2.0, 1.0))])
         rows.append((f"{x[0]!r},{x[1]!r}", _c(m(x)), _c(f(x)),
-                     repr(_sine_eq_residual(hg, f, m, x, (2.0, 1.0)))))
+                     repr(rep.max_abs)))
     return rows, ["element", "m", "sine", "residual"]
 
 

@@ -9,6 +9,7 @@ point masses, so f(x*y) is integrate(f, convolve(x, y)).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,7 +238,8 @@ class ResidualReport:
 
     max_rel is the residual divided by 1 + (sum of magnitudes of the
     identity's right-hand terms at that sample).  witness is the sample at
-    which max_abs was attained.
+    which max_abs was attained.  A non-finite residual is a failure: both
+    maxima are then non-finite and the witness is the first such sample.
     """
 
     max_abs: float
@@ -257,6 +259,9 @@ def _scan(residuals):
     count = 0
     for a, r, w in residuals:
         count += 1
+        if math.isfinite(max_abs) and not math.isfinite(a):
+            # r = a / (1 + ...) is non-finite too; no later sample beats them
+            max_abs, max_rel, witness = a, r, w
         if r > max_rel:
             max_rel = r
         if a > max_abs:
@@ -290,16 +295,24 @@ def exp_residual(hg, m, pairs):
     return _scan(gen())
 
 
-def convolve_power(hg, y, n, cap=DEFAULT_SUPPORT_CAP):
-    """n-th convolution power of the point mass at y (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n!r}")
+def _powers(hg, y, n_max, cap):
+    """Convolution powers 1..n_max of the point mass at y, one at a time."""
     mu = FiniteMeasure.point(y)
-    for _ in range(n - 1):
+    yield mu
+    for n in range(2, n_max + 1):
         mu = mix((w, hg.convolve(el, y)) for el, w in mu)
         if len(mu) > cap:
             raise SupportCapError(
                 f"support grew past cap {cap} while raising {y!r} to power {n}")
+        yield mu
+
+
+def convolve_power(hg, y, n, cap=DEFAULT_SUPPORT_CAP):
+    """n-th convolution power of the point mass at y (n >= 1)."""
+    if n < 1:
+        raise ValueError(f"power must be >= 1, got {n!r}")
+    for mu in _powers(hg, y, n, cap):
+        pass
     return mu
 
 
@@ -313,13 +326,7 @@ def power_identity_check(hg, f, m, x, y, n_max, cap=DEFAULT_SUPPORT_CAP):
     my, mx, fx, fy = m(y), m(x), f(x), f(y)
 
     def gen():
-        mu = FiniteMeasure.point(y)
-        for n in range(1, n_max + 1):
-            if n > 1:
-                mu = mix((w, hg.convolve(el, y)) for el, w in mu)
-                if len(mu) > cap:
-                    raise SupportCapError(
-                        f"support grew past cap {cap} at power {n}")
+        for n, mu in enumerate(_powers(hg, y, n_max, cap), start=1):
             shifted = mix((w, hg.convolve(x, el)) for el, w in mu)
             lhs = integrate(f, shifted)
             t1 = fx * my ** n

@@ -10,12 +10,12 @@ claim is certified by checking elements of bounded total degree.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from .dual import DualScalar, value_of, deriv_of
-from .core import (FiniteMeasure, Hypergroup, TheoremViolationError, mix)
-from .polyhg import PolynomialHypergroup, eval_P
+from .core import FiniteMeasure, Hypergroup, TheoremViolationError
+from .polyhg import PolynomialHypergroup, eval_P, eval_P_with_derivative
 
 
 class DegenerateParameterError(ValueError):
@@ -58,22 +58,18 @@ class ProductPolyHypergroup(Hypergroup):
         """Q_x(lam) = prod_j P_(x_j)(lam_j)."""
         self._check_element(x)
         self._check_lambda(lam)
-        out = 1.0
-        for rec, xi, li in zip(self.factors, x, lam):
-            out = out * eval_P(rec, xi, li)
-        return out
+        return math.prod(eval_P(rec, xi, li)
+                         for rec, xi, li in zip(self.factors, x, lam))
 
     def q_grad(self, x, lam):
-        """Gradient of Q_x in lam, one dual-number pass per coordinate."""
+        """Gradient of Q_x in lam: the product rule over each factor's P, P'."""
         self._check_element(x)
         self._check_lambda(lam)
-        grads = []
-        for j in range(self.dimension):
-            lam_dual = tuple(
-                DualScalar(li, 1.0) if i == j else li
-                for i, li in enumerate(lam))
-            grads.append(deriv_of(self.q_eval(x, lam_dual)))
-        return tuple(grads)
+        factors = [eval_P_with_derivative(rec, xi, li)
+                   for rec, xi, li in zip(self.factors, x, lam)]
+        return tuple(math.prod(dp if i == j else p
+                               for i, (p, dp) in enumerate(factors))
+                     for j in range(self.dimension))
 
     def _check_lambda(self, lam):
         if len(lam) != self.dimension:
@@ -82,7 +78,7 @@ class ProductPolyHypergroup(Hypergroup):
                 f"{self.dimension}")
 
     def exp_fn(self, lam):
-        return lambda x: value_of(self.q_eval(x, lam))
+        return lambda x: complex(self.q_eval(x, lam))
 
     def multi_sine(self, c, lam):
         """The sine function x -> sum_j c_j dQ_x/dlam_j for the exponential
@@ -142,13 +138,3 @@ def elements_of_total_degree(d, max_total):
                 prev = cut
             parts.append(total + d - 2 - prev)
             yield tuple(parts)
-
-
-def product_power_measure(hg, y, n):
-    """n-th convolution power of a point mass on the product (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"power must be >= 1, got {n!r}")
-    mu = FiniteMeasure.point(tuple(y))
-    for _ in range(n - 1):
-        mu = mix((w, hg.convolve(el, y)) for el, w in mu)
-    return mu

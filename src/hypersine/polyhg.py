@@ -5,7 +5,7 @@ P_0 = 1, P_1 = (x - b_0)/a_0 and a_n + b_n + c_n = 1 (so P_n(1) = 1) defines
 a sequence of polynomials.  When every product P_n * P_k expands in the basis
 with nonnegative coefficients, those coefficients are the convolution weights
 of a hypergroup on the degrees.  The exponentials are n -> P_n(lam) and the
-sine functions are n -> c * P_n'(lam), evaluated here with dual numbers.
+sine functions are n -> c * P_n'(lam).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dual import DualScalar, value_of, deriv_of
 from .core import (FiniteMeasure, Hypergroup, NotHypergroupError,
                    TabulatedFunction, TheoremViolationError)
 
@@ -37,6 +36,7 @@ class ThreeTermRecurrence:
         self.c = c
         self.name = name
         self.max_order = max_order
+        self._floats = np.empty((3, 0))
         self._validate()
 
     def _validate(self):
@@ -59,6 +59,14 @@ class ThreeTermRecurrence:
             raise ValueError(
                 f"recurrence {self.name!r} only defined up to order "
                 f"{self.max_order}, requested {n}")
+
+    def _float_coeffs(self, n):
+        """Float rows (a, b, c) for degrees 0..n-1, converted once."""
+        self.check_order(n)
+        if self._floats.shape[1] < n:
+            self._floats = np.array([[float(f(i)) for i in range(n)]
+                                     for f in (self.a, self.b, self.c)])
+        return self._floats[:, :n]
 
     def __repr__(self):
         return f"<ThreeTermRecurrence {self.name!r}>"
@@ -111,57 +119,49 @@ BUILTIN_RECURRENCES = {
 }
 
 
+def _p_and_dp(coeffs, lam):
+    """P_0..P_N and P'_0..P'_N at lam from float coefficient rows (a, b, c)
+    of degrees 0..N-1.  P'_(m+1) = ((lam - b_m) P'_m + P_m - c_m P'_(m-1))
+    / a_m runs in the operation order of forward-mode dual numbers, so both
+    arrays match dual-number evaluation bit for bit, signed zeros included."""
+    a, b, c = coeffs.tolist()
+    lam = complex(lam)
+    p, dp = [1 + 0j], [0j]
+    if a:
+        p.append((lam - b[0]) / a[0])
+        dp.append((1 + 0j) / a[0])
+    for m in range(1, len(a)):
+        x = lam - b[m]
+        p.append((x * p[m] - c[m] * p[m - 1]) / a[m])
+        # (1 + 0j) * P_m, not P_m: this complex product sets the sign of a
+        # zero real part as the dual-number product rule does
+        dp.append((x * dp[m] + (1 + 0j) * p[m] - c[m] * dp[m - 1]) / a[m])
+    return np.array(p), np.array(dp)
+
+
 def eval_P(rec, n, lam):
-    """P_n(lam) by the forward recurrence; lam may be complex or DualScalar."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    rec.check_order(n)
-    if n == 0:
-        return 1.0 + 0.0 * lam
-    p_prev = 1.0 + 0.0 * lam
-    p_cur = (lam - rec.b(0)) / rec.a(0)
-    for m in range(1, n):
-        p_next = ((lam - rec.b(m)) * p_cur - rec.c(m) * p_prev) / rec.a(m)
-        p_prev, p_cur = p_cur, p_next
-    return p_cur
+    """P_n(lam) by the forward recurrence; lam may be real or complex."""
+    return eval_P_with_derivative(rec, n, lam)[0]
 
 
 def eval_P_with_derivative(rec, n, lam):
-    """(P_n(lam), P_n'(lam)) via dual-number evaluation."""
-    out = eval_P(rec, n, DualScalar(lam, 1.0))
-    return value_of(out), deriv_of(out)
+    """(P_n(lam), P_n'(lam)) by the (P, P') recurrence."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    p, dp = _p_and_dp(rec._float_coeffs(n), lam)
+    return complex(p[n]), complex(dp[n])
 
 
 def exp_values(rec, n_max, lam):
     """Array of P_n(lam) for n = 0..n_max."""
-    rec.check_order(n_max)
-    out = np.empty(n_max + 1, dtype=complex)
-    out[0] = 1.0
-    if n_max >= 1:
-        p_prev, p_cur = 1.0 + 0j, complex(lam - rec.b(0)) / float(rec.a(0))
-        out[1] = p_cur
-        for m in range(1, n_max):
-            p_next = ((lam - rec.b(m)) * p_cur - rec.c(m) * p_prev) / rec.a(m)
-            out[m + 1] = complex(p_next)
-            p_prev, p_cur = p_cur, p_next
-    return out
+    return _p_and_dp(rec._float_coeffs(n_max), lam)[0]
 
 
 def sine_values(rec, n_max, lam, c=1.0):
-    """Array of c * P_n'(lam) for n = 0..n_max, by dual numbers."""
-    rec.check_order(n_max)
-    out = np.empty(n_max + 1, dtype=complex)
-    d = DualScalar(lam, 1.0)
-    p_prev = DualScalar(1.0, 0.0)
-    out[0] = 0.0
-    if n_max >= 1:
-        p_cur = (d - rec.b(0)) / rec.a(0)
-        out[1] = c * p_cur.deriv
-        for m in range(1, n_max):
-            p_next = ((d - rec.b(m)) * p_cur - rec.c(m) * p_prev) / rec.a(m)
-            out[m + 1] = c * p_next.deriv
-            p_prev, p_cur = p_cur, p_next
-    return out
+    """Array of c * P_n'(lam) for n = 0..n_max."""
+    dp = _p_and_dp(rec._float_coeffs(n_max), lam)[1]
+    # Python complex products: numpy's fused multiply-add rounds differently
+    return np.array([0j] + [c * d for d in dp[1:].tolist()], dtype=complex)
 
 
 def exp_fn(rec, lam, n_max=256):
@@ -174,15 +174,28 @@ def sine_fn(rec, c, lam, n_max=256):
     return TabulatedFunction(sine_values(rec, n_max, lam, c))
 
 
-def _multiply_by_x(vec, a_arr, b_arr, c_arr):
-    """Expansion of x * (sum_l vec[l] P_l) in the P basis, length len+1."""
-    ln = len(vec)
-    out = np.zeros(ln + 1, dtype=vec.dtype)
-    out[1:] += a_arr[:ln] * vec
-    out[:ln] += b_arr[:ln] * vec
-    if ln > 1:
-        out[:ln - 1] += c_arr[1:ln] * vec[1:]
-    return out
+def _linearize_step(cur, prev, m, a, b, c):
+    """Carry rows (P_m P_k, P_(m-1) P_k), one row per k, to (P_(m+1) P_k,
+    P_m P_k).  A row holds P-basis coefficients; ``cur`` has width w and
+    ``prev`` width w - 1.  x P_l = a_l P_(l+1) + b_l P_l + c_l P_(l-1)."""
+    w = cur.shape[1]
+    out = np.zeros((len(cur), w + 1))
+    out[:, 1:] += a[:w] * cur
+    out[:, :w] += b[:w] * cur
+    out[:, :w - 1] += c[1:w] * cur[:, 1:]
+    out[:, :w] -= b[m] * cur
+    out[:, :w - 1] -= c[m] * prev
+    return out / a[m], cur
+
+
+def _linearization_measure(row, n, k):
+    """The convolution measure of degrees n and k from its coefficient row."""
+    if row.min() < -NEGATIVE_COEFF_TOL:
+        raise NotHypergroupError(
+            f"negative linearization coefficient {row.min():g} at ({n}, {k})")
+    support = np.flatnonzero(np.abs(row) > DROP_COEFF_TOL)
+    return FiniteMeasure(zip(support.tolist(), row[support].tolist()),
+                         tol=NEGATIVE_COEFF_TOL)
 
 
 def linearize(rec, n, k, exact=False):
@@ -206,32 +219,11 @@ def linearize(rec, n, k, exact=False):
             raise NotHypergroupError(
                 f"negative linearization coefficient at ({n}, {k})")
         return FiniteMeasure(pairs, tol=NEGATIVE_COEFF_TOL)
-    top = n + k + 1
-    a_arr = np.array([float(rec.a(i)) for i in range(top)])
-    b_arr = np.array([float(rec.b(i)) for i in range(top)])
-    c_arr = np.array([float(rec.c(i)) for i in range(top)])
-    prev = np.zeros(k + 1)
-    prev[k] = 1.0
-    if n == 0:
-        cur = prev
-    else:
-        cur = (_multiply_by_x(prev, a_arr, b_arr, c_arr) - b_arr[0] * _pad(prev)) / a_arr[0]
-    for m in range(1, n):
-        nxt = (_multiply_by_x(cur, a_arr, b_arr, c_arr)
-               - b_arr[m] * _pad(cur) - c_arr[m] * _pad(_pad(prev))) / a_arr[m]
-        prev, cur = cur, nxt
-    if cur.min() < -NEGATIVE_COEFF_TOL:
-        raise NotHypergroupError(
-            f"negative linearization coefficient {cur.min():g} at ({n}, {k})")
-    pairs = [(l, w) for l, w in enumerate(cur) if abs(w) > DROP_COEFF_TOL]
-    return FiniteMeasure(pairs, tol=NEGATIVE_COEFF_TOL)
-
-
-def _pad(vec):
-    """Pad a coefficient vector by one zero so shapes line up in reduction."""
-    out = np.zeros(len(vec) + 1, dtype=vec.dtype)
-    out[:len(vec)] = vec
-    return out
+    coeffs = rec._float_coeffs(n + k)
+    cur, prev = np.eye(k + 1)[k:], np.zeros((1, k))
+    for m in range(n):
+        cur, prev = _linearize_step(cur, prev, m, *coeffs)
+    return _linearization_measure(cur[0], n, k)
 
 
 def _linearize_exact(rec, n, k):
@@ -291,10 +283,15 @@ class PolynomialHypergroup(Hypergroup):
         return mu
 
     def build_table(self, n_max):
-        """Precompute all convolutions with n, k <= n_max."""
-        for n in range(n_max + 1):
-            for k in range(n, n_max + 1):
-                self.convolve(n, k)
+        """Precompute all convolutions with n, k <= n_max in one block
+        reduction: at step m the rows hold P_m * P_k for k = m..n_max."""
+        coeffs = self.rec._float_coeffs(2 * n_max)
+        cur, prev = np.eye(n_max + 1), np.zeros((n_max + 1, n_max))
+        for m in range(n_max + 1):
+            if m:
+                cur, prev = _linearize_step(cur[1:], prev[1:], m - 1, *coeffs)
+            for k in range(m, n_max + 1):
+                self._cache[(m, k)] = _linearization_measure(cur[k - m], m, k)
 
 
 def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):
@@ -302,17 +299,20 @@ def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):
     f(0) = 0, f(1) = f1 and compare with the derivative formula.
 
     The step solves f(n*1) = f(n) P_1(lam) + f1 P_n(lam) for f(n+1), with
-    f(n*1) expanded through linearize(n, 1).  The result must match
-    f1 * a_0 * P_n'(lam) (the unique sine function with that value at 1);
-    a mismatch beyond rtol raises TheoremViolationError.
+    f(n*1) expanded in the linearization of P_1 * P_n.  The result must
+    match f1 * a_0 * P_n'(lam) (the unique sine function with that value
+    at 1); a mismatch beyond rtol raises TheoremViolationError.
     """
-    rec.check_order(n_max)
-    m1 = complex(eval_P(rec, 1, lam))
+    # row n - 1 holds P_1 * P_n for n = 1..n_max-1: one step from P_0 * P_n
+    rows, _ = _linearize_step(np.eye(n_max)[1:],
+                              np.zeros((n_max - 1, n_max - 1)), 0,
+                              *rec._float_coeffs(n_max))
+    m1 = eval_P(rec, 1, lam)
     p_vals = exp_values(rec, n_max, lam)
     f = np.zeros(n_max + 1, dtype=complex)
     f[1] = f1
     for n in range(1, n_max):
-        mu = linearize(rec, n, 1)
+        mu = _linearization_measure(rows[n - 1], 1, n)
         rhs = f[n] * m1 + f1 * p_vals[n]
         partial = sum(w * f[l] for l, w in mu if l <= n)
         w_top = mu.weight(n + 1)

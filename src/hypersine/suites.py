@@ -27,8 +27,8 @@ from .core import (TabulatedFunction, _scan, compact_vanishing_check,
 from .dual import DualScalar, central_difference, deriv_of
 from .multipoly import ProductPolyHypergroup
 from .polyhg import (PolynomialHypergroup, TheoremViolationError,
-                     chebyshev_recurrence, eval_P, exp_fn, exp_values,
-                     legendre_recurrence, reconstruct_sine,
+                     chebyshev_recurrence, eval_P, eval_P_with_derivative,
+                     exp_fn, exp_values, legendre_recurrence, reconstruct_sine,
                      recurrence_from_file, sine_fn, sine_values)
 from . import sturm as sturm_mod
 
@@ -524,19 +524,16 @@ def run_suite(name, cfg=None):
 
 def dual_fd_families(x_max=1.0, h=1e-3, alpha=0.5):
     """Built-in exponential families exposed as (name, value, deriv, points,
-    lambdas) tuples, where value(x, lam) accepts dual lam and deriv(x, lam)
-    is the artifact's lambda-derivative.  Used to cross-check dual numbers
+    lambdas) tuples, where value(x, lam) is the exponential and deriv(x, lam)
+    is the artifact's lambda-derivative.  Used to cross-check derivatives
     against central differences."""
     cheb = chebyshev_recurrence()
     leg = legendre_recurrence()
     prod = ProductPolyHypergroup([cheb, leg])
 
     def sturm_value(x, lam):
-        fam = sturm_mod.power_family(alpha)
-        if isinstance(lam, DualScalar):
-            sol = sturm_mod.dlambda_phi(fam, lam.value, x_max=x, h=h)
-            return DualScalar(sol.forcing[-1], sol.values[-1] * lam.deriv)
-        return sturm_mod.solve_phi(fam, lam, x_max=x, h=h).values[-1]
+        return sturm_mod.solve_phi(
+            sturm_mod.power_family(alpha), lam, x_max=x, h=h).values[-1]
 
     def sturm_deriv(x, lam):
         return sturm_mod.dlambda_phi(
@@ -545,11 +542,11 @@ def dual_fd_families(x_max=1.0, h=1e-3, alpha=0.5):
     return [
         ("chebyshev",
          lambda n, lam: eval_P(cheb, n, lam),
-         lambda n, lam: deriv_of(eval_P(cheb, n, DualScalar(lam, 1.0))),
+         lambda n, lam: eval_P_with_derivative(cheb, n, lam)[1],
          [3, 7], [0.6, 0.3 + 0.4j]),
         ("legendre",
          lambda n, lam: eval_P(leg, n, lam),
-         lambda n, lam: deriv_of(eval_P(leg, n, DualScalar(lam, 1.0))),
+         lambda n, lam: eval_P_with_derivative(leg, n, lam)[1],
          [3, 7], [0.6, 0.3 + 0.4j]),
         ("su2",
          lambda n, lam: su2.phi(n, lam),

@@ -54,6 +54,22 @@ def test_bad_lambda_is_usage_error():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "polyone", "--lambda", "nan", "--n-max", "8"],
+    ["verify", "coset", "--lambda", "inf"],
+    ["verify", "coset", "--lambda", "0.5,-inf"],
+    ["verify", "compact", "--theta", "nan"],
+    ["verify", "sturm", "--h", "inf"],
+    ["verify", "sturm", "--xmax", "nan"],
+    ["verify", "compact", "--tol", "inf"],
+    ["tabulate", "--family", "chebyshev", "--lambda", "nan"],
+])
+def test_non_finite_inputs_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+
+
 def test_verification_failure_maps_to_exit_one(monkeypatch):
     failing = SuiteReport("compact", [
         CheckResult("compact:forced", 1.0, 1.0, None, 1, False)])

@@ -1,15 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hypersine.core import (EvaluationError, FiniteMeasure,
-                            NotHypergroupError, TabulatedFunction,
-                            compact_vanishing_check, convolve_power,
-                            dump_finite_hypergroup, exp_residual,
-                            exponentials, integrate, load_finite_hypergroup,
-                            mix, power_identity_check,
+                            NotHypergroupError, SupportCapError,
+                            TabulatedFunction, compact_vanishing_check,
+                            convolve_power, dump_finite_hypergroup,
+                            exp_residual, exponentials, integrate,
+                            load_finite_hypergroup, mix, power_identity_check,
                             s3_conjugacy_hypergroup, sine_residual,
                             sine_space, two_point_hypergroup)
 
@@ -197,6 +198,27 @@ def test_convolve_power_and_identity():
     assert abs(sum(mu.weights) - 1.0) <= 1e-12
     with pytest.raises(ValueError):
         convolve_power(hg, 1, 0)
+
+
+def test_convolution_powers_respect_support_cap():
+    hg = two_point_hypergroup(0.5)
+    zero = TabulatedFunction([0.0, 0.0])
+    m = TabulatedFunction([1.0, -0.5])
+    with pytest.raises(SupportCapError):
+        convolve_power(hg, 1, 2, cap=1)
+    with pytest.raises(SupportCapError):
+        power_identity_check(hg, zero, m, 0, 1, 2, cap=1)
+
+
+def test_non_finite_residual_fails_with_first_witness():
+    hg = two_point_hypergroup(0.25)
+    m = TabulatedFunction([1.0, math.nan])
+    rep = exp_residual(hg, m, hg.all_pairs())
+    assert not math.isfinite(rep.max_abs)
+    assert not math.isfinite(rep.max_rel)
+    assert not rep.within(1e-9) and not rep.within(1e-9, relative=True)
+    assert rep.witness == (0, 1)
+    assert rep.samples == 4
 
 
 def test_power_identity_for_zero_sine_function():

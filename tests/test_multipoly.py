@@ -4,10 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from hypersine.core import TheoremViolationError, integrate
-from hypersine.multipoly import (ProductPolyHypergroup,
-                                 elements_of_total_degree,
-                                 product_power_measure)
+from hypersine.core import TheoremViolationError, convolve_power, integrate
+from hypersine.multipoly import ProductPolyHypergroup, elements_of_total_degree
 from hypersine.polyhg import (chebyshev_recurrence, legendre_recurrence,
                               linearize)
 
@@ -122,6 +120,6 @@ def test_elements_of_total_degree_counts():
 
 
 def test_product_power_measure(cheb_leg):
-    mu = product_power_measure(cheb_leg, (1, 1), 2)
+    mu = convolve_power(cheb_leg, (1, 1), 2)
     nu = cheb_leg.convolve((1, 1), (1, 1))
     assert mu.allclose(nu, tol=1e-14)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersine.core import NotHypergroupError, TheoremViolationError
+from hypersine.core import (NotHypergroupError, TheoremViolationError,
+                            sine_residual)
 from hypersine.polyhg import (PolynomialHypergroup, ThreeTermRecurrence,
                               chebyshev_recurrence, eval_P,
-                              eval_P_with_derivative, exp_values,
+                              eval_P_with_derivative, exp_fn, exp_values,
                               legendre_recurrence, linearize,
                               reconstruct_sine, recurrence_from_file,
-                              recurrence_from_lists, sine_values)
+                              recurrence_from_lists, sine_fn, sine_values)
 
 
 def test_chebyshev_closed_form():
@@ -142,12 +143,63 @@ def test_normalization_at_one():
 
 
 def test_sine_values_match_derivative_route():
-    rec = legendre_recurrence()
-    lam = 0.45
-    vals = sine_values(rec, 10, lam, c=2.0)
-    for n in range(11):
-        _, dv = eval_P_with_derivative(rec, n, lam)
-        assert vals[n] == pytest.approx(2.0 * dv, rel=1e-12, abs=1e-12)
+    # independent reference: numpy's derivative of the basis polynomial
+    leg, cheb = np.polynomial.legendre, np.polynomial.chebyshev
+    families = ((legendre_recurrence(), leg.legder, leg.legval),
+                (chebyshev_recurrence(), cheb.chebder, cheb.chebval))
+    for rec, der, val in families:
+        for lam in (0.45, -0.8, 0.3 + 0.4j):
+            vals = sine_values(rec, 10, lam, c=2.0)
+            for n in range(11):
+                want = 2.0 * val(lam, der([0.0] * n + [1.0]))
+                assert vals[n] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _ultraspherical(alpha, top):
+    """Jacobi(alpha, alpha) recurrence normalized to P_n(1) = 1, degrees
+    0..top.  a_0 = 1 also at alpha = -1/2, where the formula reads 0/0."""
+    a = [1.0] + [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1)
+                 for n in range(1, top + 1)]
+    c = [0.0] + [n / (2 * n + 2 * alpha + 1) for n in range(1, top + 1)]
+    return recurrence_from_lists(a, [0.0] * (top + 1), c,
+                                 name=f"ultraspherical({alpha!r})")
+
+
+# Gasper (Canad. J. Math. 22, 1970): linearization is nonnegative for
+# alpha >= -1/2, so every draw defines a hypergroup.
+@given(alpha=st.floats(min_value=-0.5, max_value=2.0),
+       n_max=st.integers(min_value=1, max_value=9),
+       re=st.floats(min_value=-1.0, max_value=1.0),
+       im=st.floats(min_value=-0.3, max_value=0.3))
+@settings(max_examples=40, deadline=None)
+def test_ultraspherical_table_and_sines(alpha, n_max, re, im):
+    rec = _ultraspherical(alpha, 2 * n_max)
+    hg = PolynomialHypergroup(rec)
+    hg.build_table(n_max)
+    table = dict(hg._cache)
+    assert set(table) == {(m, k) for m in range(n_max + 1)
+                          for k in range(m, n_max + 1)}
+    for (m, k), mu in table.items():
+        assert mu.items() == linearize(rec, m, k).items()
+        assert mu.allclose(linearize(rec, m, k, exact=True), tol=1e-12)
+        assert min(mu.weights) >= 0.0
+        assert abs(sum(mu.weights) - 1.0) <= 1e-12
+    lam = complex(re, im)
+    m = exp_fn(rec, lam, n_max=2 * n_max)
+    f = sine_fn(rec, 1.0, lam, n_max=2 * n_max)
+    pairs = [(n, k) for n in range(n_max + 1) for k in range(n_max + 1)]
+    assert sine_residual(hg, f, m, pairs).max_rel <= 1e-9
+
+
+def test_build_table_names_the_negative_pair():
+    # valid coefficients, but b_1 < b_0 puts weight (b_1 - b_0) / a_0 = -1
+    # on P_1 in P_1 * P_1
+    rec = recurrence_from_lists([0.5, 0.5, 0.5], [0.5, 0.0, 0.0],
+                                [0.0, 0.5, 0.5], name="skewed")
+    with pytest.raises(NotHypergroupError, match=r"at \(1, 1\)"):
+        linearize(rec, 1, 1)
+    with pytest.raises(NotHypergroupError, match=r"-1 at \(1, 1\)"):
+        PolynomialHypergroup(rec).build_table(1)
 
 
 def test_reconstruct_sine_additive_case():
