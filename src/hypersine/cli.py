@@ -83,7 +83,7 @@ def build_parser():
     p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p_verify.add_argument("--theta", type=_finite(float), action="append",
                           help="two-point family parameter; repeatable")
-    p_verify.add_argument("--alpha", type=float, default=0.5,
+    p_verify.add_argument("--alpha", type=_finite(float), default=0.5,
                           help="power-weight parameter for the ODE family")
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--rec-file", default=None,
@@ -94,9 +94,10 @@ def build_parser():
         "tabulate", parents=[common],
         help="tabulate an exponential and a sine function for one family")
     p_tab.add_argument("--family", choices=TABULATE_FAMILIES, required=True)
-    p_tab.add_argument("--c", type=_parse_lambda, default=complex(1.0),
+    p_tab.add_argument("--c", type=_finite(_parse_lambda),
+                       default=complex(1.0),
                        help="sine normalization constant")
-    p_tab.add_argument("--alpha", type=float, default=None,
+    p_tab.add_argument("--alpha", type=_finite(float), default=None,
                        help="power-weight parameter (sturm family)")
     p_tab.add_argument("--a-const", action="store_true",
                        help="use the constant weight (sturm family)")
@@ -240,13 +241,10 @@ def _tabulate_sturm(args):
     sol = sturm_mod.solve_sine(family, lam, args.c, x_max=args.xmax, h=args.h)
     phi = sol.forcing
     f = sol.values
-    h = sol.grid[1] - sol.grid[0]
     res = np.zeros(len(sol.grid))
-    fpp = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
-    fp = (f[2:] - f[:-2]) / (2.0 * h)
-    rvals = np.array([family.ratio(x) for x in sol.grid[1:-1]])
-    res[1:-1] = np.abs(fpp + rvals * fp - complex(lam) * f[1:-1]
-                       - complex(args.c) * phi[1:-1])
+    defect, _ = sturm_mod.ode_defect(sol.grid, f, family.ratio, sol.lam,
+                                     sol.c, phi)
+    res[1:-1] = np.abs(defect)
     rows = []
     for i, x in enumerate(sol.grid):
         rows.append((repr(float(x)),

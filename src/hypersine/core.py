@@ -28,7 +28,8 @@ class SupportCapError(Exception):
 
 
 class NotHypergroupError(Exception):
-    """Structure data fails the hypergroup axioms (weights, identity row)."""
+    """Structure data fails the hypergroup axioms (weights, identity rows,
+    associativity, involution)."""
 
 
 class TheoremViolationError(Exception):
@@ -163,7 +164,9 @@ class FiniteHypergroup(Hypergroup):
     """Hypergroup on {0, .., N-1} given by a convolution tensor c[i][j][l].
 
     Element 0 is the identity.  Each row c[i][j][:] must be a probability
-    vector and the identity rows must be exact point masses.
+    vector, the identity rows must be exact point masses, the convolution
+    must be associative, and each i must have exactly one j whose product
+    with it charges the identity; i -> j must be an involution.
     """
 
     def __init__(self, tensor, name="", tol=WEIGHT_TOL):
@@ -179,6 +182,21 @@ class FiniteHypergroup(Hypergroup):
         eye = np.eye(n)
         if not (np.array_equal(tensor[0], eye) and np.array_equal(tensor[:, 0], eye)):
             raise NotHypergroupError("identity rows are not exact point masses")
+        left = np.einsum("ijl,lkm->ijkm", tensor, tensor)
+        right = np.einsum("jkl,ilm->ijkm", tensor, tensor)
+        defect = np.abs(left - right).max()
+        if not defect <= max(tol, tol * n):
+            raise NotHypergroupError(
+                f"convolution is not associative: defect {defect:.3g}")
+        inverse = []
+        for i in range(n):
+            partners = np.flatnonzero(tensor[i, :, 0] > tol)
+            if len(partners) != 1:
+                raise NotHypergroupError(
+                    f"element {i} has {len(partners)} inverses, expected 1")
+            inverse.append(partners[0])
+        if any(inverse[j] != i for i, j in enumerate(inverse)):
+            raise NotHypergroupError("inverse map is not an involution")
         self.tensor = tensor
         self.size = n
         self.name = name
@@ -391,20 +409,19 @@ def compact_vanishing_check(hg, m, basis, tol=1e-10):
 def exponentials(hg, tol=VERIFY_WEIGHT_TOL):
     """Validated exponentials of a finite hypergroup.
 
-    Candidates are eigenvectors of the generator transition matrix
-    T[j, l] = c[1][j][l] (an exponential m satisfies T m = m(1) m),
-    normalized to m(0) = 1 and filtered by exp_residual.  For built-in
-    structures the generator has simple spectrum and this is exhaustive.
+    An exponential m satisfies T_i m = m(i) m for every transition matrix
+    T_i[j, l] = c[i][j][l], so it is an eigenvector of any combination
+    sum_i r_i T_i.  Candidates are the eigenvectors of one fixed generic
+    combination (a single T_i can have repeated eigenvalues, as on products),
+    normalized to m(0) = 1, filtered by exp_residual and sorted by
+    (-Re m(1), -Im m(1)), ties broken by the later elements.
     """
     if hg.size == 1:
         return [np.ones(1)]
-    t = hg.tensor[1]
-    eigvals, eigvecs = np.linalg.eig(t)
+    r = np.random.default_rng(0).uniform(1.0, 2.0, size=hg.size)
+    _, eigvecs = np.linalg.eig(np.einsum("i,ijl->jl", r, hg.tensor))
     found = []
-    idx = sorted(range(len(eigvals)),
-                 key=lambda i: (-eigvals[i].real, -eigvals[i].imag))
-    for i in idx:
-        vec = eigvecs[:, i]
+    for vec in eigvecs.T:
         if abs(vec[0]) < 1e-12 * np.linalg.norm(vec):
             continue
         m = vec / vec[0]
@@ -416,7 +433,7 @@ def exponentials(hg, tol=VERIFY_WEIGHT_TOL):
         if any(np.allclose(m, other, atol=1e-9) for other in found):
             continue
         found.append(m)
-    return found
+    return sorted(found, key=lambda m: [(-v.real, -v.imag) for v in m[1:]])
 
 
 def load_finite_hypergroup(path):

@@ -20,7 +20,7 @@ import cmath
 import math
 
 from . import dual
-from .core import FiniteMeasure, Hypergroup, _scan
+from .core import FiniteMeasure, Hypergroup, _scan, sine_residual
 
 
 def group_mul(p, q):
@@ -145,22 +145,12 @@ def falsify_square_term(lam, a, pairs):
     if a == 0:
         raise ValueError("a = 0 is the genuine sine function; nothing to refute")
     lam = complex(lam)
-    hg = CosetHypergroup()
-    m = coset_exponential(lam)
 
     def f(p):
         ax, au = p
         lg = math.log(ax)
         return cmath.exp(lam * lg) * (lg + a * au * au)
-
-    def gen():
-        for p, q in pairs:
-            mu = hg.convolve(p, q)
-            lhs = sum(w * f(el) for el, w in mu)
-            t1, t2 = f(p) * m(q), f(q) * m(p)
-            err = abs(lhs - t1 - t2)
-            yield err, err / (1.0 + abs(t1) + abs(t2)), (p, q)
-    return _scan(gen())
+    return sine_residual(CosetHypergroup(), f, coset_exponential(lam), pairs)
 
 
 def square_norm_check(samples):

@@ -9,9 +9,13 @@ and the sine candidates solve the inhomogeneous companion
     f'' + (A'/A) f' = lam f + c u,  f(0) = f'(0) = 0,
 
 whose c = 1 solution is the lambda-derivative of the family.  A'/A may have
-a s/x singularity at the origin (power weights A = x^s); integration uses a
-fixed-step classical fourth-order method launched from a short power series
-on [0, x_start] with x_start = max(10 h, 1e-3).
+a s/x singularity at the origin (power weights A = x^s).  One pass serves
+``solve_phi``, ``solve_sine`` and ``dlambda_phi``: a fixed-step classical
+fourth-order method over (u, u', f, f'), launched from a short power series
+on [0, x_start] with x_start = max(10 h, 1e-3).  Its accuracy is checked
+against closed forms, not against a second integration: cosh(sqrt(lam) x)
+and x sinh(sqrt(lam) x) / (2 sqrt(lam)) for A == 1, and the identity
+d/dlam phi_alpha = x^2 / (4 (alpha + 1)) phi_(alpha + 1) for A = x^(2 alpha + 1).
 
 For A == 1 the family is cosh(sqrt(lam) x) and the point convolution
 d[x] * d[y] = (d[x+y] + d[|x-y|]) / 2 makes the half line a hypergroup;
@@ -27,7 +31,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dual import DualScalar, value_of, deriv_of
 from .core import FiniteMeasure, Hypergroup, _scan
 
 OVERFLOW_LIMIT = 1e12
@@ -50,7 +53,7 @@ def power_family(alpha):
     Requires alpha >= -1/2; alpha = 1/2 gives the family
     sinh(sqrt(lam) x) / (sqrt(lam) x).
     """
-    if alpha < -0.5:
+    if not alpha >= -0.5:   # NaN fails too
         raise ValueError(f"alpha must be >= -1/2, got {alpha!r}")
     s = 2.0 * alpha + 1.0
     return SturmLiouvilleFunction(
@@ -67,9 +70,9 @@ def constant_family():
 class OdeSolution:
     """Solution tabulated on a uniform grid.
 
-    ``ode_residual`` is the worst scaled second-order difference residual of
-    the equation on interior nodes; ``forcing`` holds the exponential values
-    used on the right-hand side when c != 0.
+    ``ode_residual`` is the worst scaled central-difference defect of the
+    equation on interior nodes (see ``ode_defect``); ``forcing`` holds the
+    exponential values of the same pass, used on the right-hand side.
     """
 
     grid: np.ndarray
@@ -113,7 +116,7 @@ def _grid(x_max, h):
 
 def _check_overflow(state):
     for v in state:
-        if abs(value_of(v)) > OVERFLOW_LIMIT:
+        if abs(v) > OVERFLOW_LIMIT:
             raise OverflowError(
                 f"solution magnitude exceeded {OVERFLOW_LIMIT:g}; "
                 "reduce x_max or Re sqrt(lam)")
@@ -147,72 +150,24 @@ def _launch_index(x_max, h, steps):
     return k0
 
 
-def solve_phi(family, lam, x_max=5.0, h=1e-3):
-    """Exponential family member at lam, tabulated on [0, x_max]."""
-    sol = _integrate_phi(family, complex(lam), x_max, h)
-    return sol
-
-
-def _integrate_phi(family, lam, x_max, h, dual_mode=False):
-    grid, steps = _grid(x_max, h)
-    s = family.origin_exponent
-    ratio = family.ratio
-    if dual_mode:
-        lam_s = DualScalar(value_of(lam), 1.0)
-        zero = DualScalar(0.0, 0.0)
-    else:
-        lam_s = complex(lam)
-        zero = 0j
-    vals = [zero] * (steps + 1)
-    ders = [zero] * (steps + 1)
-    k0 = _launch_index(x_max, h, steps)
-    for i in range(k0 + 1):
-        u, du = _series_phi(s, lam_s, grid[i])
-        vals[i], ders[i] = u + zero, du + zero
-
-    def rhs(x, state):
-        u, v = state
-        return (v, lam_s * u - ratio(x) * v)
-
-    def record(i, state):
-        vals[k0 + i], ders[k0 + i] = state
-
-    _rk4(rhs, grid[k0], (vals[k0], ders[k0]), h, steps - k0, record)
-    if dual_mode:
-        phi_arr = np.array([value_of(v) for v in vals])
-        dphi_arr = np.array([deriv_of(v) for v in vals])
-        dders = np.array([deriv_of(v) for v in ders])
-        residual = _fd_residual(grid, dphi_arr, ratio, value_of(lam), 1.0, phi_arr)
-        return OdeSolution(grid, dphi_arr, dders, value_of(lam), 1.0,
-                           residual, forcing=phi_arr)
-    values = np.array([complex(v) for v in vals])
-    derivs = np.array([complex(v) for v in ders])
-    residual = _fd_residual(grid, values, ratio, lam_s, 0.0, None)
-    return OdeSolution(grid, values, derivs, lam_s, 0.0, residual)
-
-
-def solve_sine(family, lam, c, x_max=5.0, h=1e-3):
-    """Solution of the inhomogeneous companion equation with forcing c * phi.
-
-    The exponential is integrated alongside, so no interpolation is needed
-    at half steps.
-    """
+def _integrate(family, lam, c, x_max, h):
+    """The one integration pass: a series launch, then classical RK4 over
+    (phi, phi', f, f') with the exponential feeding the forcing c * phi, so
+    no interpolation is needed at half steps.  Returns the grid and the four
+    tabulated components."""
     lam = complex(lam)
     c = complex(c)
     grid, steps = _grid(x_max, h)
     s = family.origin_exponent
     ratio = family.ratio
     phi_v = [0j] * (steps + 1)
+    phi_d = [0j] * (steps + 1)
     f_v = [0j] * (steps + 1)
     f_d = [0j] * (steps + 1)
     k0 = _launch_index(x_max, h, steps)
-    phi_d0 = None
     for i in range(k0 + 1):
-        pu, pdu = _series_phi(s, lam, grid[i])
-        fu, fdu = _series_sine(s, lam, c, grid[i])
-        phi_v[i], f_v[i], f_d[i] = pu, fu, fdu
-        if i == k0:
-            phi_d0 = pdu
+        phi_v[i], phi_d[i] = _series_phi(s, lam, grid[i])
+        f_v[i], f_d[i] = _series_sine(s, lam, c, grid[i])
 
     def rhs(x, state):
         pu, pv, fu, fv = state
@@ -220,41 +175,58 @@ def solve_sine(family, lam, c, x_max=5.0, h=1e-3):
         return (pv, lam * pu - r * pv, fv, lam * fu + c * pu - r * fv)
 
     def record(i, state):
-        phi_v[k0 + i], _, f_v[k0 + i], f_d[k0 + i] = state
+        phi_v[k0 + i], phi_d[k0 + i], f_v[k0 + i], f_d[k0 + i] = state
 
-    _rk4(rhs, grid[k0], (phi_v[k0], phi_d0, f_v[k0], f_d[k0]), h,
+    _rk4(rhs, grid[k0], (phi_v[k0], phi_d[k0], f_v[k0], f_d[k0]), h,
          steps - k0, record)
-    phi_arr = np.array(phi_v)
-    values = np.array(f_v)
-    derivs = np.array(f_d)
-    residual = _fd_residual(grid, values, ratio, lam, c, phi_arr)
-    return OdeSolution(grid, values, derivs, lam, c, residual,
-                       forcing=phi_arr)
+    return (grid, np.array(phi_v), np.array(phi_d), np.array(f_v),
+            np.array(f_d))
+
+
+def solve_phi(family, lam, x_max=5.0, h=1e-3):
+    """Exponential family member at lam, tabulated on [0, x_max]."""
+    lam = complex(lam)
+    grid, phi, dphi, _, _ = _integrate(family, lam, 0.0, x_max, h)
+    return OdeSolution(grid, phi, dphi, lam, 0.0,
+                       ode_residual(grid, phi, family.ratio, lam))
+
+
+def solve_sine(family, lam, c, x_max=5.0, h=1e-3):
+    """Solution of the inhomogeneous companion equation with forcing c * phi;
+    ``forcing`` holds phi from the same pass."""
+    lam = complex(lam)
+    c = complex(c)
+    grid, phi, _, f, df = _integrate(family, lam, c, x_max, h)
+    return OdeSolution(grid, f, df, lam, c,
+                       ode_residual(grid, f, family.ratio, lam, c, phi),
+                       forcing=phi)
 
 
 def dlambda_phi(family, lam, x_max=5.0, h=1e-3):
-    """Lambda-derivative of the exponential family by dual-number
-    integration of the family equation itself.
-
-    This is an independent route to the c = 1 companion solution and the two
-    must agree within combined tolerance.
-    """
-    return _integrate_phi(family, complex(lam), x_max, h, dual_mode=True)
+    """Lambda-derivative of the exponential family: the c = 1 companion."""
+    return solve_sine(family, lam, 1.0, x_max=x_max, h=h)
 
 
-def _fd_residual(grid, values, ratio, lam, c, forcing):
-    """Scaled central-difference residual of the equation on interior nodes."""
+def ode_defect(grid, values, ratio, lam, c=0.0, forcing=None):
+    """Central-difference defect u'' + (A'/A) u' - lam u - c forcing of the
+    equation on the interior nodes, and the scale
+    1 + |lam u| + |(A'/A) u'| (+ |c forcing|) it is measured against."""
     h = grid[1] - grid[0]
     u = values
     upp = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
     up = (u[2:] - u[:-2]) / (2.0 * h)
     rvals = np.array([ratio(x) for x in grid[1:-1]])
     res = upp + rvals * up - lam * u[1:-1]
-    if forcing is not None and c != 0:
-        res = res - c * forcing[1:-1]
     scale = 1.0 + np.abs(lam * u[1:-1]) + np.abs(rvals * up)
     if forcing is not None and c != 0:
+        res = res - c * forcing[1:-1]
         scale = scale + np.abs(c * forcing[1:-1])
+    return res, scale
+
+
+def ode_residual(grid, values, ratio, lam, c=0.0, forcing=None):
+    """Worst scaled defect max |defect| / scale on the interior nodes."""
+    res, scale = ode_defect(grid, values, ratio, lam, c, forcing)
     return float(np.max(np.abs(res) / scale))
 
 

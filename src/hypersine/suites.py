@@ -346,24 +346,24 @@ def run_sturm(cfg):
     x_max, h = cfg.x_max, cfg.h
     const = sturm_mod.constant_family()
     power = sturm_mod.power_family(cfg.alpha)
+    power_tag = f"power(alpha={cfg.alpha:g})"
     res_bound = 10.0 * h * h
-    worst_res = 0.0
+    residuals = []
     for lam in lambdas:
-        sol = sturm_mod.solve_phi(const, lam, x_max=x_max, h=h)
-        w = cmath.sqrt(complex(lam))
-        ref = np.cosh(w * sol.grid)
-        err = float(np.abs(sol.values - ref).max())
+        ssol = sturm_mod.solve_sine(const, lam, 1.0, x_max=x_max, h=h)
+        grid, phi = ssol.grid, ssol.forcing
+        ref = np.cosh(cmath.sqrt(complex(lam)) * grid)
+        err = float(np.abs(phi - ref).max())
         checks.append(CheckResult(
             f"sturm:const:phi:lam={_fmt_lam(lam)}", err, err, None,
-            len(sol.grid), err <= 1e-6))
-        worst_res = max(worst_res, sol.ode_residual)
-        dsol = sturm_mod.dlambda_phi(const, lam, x_max=x_max, h=h)
-        ssol = sturm_mod.solve_sine(const, lam, 1.0, x_max=x_max, h=h)
-        err = float(np.abs(dsol.values - ssol.values).max())
+            len(grid), err <= 1e-6))
+        ref = np.array([sturm_mod.line_dphi(x, lam) for x in grid])
+        err = float(np.abs(ssol.values - ref).max())
         checks.append(CheckResult(
-            f"sturm:const:dlambda-vs-sine:lam={_fmt_lam(lam)}", err, err,
-            None, len(dsol.grid), err <= 1e-5))
-        worst_res = max(worst_res, dsol.ode_residual, ssol.ode_residual)
+            f"sturm:const:sine-closed-form:lam={_fmt_lam(lam)}", err, err,
+            None, len(grid), err <= 1e-5))
+        residuals += [sturm_mod.ode_residual(grid, phi, const.ratio, lam),
+                      ssol.ode_residual]
     lam = 1.0
     sol = sturm_mod.solve_phi(sturm_mod.power_family(0.5), lam,
                               x_max=x_max, h=h)
@@ -373,23 +373,26 @@ def run_sturm(cfg):
     checks.append(CheckResult(
         "sturm:power-half:phi:lam=1", err, err, None, len(sol.grid),
         err <= 1e-6))
-    worst_res = max(worst_res, sol.ode_residual)
-    dsol = sturm_mod.dlambda_phi(power, lam, x_max=x_max, h=h)
+    # d/dlam phi_alpha = x^2 / (4 (alpha + 1)) phi_(alpha + 1)
     ssol = sturm_mod.solve_sine(power, lam, 1.0, x_max=x_max, h=h)
-    err = float(np.abs(dsol.values - ssol.values).max())
+    up = sturm_mod.solve_phi(sturm_mod.power_family(cfg.alpha + 1.0), lam,
+                             x_max=x_max, h=h)
+    ref = up.grid ** 2 / (4.0 * (cfg.alpha + 1.0)) * up.values
+    err = float(np.abs(ssol.values - ref).max())
     checks.append(CheckResult(
-        f"sturm:power(alpha={cfg.alpha:g}):dlambda-vs-sine:lam=1", err, err,
-        None, len(dsol.grid), err <= 1e-5))
-    worst_res = max(worst_res, dsol.ode_residual, ssol.ode_residual)
-    for fam, tag in ((const, "const"), (power, f"power(alpha={cfg.alpha:g})")):
+        f"sturm:{power_tag}:sine-vs-phi(alpha+1):lam=1", err, err, None,
+        len(ssol.grid), err <= 1e-5))
+    residuals += [sol.ode_residual, ssol.ode_residual, up.ode_residual]
+    for fam, tag in ((const, "const"), (power, power_tag)):
         sol = sturm_mod.solve_sine(fam, 1.0, 0.0, x_max=x_max, h=h)
         err = float(np.abs(sol.values).max())
         checks.append(CheckResult(
             f"sturm:{tag}:homogeneous-zero", err, err, None, len(sol.grid),
             err <= 1e-10))
+    worst_res = max(residuals)
     checks.append(CheckResult(
         "sturm:ode-residual-bound", worst_res, worst_res / res_bound, None,
-        len(lambdas) * 3 + 3, worst_res <= res_bound))
+        len(residuals), worst_res <= res_bound))
     rng = np.random.default_rng(cfg.seed)
     pts = rng.uniform(0.05, 2.5, size=(40, 2))
     for lam in (0.8, 1.0, 2.0):

@@ -192,11 +192,14 @@ def test_criterion_7_sturm_liouville():
     ref = np.ones_like(sol.values)
     ref[1:] = np.sinh(sol.grid[1:]) / sol.grid[1:]
     phi_worst = max(phi_worst, float(np.abs(sol.values - ref).max()))
-    d_worst = 0.0
-    for fam in (const, power_family(0.5)):
-        a = dlambda_phi(fam, 1.0, x_max=5.0, h=1e-3)
-        b = solve_sine(fam, 1.0, 1.0, x_max=5.0, h=1e-3)
-        d_worst = max(d_worst, float(np.abs(a.values - b.values).max()))
+    d = dlambda_phi(const, 1.0, x_max=5.0, h=1e-3)
+    ref = d.grid * np.sinh(d.grid) / 2.0
+    d_worst = float(np.abs(d.values - ref).max())
+    d = dlambda_phi(power_family(0.5), 1.0, x_max=5.0, h=1e-3)
+    x = d.grid[1:]
+    ref = (x * np.cosh(x) - np.sinh(x)) / (2.0 * x)
+    d_worst = max(d_worst, float(np.abs(d.values[1:] - ref).max()),
+                  abs(d.values[0]))
     hom = solve_sine(const, 1.0, 0.0, x_max=5.0, h=1e-3)
     hom_worst = float(np.abs(hom.values).max())
     pts = [(0.3, 1.1), (2.0, 2.0), (0.7, 2.4), (1.5, 0.2)]
@@ -207,7 +210,7 @@ def test_criterion_7_sturm_liouville():
           and cosh_worst <= 1e-10 and elapsed < 10.0)
     _report(7, ok,
             f"phi vs closed forms {phi_worst:.2e} (1e-6), derivative vs "
-            f"forced {d_worst:.2e} (1e-5), homogeneous {hom_worst:.2e} "
+            f"closed forms {d_worst:.2e} (1e-5), homogeneous {hom_worst:.2e} "
             f"(1e-10), pairing {cosh_worst:.2e} (1e-10), {elapsed:.2f}s "
             f"(< 10s)")
 

@@ -63,6 +63,10 @@ def test_bad_lambda_is_usage_error():
     ["verify", "sturm", "--xmax", "nan"],
     ["verify", "compact", "--tol", "inf"],
     ["tabulate", "--family", "chebyshev", "--lambda", "nan"],
+    ["verify", "sturm", "--alpha", "nan"],
+    ["tabulate", "--family", "sturm", "--alpha", "nan"],
+    ["tabulate", "--family", "chebyshev", "--c", "nan"],
+    ["tabulate", "--family", "sturm", "--c", "1,inf"],
 ])
 def test_non_finite_inputs_are_usage_errors(argv):
     with pytest.raises(SystemExit) as err:
@@ -154,3 +158,15 @@ def test_sine_space_malformed_spec(tmp_path):
     spec = tmp_path / "bad.json"
     spec.write_text("{not json")
     assert run(["sine-space", str(spec)]) == 2
+
+
+def test_sine_space_rejects_non_associative_table(tmp_path, capsys):
+    # 1*1 = (d0 + d2)/2, 2*2 = (d0 + d1)/2, 1*2 = 2*1 = d1:
+    # (1*1)*2 charges d1, 1*(1*2) does not
+    tensor = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+              [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]],
+              [[0, 0, 1], [0, 1, 0], [0.5, 0.5, 0]]]
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"size": 3, "tensor": tensor}))
+    assert run(["sine-space", str(spec)]) == 2
+    assert "not associative" in capsys.readouterr().err

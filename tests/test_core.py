@@ -192,6 +192,38 @@ def test_finite_hypergroup_validation():
         FiniteHypergroup(bad)
 
 
+def test_finite_hypergroup_checks_associativity_and_involution():
+    from hypersine.core import FiniteHypergroup
+    # valid except (1*1)*2 != 1*(1*2)
+    non_assoc = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                 [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]],
+                 [[0, 0, 1], [0, 1, 0], [0.5, 0.5, 0]]]
+    with pytest.raises(NotHypergroupError, match="associative"):
+        FiniteHypergroup(non_assoc)
+    # i*j = d[max(i, j)]: associative, but 1 and 2 have no inverse
+    no_inverse = np.zeros((3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            no_inverse[i, j, max(i, j)] = 1.0
+    with pytest.raises(NotHypergroupError, match="inverses"):
+        FiniteHypergroup(no_inverse)
+
+
+def test_exponentials_of_product_hypergroup():
+    # on D(1/4) x D(1/4) every generator row has repeated eigenvalues
+    from hypersine.core import FiniteHypergroup
+    d = two_point_hypergroup(0.25).tensor
+    hg = FiniteHypergroup(np.einsum("abc,def->adbecf", d, d).reshape(4, 4, 4))
+    ms = exponentials(hg)
+    expected = [[1, 1, 1, 1], [1, 1, -0.25, -0.25],
+                [1, -0.25, 1, -0.25], [1, -0.25, -0.25, 0.0625]]
+    assert sorted(np.round(np.real(m), 12).tolist() for m in ms) == \
+        sorted(expected)
+    for m in ms:
+        assert exp_residual(hg, TabulatedFunction(m),
+                            hg.all_pairs()).max_abs <= 1e-12
+
+
 def test_convolve_power_and_identity():
     hg = two_point_hypergroup(0.5)
     mu = convolve_power(hg, 1, 3)

@@ -51,11 +51,13 @@ def test_dlambda_power_family_closed_form():
     assert np.max(np.abs(sol.values - ref)) <= 1e-12
 
 
-def test_dual_route_equals_forced_route():
-    for fam in (constant_family(), power_family(1.0)):
-        a = dlambda_phi(fam, 1.3, x_max=2.0, h=1e-3)
-        b = solve_sine(fam, 1.3, 1.0, x_max=2.0, h=1e-3)
-        assert np.max(np.abs(a.values - b.values)) <= 1e-10
+def test_dlambda_power_family_shift_identity():
+    # d/dlam phi_alpha = x^2 / (4 (alpha + 1)) phi_(alpha + 1)
+    for alpha in (0.0, 0.5, 1.3, 2.0):
+        d = dlambda_phi(power_family(alpha), 2.0, x_max=2.0, h=1e-3)
+        up = solve_phi(power_family(alpha + 1.0), 2.0, x_max=2.0, h=1e-3)
+        ref = d.grid ** 2 / (4.0 * (alpha + 1.0)) * up.values
+        assert np.max(np.abs(d.values - ref)) <= 1e-9
 
 
 def test_solve_sine_is_linear_in_c():
@@ -87,6 +89,8 @@ def test_grid_and_family_validation():
         solve_phi(constant_family(), 1.0, x_max=0.01, h=1e-3)
     with pytest.raises(ValueError):
         power_family(-0.75)
+    with pytest.raises(ValueError):
+        power_family(float("nan"))
 
 
 def test_line_phi_and_dphi_closed_forms():

@@ -54,6 +54,15 @@ def test_sturm_suite_respects_overridden_grid():
     assert rep.passed
 
 
+def test_sturm_sine_rows_fail_on_a_coarse_grid():
+    # at h = 1e-2 the RK4 error in the derivative exceeds the 1e-5 tolerance
+    cfg = SuiteConfig(x_max=5.0, h=1e-2, lambdas=(2.0,), alpha=-0.5)
+    rows = {c.name: c for c in run_suite("sturm", cfg).checks}
+    assert not rows["sturm:const:sine-closed-form:lam=2"].passed
+    assert rows["sturm:const:sine-closed-form:lam=2"].max_abs > 1e-4
+    assert not rows["sturm:power(alpha=-0.5):sine-vs-phi(alpha+1):lam=1"].passed
+
+
 def test_seed_changes_sampled_witnesses():
     a = run_suite("coset", SuiteConfig(seed=1, samples=50))
     b = run_suite("coset", SuiteConfig(seed=2, samples=50))
