@@ -1,6 +1,7 @@
 """Running the verification machinery on a user-supplied recurrence file."""
 
 import json
+import os
 import tempfile
 
 from hypersine import (PolynomialHypergroup, exp_fn, recurrence_from_file,
@@ -16,11 +17,12 @@ spec = {
     "closed_form": None,
 }
 
-with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-    json.dump(spec, fh)
-    path = fh.name
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "geometric-mix.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
+    rec = recurrence_from_file(path)
 
-rec = recurrence_from_file(path)
 hg = PolynomialHypergroup(rec)
 print(f"loaded recurrence {rec.name!r}")
 mu = hg.convolve(2, 2)
@@ -32,5 +34,6 @@ f = sine_fn(rec, 1.0, lam, n_max=10)
 pairs = [(n, k) for n in range(5) for k in range(5)]
 rep = sine_residual(hg, f, m, pairs)
 print(f"derivative family sine residual at lam = {lam}: {rep.max_rel:.2e}")
-print("the same file can be passed to the command line:")
-print(f"  hypersine verify polyone --rec-file {path} --n-max 5")
+print("the same file, saved as geometric-mix.json, can be passed to the "
+      "command line:")
+print("  hypersine verify polyone --rec-file geometric-mix.json --n-max 5")

@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from . import coset, su2
-from .core import (NotHypergroupError, TabulatedFunction, exp_residual,
-                   exponentials, load_finite_hypergroup, sine_residual,
-                   sine_space)
+from .core import (NotHypergroupError, TabulatedFunction, _cmul, _errors,
+                   _pair_batch, exp_residual, exponentials,
+                   load_finite_hypergroup, sine_residual, sine_space)
 from .multipoly import ProductPolyHypergroup
 from .polyhg import (BUILTIN_RECURRENCES, PolynomialHypergroup, exp_fn,
                      sine_fn)
@@ -164,70 +164,51 @@ def cmd_verify(args):
     return 0 if report.passed else 1
 
 
+def _sine_rows(hg, f, m, elements, y, labels=None):
+    """Rows (element, m, sine, residual): the residual of the sine equation
+    at (x, y) for each element x."""
+    if not elements:
+        return []
+    errs, _ = _errors(hg, f, m, *_pair_batch([(x, y) for x in elements]))
+    return [(label, _c(m(x)), _c(f(x)), repr(float(err)))
+            for label, x, err in zip(labels or elements, elements, errs)]
+
+
 def _tabulate_poly(args, rec):
     n_max = 8 if args.n_max is None else args.n_max
     lam = (args.lambdas or [0.7])[0]
-    hg = PolynomialHypergroup(rec)
     m = exp_fn(rec, lam, n_max=max(2 * n_max + 2, 4))
     f = sine_fn(rec, args.c, lam, n_max=max(2 * n_max + 2, 4))
-    rows = []
-    for n in range(n_max + 1):
-        rows.append((n, _c(m(n)), _c(f(n)),
-                     repr(sine_residual(hg, f, m, [(n, 1)]).max_abs)))
-    return rows, ["element", "m", "sine", "residual"]
+    return _sine_rows(PolynomialHypergroup(rec), f, m, list(range(n_max + 1)),
+                      1)
 
 
 def _tabulate_su2(args):
     n_max = 8 if args.n_max is None else args.n_max
     lam = (args.lambdas or [0.3])[0]
-    hg = su2.Su2Hypergroup()
-    if n_max < 0:
-        return [], ["element", "m", "sine", "residual"]
-    m = su2.phi_fn(2 * n_max + 2, lam)
-    if lam == 0:
-        f = su2.additive_fn(args.c)
-    else:
-        base = su2.dphi_fn(2 * n_max + 2, lam)
-        f = lambda n: args.c * base(n)
-    rows = []
-    for n in range(n_max + 1):
-        rows.append((n, _c(m(n)), _c(f(n)),
-                     repr(sine_residual(hg, f, m, [(n, 1)]).max_abs)))
-    return rows, ["element", "m", "sine", "residual"]
+    m, base = su2.phi_fn(2 * n_max + 2, lam), su2.dphi_fn(2 * n_max + 2, lam)
+    f = (su2.additive_fn(args.c) if lam == 0
+         else lambda n: _cmul(args.c, base(n)))
+    return _sine_rows(su2.Su2Hypergroup(), f, m, list(range(n_max + 1)), 1)
 
 
 def _tabulate_product(args):
     n_max = 4 if args.n_max is None else args.n_max
-    lam = args.lambdas or [0.6, 0.8]
-    if len(lam) == 1:
-        lam = [lam[0], lam[0]]
+    lam = tuple((args.lambdas or [0.6, 0.8]) * 2)[:2]   # one value: both
     hg = ProductPolyHypergroup([BUILTIN_RECURRENCES["chebyshev"](),
                                 BUILTIN_RECURRENCES["legendre"]()])
-    lam = tuple(lam[:2])
-    m = hg.exp_fn(lam)
-    f = hg.multi_sine((args.c, args.c), lam)
-    rows = []
-    for i in range(n_max + 1):
-        for j in range(n_max + 1):
-            x = (i, j)
-            rows.append((f"{i},{j}", _c(m(x)), _c(f(x)),
-                         repr(sine_residual(hg, f, m, [(x, (1, 1))]).max_abs)))
-    return rows, ["element", "m", "sine", "residual"]
+    xs = [(i, j) for i in range(n_max + 1) for j in range(n_max + 1)]
+    return _sine_rows(hg, hg.multi_sine((args.c, args.c), lam),
+                      hg.exp_fn(lam), xs, (1, 1), [f"{i},{j}" for i, j in xs])
 
 
 def _tabulate_coset(args):
     n_max = 8 if args.n_max is None else args.n_max
     lam = (args.lambdas or [1.0])[0]
-    hg = coset.CosetHypergroup()
-    m = coset.coset_exponential(lam)
-    f = coset.coset_sine(args.c, lam)
-    rows = []
-    for t in range(n_max + 1):
-        x = (float(np.exp(t / 4.0)), float(t))
-        rep = sine_residual(hg, f, m, [(x, (2.0, 1.0))])
-        rows.append((f"{x[0]!r},{x[1]!r}", _c(m(x)), _c(f(x)),
-                     repr(rep.max_abs)))
-    return rows, ["element", "m", "sine", "residual"]
+    xs = [(float(np.exp(t / 4.0)), float(t)) for t in range(n_max + 1)]
+    return _sine_rows(coset.CosetHypergroup(), coset.coset_sine(args.c, lam),
+                      coset.coset_exponential(lam), xs, (2.0, 1.0),
+                      [f"{x!r},{u!r}" for x, u in xs])
 
 
 def _tabulate_sturm(args):
@@ -239,33 +220,27 @@ def _tabulate_sturm(args):
     else:
         family = sturm_mod.power_family(args.alpha)
     sol = sturm_mod.solve_sine(family, lam, args.c, x_max=args.xmax, h=args.h)
-    phi = sol.forcing
-    f = sol.values
+    phi, f = sol.forcing, sol.values
     res = np.zeros(len(sol.grid))
-    defect, _ = sturm_mod.ode_defect(sol.grid, f, family.ratio, sol.lam,
-                                     sol.c, phi)
-    res[1:-1] = np.abs(defect)
-    rows = []
-    for i, x in enumerate(sol.grid):
-        rows.append((repr(float(x)),
-                     repr(float(phi[i].real)), repr(float(phi[i].imag)),
-                     repr(float(f[i].real)), repr(float(f[i].imag)),
-                     repr(float(res[i]))))
-    return rows, ["x", "re_phi", "im_phi", "re_f", "im_f", "residual"]
+    res[1:-1] = np.abs(sturm_mod.ode_defect(sol.grid, f, family.ratio, sol.lam,
+                                            sol.c, phi)[0])
+    return [tuple(repr(float(v)) for v in row) for row in
+            zip(sol.grid, phi.real, phi.imag, f.real, f.imag, res)]
 
 
 def cmd_tabulate(args):
+    header = ["element", "m", "sine", "residual"]
     if args.family in ("chebyshev", "legendre"):
-        rows, header = _tabulate_poly(args,
-                                      BUILTIN_RECURRENCES[args.family]())
+        rows = _tabulate_poly(args, BUILTIN_RECURRENCES[args.family]())
     elif args.family == "su2":
-        rows, header = _tabulate_su2(args)
+        rows = _tabulate_su2(args)
     elif args.family == "product":
-        rows, header = _tabulate_product(args)
+        rows = _tabulate_product(args)
     elif args.family == "coset":
-        rows, header = _tabulate_coset(args)
+        rows = _tabulate_coset(args)
     else:
-        rows, header = _tabulate_sturm(args)
+        rows = _tabulate_sturm(args)
+        header = ["x", "re_phi", "im_phi", "re_f", "im_f", "residual"]
     _emit(_rows_to_text(rows, header, args.format or "csv"), args.out)
     return 0
 
@@ -290,11 +265,9 @@ def cmd_sine_space(args):
     rows = []
     for mv in ms:
         basis = sine_space(hg, mv, exp_tol=args.tol)
-        worst = 0.0
         mfun = TabulatedFunction(mv)
-        for b in basis:
-            rep = sine_residual(hg, b, mfun, hg.all_pairs())
-            worst = max(worst, rep.max_abs)
+        worst = max([sine_residual(hg, b, mfun, hg.all_pairs()).max_abs
+                     for b in basis], default=0.0)
         rows.append((json.dumps(jsonable([complex(v) for v in mv])),
                      len(basis),
                      json.dumps([jsonable([complex(b(i)) for i in

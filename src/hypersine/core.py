@@ -8,8 +8,9 @@ point masses, so f(x*y) is integrate(f, convolve(x, y)).
 
 from __future__ import annotations
 
+import functools
 import json
-import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,8 @@ def mix(weighted_measures, normalized=True):
 
 
 class TabulatedFunction:
-    """Function on {0, .., len(values)-1} backed by an array of values."""
+    """Function on {0, .., len(values)-1} backed by an array of values; on
+    an array of elements it returns the array of their values."""
 
     __slots__ = ("values",)
 
@@ -134,27 +136,76 @@ class TabulatedFunction:
         self.values = np.asarray(values)
 
     def __call__(self, n):
-        idx = int(n)
-        if idx < 0 or idx >= len(self.values):
-            raise IndexError(f"element {n!r} outside tabulated range")
-        return complex(self.values[idx])
+        idx = np.asarray(n).astype(int)
+        bad = (idx < 0) | (idx >= len(self.values))
+        if bad.any():
+            el = n if idx.ndim == 0 else np.asarray(n)[bad].tolist()[0]
+            raise IndexError(f"element {el!r} outside tabulated range")
+        return complex(self.values[idx]) if idx.ndim == 0 else self.values[idx]
 
     def __len__(self):
         return len(self.values)
 
 
+def _pair_batch(pairs):
+    """xs and ys of the pairs as batches: arrays, or tuples of coordinate
+    arrays for tuple elements (``a, b = x`` unpacks an element or a batch)."""
+    if len(pairs) == 0:
+        raise ValueError("empty sample set")
+    if isinstance(pairs[0][0], tuple):
+        return tuple(tuple(map(np.array, zip(*els))) for els in zip(*pairs))
+    return tuple(np.array(els) for els in zip(*pairs))
+
+
+def _element(batch, i):
+    """Element i of a batch as plain Python numbers."""
+    if isinstance(batch, tuple):
+        return tuple(c[i].item() for c in batch)
+    return batch[i].item()
+
+
+def _reject(bad, message, xs, ys):
+    """ValueError naming the first pair flagged in ``bad``."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"{message}, got {_element(xs, i)!r}, {_element(ys, i)!r}")
+
+
+def _compact(rows):
+    """(column, weight) arrays holding each row's non-zero entries first, in
+    column order; padding slots have weight 0 and point at column 0."""
+    mask = rows != 0
+    width = max(int(mask.sum(axis=1).max(initial=0)), 1)
+    cols = np.argsort(~mask, axis=1, kind="stable")[:, :width]
+    weights = np.take_along_axis(rows, cols, axis=1)
+    return np.where(weights != 0, cols, 0), weights
+
+
 class Hypergroup:
     """Base class: a ground set with identity and point-mass convolution.
 
-    Subclasses implement ``convolve(x, y) -> FiniteMeasure``.  The identity
-    must satisfy convolve(o, x) = convolve(x, o) = point mass at x.
+    Subclasses implement ``convolve_many(xs, ys) -> (support, weights)``,
+    the convolutions of xs[i] and ys[i] for batches of elements (see
+    ``_pair_batch``): [P, K] weights padded with zeros, and a support of
+    that shape (a tuple of them for tuple elements) whose padding slots
+    hold valid elements.  The identity must satisfy
+    convolve(o, x) = convolve(x, o) = point mass at x.
     """
 
     identity = None
     commutative = True
 
-    def convolve(self, x, y):
+    def convolve_many(self, xs, ys):
         raise NotImplementedError
+
+    def convolve(self, x, y, tol=WEIGHT_TOL):
+        """The convolution of the point masses at x and y as a FiniteMeasure,
+        read from ``convolve_many``."""
+        support, weights = self.convolve_many(*_pair_batch([(x, y)]))
+        return FiniteMeasure(((_element(support, (0, j)), w)
+                              for j, w in enumerate(weights[0].tolist())
+                              if w != 0.0), tol=tol)
 
     def involution(self, x):
         return x
@@ -188,33 +239,24 @@ class FiniteHypergroup(Hypergroup):
         if not defect <= max(tol, tol * n):
             raise NotHypergroupError(
                 f"convolution is not associative: defect {defect:.3g}")
-        inverse = []
-        for i in range(n):
-            partners = np.flatnonzero(tensor[i, :, 0] > tol)
-            if len(partners) != 1:
-                raise NotHypergroupError(
-                    f"element {i} has {len(partners)} inverses, expected 1")
-            inverse.append(partners[0])
-        if any(inverse[j] != i for i, j in enumerate(inverse)):
+        partners = (tensor[:, :, 0] > tol).sum(axis=1)
+        if (partners != 1).any():
+            i = int(np.argmax(partners != 1))
+            raise NotHypergroupError(
+                f"element {i} has {partners[i]} inverses, expected 1")
+        inverse = np.argmax(tensor[:, :, 0] > tol, axis=1)
+        if (inverse[inverse] != np.arange(n)).any():
             raise NotHypergroupError("inverse map is not an involution")
         self.tensor = tensor
         self.size = n
         self.name = name
         self.identity = 0
         self.commutative = bool(np.allclose(tensor, tensor.transpose(1, 0, 2)))
-        self._measures = {}
 
-    def convolve(self, i, j):
-        key = (int(i), int(j))
-        if not (0 <= key[0] < self.size and 0 <= key[1] < self.size):
-            raise ValueError(f"elements {key} outside range 0..{self.size - 1}")
-        mu = self._measures.get(key)
-        if mu is None:
-            row = self.tensor[key]
-            mu = FiniteMeasure(
-                ((l, row[l]) for l in range(self.size) if row[l] != 0.0))
-            self._measures[key] = mu
-        return mu
+    def convolve_many(self, xs, ys):
+        _reject((xs < 0) | (xs >= self.size) | (ys < 0) | (ys >= self.size),
+                f"elements outside range 0..{self.size - 1}", xs, ys)
+        return _compact(self.tensor[xs, ys])
 
     def elements(self):
         return range(self.size)
@@ -269,48 +311,71 @@ class ResidualReport:
         return (self.max_rel if relative else self.max_abs) <= tol
 
 
-def _scan(residuals):
-    """residuals: iterable of (abs_err, rel_err, witness)."""
-    max_abs = -1.0
-    max_rel = 0.0
-    witness = None
-    count = 0
-    for a, r, w in residuals:
-        count += 1
-        if math.isfinite(max_abs) and not math.isfinite(a):
-            # r = a / (1 + ...) is non-finite too; no later sample beats them
-            max_abs, max_rel, witness = a, r, w
-        if r > max_rel:
-            max_rel = r
-        if a > max_abs:
-            max_abs = a
-            witness = w
+def _cmul(a, b):
+    """a * b elementwise, rounded as Python's complex product (two real
+    products, then their sum); numpy's complex multiply may fuse them."""
+    a, b = np.asarray(a), np.asarray(b)
+    if not (np.iscomplexobj(a) and np.iscomplexobj(b)):
+        return a * b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out[()]
+
+
+def _cabs(z):
+    """|z| elementwise by hypot, as Python's abs of a complex."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def _scan(errs, rels, witnesses):
+    """Report over per-sample absolute and relative errors: the witness is
+    witnesses[i] for the first i attaining the largest absolute error, or
+    for the first non-finite one, whose own values are then reported."""
+    count = len(witnesses)
     if count == 0:
         raise ValueError("empty sample set")
-    return ResidualReport(max_abs, max_rel, witness, count)
+    errs = np.broadcast_to(np.asarray(errs, dtype=float), (count,))
+    rels = np.broadcast_to(np.asarray(rels, dtype=float), (count,))
+    bad = ~np.isfinite(errs)
+    i = int(np.argmax(bad)) if bad.any() else int(np.argmax(errs))
+    max_rel = rels[i] if bad.any() else rels.max()
+    return ResidualReport(float(errs[i]), float(max_rel), witnesses[i], count)
+
+
+def _integrate_many(f, support, weights):
+    """sum_K weights * f(support) per row, added in column order as
+    ``integrate`` adds; zero-weight slots add nothing, whatever f is there."""
+    try:
+        values = np.broadcast_to(f(support), weights.shape)
+    except Exception as exc:
+        raise EvaluationError(
+            f"integrand undefined at a support element: {exc}") from exc
+    return np.cumsum(np.where(weights != 0, weights * values, 0), axis=1)[:, -1]
+
+
+@np.errstate(all="ignore")
+def _errors(hg, f, m, xs, ys):
+    """Per-pair absolute and relative errors of f(x*y) = f(x)m(y) + f(y)m(x),
+    or of m(x*y) = m(x)m(y) when f is None; relative to 1 + the magnitudes
+    of the right-hand terms."""
+    lhs = _integrate_many(m if f is None else f, *hg.convolve_many(xs, ys))
+    terms = ([_cmul(m(xs), m(ys))] if f is None
+             else [_cmul(f(xs), m(ys)), _cmul(f(ys), m(xs))])
+    err = _cabs(functools.reduce(operator.sub, terms, lhs))
+    return err, err / sum(map(_cabs, terms), 1.0)
 
 
 def sine_residual(hg, f, m, pairs):
-    """Residual of f(x*y) = f(x)m(y) + f(y)m(x) over the given pairs."""
-    def gen():
-        for x, y in pairs:
-            lhs = integrate(f, hg.convolve(x, y))
-            t1 = f(x) * m(y)
-            t2 = f(y) * m(x)
-            err = abs(lhs - t1 - t2)
-            yield err, err / (1.0 + abs(t1) + abs(t2)), (x, y)
-    return _scan(gen())
+    """Residual of f(x*y) = f(x)m(y) + f(y)m(x) over the given pairs; f and
+    m are called on batches of elements (see ``_pair_batch``)."""
+    return _scan(*_errors(hg, f, m, *_pair_batch(pairs)), pairs)
 
 
 def exp_residual(hg, m, pairs):
-    """Residual of m(x*y) = m(x)m(y) over the given pairs."""
-    def gen():
-        for x, y in pairs:
-            lhs = integrate(m, hg.convolve(x, y))
-            rhs = m(x) * m(y)
-            err = abs(lhs - rhs)
-            yield err, err / (1.0 + abs(rhs)), (x, y)
-    return _scan(gen())
+    """Residual of m(x*y) = m(x)m(y) over the given pairs; m is called on
+    batches of elements (see ``_pair_batch``)."""
+    return _scan(*_errors(hg, None, m, *_pair_batch(pairs)), pairs)
 
 
 def _powers(hg, y, n_max, cap):
@@ -342,16 +407,15 @@ def power_identity_check(hg, f, m, x, y, n_max, cap=DEFAULT_SUPPORT_CAP):
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     my, mx, fx, fy = m(y), m(x), f(x), f(y)
-
-    def gen():
-        for n, mu in enumerate(_powers(hg, y, n_max, cap), start=1):
-            shifted = mix((w, hg.convolve(x, el)) for el, w in mu)
-            lhs = integrate(f, shifted)
-            t1 = fx * my ** n
-            t2 = n * fy * mx * my ** (n - 1)
-            err = abs(lhs - t1 - t2)
-            yield err, err / (1.0 + abs(t1) + abs(t2)), n
-    return _scan(gen())
+    errs, rels = [], []
+    for n, mu in enumerate(_powers(hg, y, n_max, cap), start=1):
+        shifted = mix((w, hg.convolve(x, el)) for el, w in mu)
+        lhs = integrate(f, shifted)
+        t1 = fx * my ** n
+        t2 = n * fy * mx * my ** (n - 1)
+        errs.append(abs(lhs - t1 - t2))
+        rels.append(errs[-1] / (1.0 + abs(t1) + abs(t2)))
+    return _scan(errs, rels, range(1, n_max + 1))
 
 
 def sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):
@@ -366,10 +430,8 @@ def sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):
     ValueError is raised.  Returns a list of TabulatedFunction basis elements.
     """
     n = hg.size
-    if callable(m):
-        m_vals = np.asarray([complex(m(i)) for i in range(n)])
-    else:
-        m_vals = np.asarray([complex(v) for v in m])
+    m_vals = np.asarray([complex(m(i)) for i in range(n)] if callable(m)
+                        else [complex(v) for v in m])
     if len(m_vals) != n:
         raise ValueError(f"m has {len(m_vals)} values, hypergroup has {n}")
     m_fn = TabulatedFunction(m_vals)
@@ -378,14 +440,11 @@ def sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):
         raise ValueError(
             f"m is not an exponential at tolerance {exp_tol:g}: "
             f"residual {rep.max_abs:g} at pair {rep.witness}")
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = hg.tensor[i, j].astype(complex).copy()
-            row[i] -= m_vals[j]
-            row[j] -= m_vals[i]
-            rows.append(row)
-    a = np.asarray(rows)
+    # row i n + j: sum_l c[i][j][l] f(l) - m(j) f(i) - m(i) f(j)
+    a = hg.tensor.astype(complex).reshape(n * n, n)
+    i, j = np.divmod(np.arange(n * n), n)
+    a[np.arange(n * n), i] -= m_vals[j]
+    a[np.arange(n * n), j] -= m_vals[i]
     _, s, vh = np.linalg.svd(a)
     cutoff = max(a.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
     rank = int((s > cutoff).sum())
@@ -428,11 +487,9 @@ def exponentials(hg, tol=VERIFY_WEIGHT_TOL):
         if np.abs(m.imag).max() < 1e-12:
             m = m.real.astype(complex)
         rep = exp_residual(hg, TabulatedFunction(m), hg.all_pairs())
-        if rep.max_abs > tol:
-            continue
-        if any(np.allclose(m, other, atol=1e-9) for other in found):
-            continue
-        found.append(m)
+        if rep.max_abs <= tol and not any(
+                np.allclose(m, other, atol=1e-9) for other in found):
+            found.append(m)
     return sorted(found, key=lambda m: [(-v.real, -v.imag) for v in m[1:]])
 
 

@@ -16,18 +16,17 @@ alpha != 0, which ``falsify_dalembert_alpha`` demonstrates numerically.
 
 from __future__ import annotations
 
-import cmath
-import math
+import numpy as np
 
-from . import dual
-from .core import FiniteMeasure, Hypergroup, _scan, sine_residual
+from .core import (Hypergroup, _cabs, _cmul, _pair_batch, _reject, _scan,
+                   sine_residual)
 
 
 def group_mul(p, q):
-    """(x, u) (y, v) = (x y, x v + u)."""
+    """(x, u) (y, v) = (x y, x v + u); coordinates may be arrays."""
     x, u = p
     y, v = q
-    if x == 0 or y == 0:
+    if np.any(x == 0) or np.any(y == 0):
         raise ValueError("group elements need nonzero first coordinate")
     return (x * y, x * v + u)
 
@@ -35,7 +34,7 @@ def group_mul(p, q):
 def group_inv(p):
     """Inverse (1/x, -u/x)."""
     x, u = p
-    if x == 0:
+    if np.any(x == 0):
         raise ValueError("group elements need nonzero first coordinate")
     return (1.0 / x, -u / x)
 
@@ -64,28 +63,28 @@ class CosetHypergroup(Hypergroup):
     identity = (1.0, 0.0)
     commutative = False
 
-    def convolve(self, p, q):
-        x, u = p
-        y, v = q
-        if x <= 0 or y <= 0 or u < 0 or v < 0:
-            raise ValueError(
-                f"elements must be canonical pairs, got {p!r}, {q!r}")
-        a = coset_of((x * y, x * v + u))
-        b = coset_of((-x * y, -x * v + u))
-        if a == b:
-            return FiniteMeasure(((a, 1.0),))
-        return FiniteMeasure(((a, 0.5), (b, 0.5)))
+    def convolve_many(self, ps, qs):
+        """Weight 1/2 on the cosets of (x y, x v + u) and (-x y, -x v + u)."""
+        x, u = ps
+        y, v = qs
+        _reject((x <= 0) | (y <= 0) | (u < 0) | (v < 0),
+                "elements must be canonical pairs", ps, qs)
+        ax = np.abs(x * y)
+        support = (np.column_stack([ax, ax]),
+                   np.column_stack([np.abs(x * v + u), np.abs(-x * v + u)]))
+        return support, np.full((len(ax), 2), 0.5)
 
     def involution(self, p):
         return coset_of(group_inv(p))
 
 
 def coset_exponential(lam):
-    """Exponential (ax, au) -> ax^lam on canonical pairs, via exp(lam ln ax)
-    so that lam may be complex or dual."""
+    """Exponential (ax, au) -> ax^lam = exp(lam ln ax) on canonical pairs or
+    on a batch of them; lam may be complex."""
     def m(p):
         ax, _ = p
-        return dual.exp(lam * math.log(ax))
+        # the complex exp, as cmath's: numpy's real exp rounds differently
+        return np.exp(lam * np.log(ax) + 0j)
     return m
 
 
@@ -93,8 +92,8 @@ def coset_sine(c, lam):
     """Sine function (ax, au) -> c ax^lam ln(ax) for the exponential at lam."""
     def f(p):
         ax, _ = p
-        lg = math.log(ax)
-        return c * cmath.exp(complex(lam) * lg) * lg
+        lg = np.log(ax)
+        return _cmul(c, np.exp(complex(lam) * lg)) * lg
     return f
 
 
@@ -103,12 +102,8 @@ def verify_compat(f_raw, samples):
     i.e. agrees on all four sign combinations (x, u), (-x, u), (x, -u),
     (-x, -u).  Functions built from canonical representatives pass by
     construction."""
-    for x, u in samples:
-        ref = f_raw((x, u))
-        for p in ((-x, u), (x, -u), (-x, -u)):
-            if f_raw(p) != ref:
-                return False
-    return True
+    return all(f_raw(p) == ref for x, u in samples for ref in [f_raw((x, u))]
+               for p in ((-x, u), (x, -u), (-x, -u)))
 
 
 def falsify_dalembert_alpha(lam, alpha, samples):
@@ -122,17 +117,15 @@ def falsify_dalembert_alpha(lam, alpha, samples):
     if alpha == 0:
         raise ValueError("alpha = 0 is the exponential itself; nothing to refute")
     lam = complex(lam)
+    x, u, y, v = (np.array(c, dtype=float) for c in zip(*samples))
 
     def m(x, u):
-        return cmath.exp(lam * math.log(abs(x))) * cmath.cosh(alpha * u)
+        return _cmul(np.exp(lam * np.log(np.abs(x))), np.cosh(alpha * u + 0j))
 
-    def gen():
-        for x, u, y, v in samples:
-            lhs = m(x * y, x * v + u) + m(x * y, x * v - u)
-            rhs = 2.0 * m(x, u) * m(y, v)
-            err = abs(lhs - rhs)
-            yield err, err / (1.0 + abs(rhs)), (x, u, y, v)
-    return _scan(gen())
+    lhs = m(x * y, x * v + u) + m(x * y, x * v - u)
+    rhs = _cmul(2.0 * m(x, u), m(y, v))
+    err = _cabs(lhs - rhs)
+    return _scan(err, err / (1.0 + _cabs(rhs)), samples)
 
 
 def falsify_square_term(lam, a, pairs):
@@ -148,8 +141,8 @@ def falsify_square_term(lam, a, pairs):
 
     def f(p):
         ax, au = p
-        lg = math.log(ax)
-        return cmath.exp(lam * lg) * (lg + a * au * au)
+        lg = np.log(ax)
+        return _cmul(np.exp(lam * lg), lg + a * au * au)
     return sine_residual(CosetHypergroup(), f, coset_exponential(lam), pairs)
 
 
@@ -157,16 +150,11 @@ def square_norm_check(samples):
     """Residual of the square-norm equation
     g(u+v) + g(u-v) = 2 g(u) + 2 g(v) for g(u) = u^2 over (u, v) samples;
     algebraically zero, so the residual is pure rounding."""
-    def g(u):
-        return u * u
-
-    def gen():
-        for u, v in samples:
-            lhs = g(u + v) + g(u - v)
-            rhs = 2.0 * g(u) + 2.0 * g(v)
-            err = abs(lhs - rhs)
-            yield err, err / (1.0 + abs(rhs)), (u, v)
-    return _scan(gen())
+    u, v = (np.array(c, dtype=float) for c in zip(*samples))
+    lhs = (u + v) * (u + v) + (u - v) * (u - v)
+    rhs = 2.0 * (u * u) + 2.0 * (v * v)
+    err = np.abs(lhs - rhs)
+    return _scan(err, err / (1.0 + np.abs(rhs)), samples)
 
 
 def group_sine_check(lam, pairs):
@@ -175,24 +163,19 @@ def group_sine_check(lam, pairs):
     the additivity of a and the sine equation for f = a m over pairs of raw
     group elements; witnesses are tagged ('additive'|'sine', p, q)."""
     lam = complex(lam)
-
-    def m(p):
-        return cmath.exp(lam * math.log(abs(p[0])))
-
-    def a(p):
-        return math.log(abs(p[0]))
-
-    def gen():
-        for p, q in pairs:
-            pq = group_mul(p, q)
-            err = abs(a(pq) - a(p) - a(q))
-            yield err, err / (1.0 + abs(a(p)) + abs(a(q))), ("additive", p, q)
-            lhs = a(pq) * m(pq)
-            t1 = a(p) * m(p) * m(q)
-            t2 = a(q) * m(q) * m(p)
-            err = abs(lhs - t1 - t2)
-            yield err, err / (1.0 + abs(t1) + abs(t2)), ("sine", p, q)
-    return _scan(gen())
+    p, q = _pair_batch(pairs)
+    a_p, a_q, a_pq = (np.log(np.abs(x)) for x in (p[0], q[0], p[0] * q[0]))
+    m_p, m_q, m_pq = (np.exp(lam * a) for a in (a_p, a_q, a_pq))
+    add_err = np.abs(a_pq - a_p - a_q)
+    add_rel = add_err / (1.0 + np.abs(a_p) + np.abs(a_q))
+    t1 = _cmul(a_p * m_p, m_q)
+    t2 = _cmul(a_q * m_q, m_p)
+    sine_err = _cabs(a_pq * m_pq - t1 - t2)
+    sine_rel = sine_err / (1.0 + _cabs(t1) + _cabs(t2))
+    witnesses = [(tag, p_, q_) for p_, q_ in pairs
+                 for tag in ("additive", "sine")]
+    return _scan(np.column_stack([add_err, sine_err]).ravel(),
+                 np.column_stack([add_rel, sine_rel]).ravel(), witnesses)
 
 
 def conjugate_by(p, k):

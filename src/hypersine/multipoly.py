@@ -9,13 +9,13 @@ claim is certified by checking elements of bounded total degree.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 
 import numpy as np
 
-from .core import FiniteMeasure, Hypergroup, TheoremViolationError
-from .polyhg import PolynomialHypergroup, eval_P, eval_P_with_derivative
+from .core import Hypergroup, TheoremViolationError, _cmul
+from .polyhg import PolynomialHypergroup, _p_and_dp
 
 
 class DegenerateParameterError(ValueError):
@@ -40,49 +40,54 @@ class ProductPolyHypergroup(Hypergroup):
                 f"element {x!r} has {len(x)} coordinates, expected "
                 f"{self.dimension}")
 
-    def convolve(self, x, y):
-        self._check_element(x)
-        self._check_element(y)
-        parts = [hg.convolve(a, b)
-                 for hg, a, b in zip(self._hgs, x, y)]
-        pairs = []
-        for combo in itertools.product(*(p.items() for p in parts)):
-            el = tuple(e for e, _ in combo)
-            w = 1.0
-            for _, wi in combo:
-                w *= wi
-            pairs.append((el, w))
-        return FiniteMeasure(pairs)
+    def convolve_many(self, xs, ys):
+        """Outer product of the factor rows, the last factor fastest."""
+        self._check_element(xs)
+        self._check_element(ys)
+        parts = [hg.convolve_many(a, b) for hg, a, b in zip(self._hgs, xs, ys)]
+        count = len(parts[0][1])
+        support, weights = (), np.ones((count, 1))
+        for sup, w in parts:
+            width = weights.shape[1]
+            weights = (weights[:, :, None] * w[:, None, :]).reshape(count, -1)
+            support = tuple(np.repeat(s, w.shape[1], axis=1)
+                            for s in support) + (np.tile(sup, (1, width)),)
+        return support, weights
 
-    def q_eval(self, x, lam):
-        """Q_x(lam) = prod_j P_(x_j)(lam_j)."""
+    def _factor_values(self, x, lam):
+        """Per factor, (P, P') at its coordinate of x (an element or a batch)."""
         self._check_element(x)
-        self._check_lambda(lam)
-        return math.prod(eval_P(rec, xi, li)
-                         for rec, xi, li in zip(self.factors, x, lam))
-
-    def q_grad(self, x, lam):
-        """Gradient of Q_x in lam: the product rule over each factor's P, P'."""
-        self._check_element(x)
-        self._check_lambda(lam)
-        factors = [eval_P_with_derivative(rec, xi, li)
-                   for rec, xi, li in zip(self.factors, x, lam)]
-        return tuple(math.prod(dp if i == j else p
-                               for i, (p, dp) in enumerate(factors))
-                     for j in range(self.dimension))
-
-    def _check_lambda(self, lam):
         if len(lam) != self.dimension:
             raise ValueError(
                 f"lambda {lam!r} has {len(lam)} coordinates, expected "
                 f"{self.dimension}")
+        out = []
+        for rec, xj, lj in zip(self.factors, x, lam):
+            xj = np.asarray(xj)
+            if xj.min() < 0:
+                raise ValueError(f"degree must be >= 0, got {xj.min()}")
+            p, dp = _p_and_dp(rec._float_coeffs(int(xj.max())), lj)
+            out.append((p[xj], dp[xj]))
+        return out
+
+    def q_eval(self, x, lam):
+        """Q_x(lam) = prod_j P_(x_j)(lam_j)."""
+        return _product([p for p, _ in self._factor_values(x, lam)])
+
+    def q_grad(self, x, lam):
+        """Gradient of Q_x in lam: the product rule over each factor's P, P'."""
+        factors = self._factor_values(x, lam)
+        return tuple(_product([dp if i == j else p
+                               for i, (p, dp) in enumerate(factors)])
+                     for j in range(self.dimension))
 
     def exp_fn(self, lam):
-        return lambda x: complex(self.q_eval(x, lam))
+        """The exponential x -> Q_x(lam), at one element or a batch."""
+        return lambda x: self.q_eval(x, lam)
 
     def multi_sine(self, c, lam):
         """The sine function x -> sum_j c_j dQ_x/dlam_j for the exponential
-        at lam."""
+        at lam, at one element or a batch."""
         if len(c) != self.dimension:
             raise ValueError(
                 f"coefficients {c!r} have {len(c)} entries, expected "
@@ -90,8 +95,10 @@ class ProductPolyHypergroup(Hypergroup):
         c = tuple(c)
 
         def f(x):
-            g = self.q_grad(x, lam)
-            return sum(cj * gj for cj, gj in zip(c, g))
+            total = 0
+            for cj, gj in zip(c, self.q_grad(x, lam)):
+                total = total + _cmul(cj, gj)
+            return total
         return f
 
     def unit_elements(self):
@@ -127,14 +134,15 @@ class ProductPolyHypergroup(Hypergroup):
         return c
 
 
+def _product(values):
+    """Left-to-right product from 1, rounded as math.prod rounds."""
+    return functools.reduce(_cmul, values, 1 + 0j)
+
+
 def elements_of_total_degree(d, max_total):
-    """All degree tuples of length d with coordinate sum <= max_total."""
+    """All degree tuples of length d with coordinate sum <= max_total, by
+    total degree and lexicographically within one total."""
     for total in range(max_total + 1):
-        for cuts in itertools.combinations(range(total + d - 1), d - 1):
-            prev = -1
-            parts = []
-            for cut in cuts:
-                parts.append(cut - prev - 1)
-                prev = cut
-            parts.append(total + d - 2 - prev)
-            yield tuple(parts)
+        for x in itertools.product(range(total + 1), repeat=d):
+            if sum(x) == total:
+                yield x

@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (FiniteMeasure, Hypergroup, NotHypergroupError,
-                   TabulatedFunction, TheoremViolationError)
+                   TabulatedFunction, TheoremViolationError, _compact,
+                   _reject)
 
 NEGATIVE_COEFF_TOL = 1e-10   # below this a linearization weight is an error
 DROP_COEFF_TOL = 1e-13       # floating-point zeros created by cancellation
@@ -188,11 +189,15 @@ def _linearize_step(cur, prev, m, a, b, c):
     return out / a[m], cur
 
 
+def _check_weights(low, n, k):
+    if low < -NEGATIVE_COEFF_TOL:
+        raise NotHypergroupError(
+            f"negative linearization coefficient {low:g} at ({n}, {k})")
+
+
 def _linearization_measure(row, n, k):
     """The convolution measure of degrees n and k from its coefficient row."""
-    if row.min() < -NEGATIVE_COEFF_TOL:
-        raise NotHypergroupError(
-            f"negative linearization coefficient {row.min():g} at ({n}, {k})")
+    _check_weights(row.min(), n, k)
     support = np.flatnonzero(np.abs(row) > DROP_COEFF_TOL)
     return FiniteMeasure(zip(support.tolist(), row[support].tolist()),
                          tol=NEGATIVE_COEFF_TOL)
@@ -227,71 +232,63 @@ def linearize(rec, n, k, exact=False):
 
 
 def _linearize_exact(rec, n, k):
-    def a(i):
-        return Fraction(rec.a(i))
-
-    def b(i):
-        return Fraction(rec.b(i))
-
-    def c(i):
-        return Fraction(rec.c(i))
-
-    def mul_x(vec):
-        out = [Fraction(0)] * (len(vec) + 1)
-        for l, v in enumerate(vec):
-            if v == 0:
-                continue
-            out[l + 1] += a(l) * v
-            out[l] += b(l) * v
-            if l >= 1:
-                out[l - 1] += c(l) * v
-        return out
-
-    def minus(u, v, scale):
-        out = list(u)
-        for i, vi in enumerate(v):
-            out[i] -= scale * vi
-        return out
-
-    prev = [Fraction(0)] * (k + 1)
-    prev[k] = Fraction(1)
-    if n == 0:
-        return prev
-    cur = [w / a(0) for w in minus(mul_x(prev), prev, b(0))]
-    for m in range(1, n):
-        nxt = minus(minus(mul_x(cur), cur, b(m)), prev, c(m))
-        nxt = [w / a(m) for w in nxt]
-        prev, cur = cur, nxt
+    """P-basis coefficients of P_n P_k in rational arithmetic, by the step
+    P_(m+1) = ((x - b_m) P_m - c_m P_(m-1)) / a_m applied n times to P_k."""
+    a, b, c = ([Fraction(f(i)) for i in range(n + k + 1)]
+               for f in (rec.a, rec.b, rec.c))
+    prev, cur = [Fraction(0)] * k, [Fraction(0)] * k + [Fraction(1)]
+    for m in range(n):
+        # x P_l = a_l P_(l+1) + b_l P_l + c_l P_(l-1)
+        nxt = [Fraction(0)] * (len(cur) + 1)
+        for l, v in enumerate(cur):
+            nxt[l + 1] += a[l] * v
+            nxt[l] += (b[l] - b[m]) * v
+            if l:
+                nxt[l - 1] += c[l] * v
+        for l, v in enumerate(prev):
+            nxt[l] -= c[m] * v
+        prev, cur = cur, [w / a[m] for w in nxt]
     return cur
 
 
 class PolynomialHypergroup(Hypergroup):
-    """Hypergroup on degrees with convolution given by linearization."""
+    """Hypergroup on degrees with convolution given by linearization: one
+    table G[n, k, l], the coefficient of P_l in P_n P_k (zero below
+    DROP_COEFF_TOL), grown to the largest degree asked for."""
 
     def __init__(self, rec):
         self.rec = rec
         self.identity = 0
         self.commutative = True
-        self._cache = {}
+        self.table = np.zeros((0, 0, 0))
+
+    def convolve_many(self, ns, ks):
+        _reject((ns < 0) | (ks < 0), "degrees must be >= 0", ns, ks)
+        self.build_table(int(max(ns.max(), ks.max())))
+        return _compact(self.table[ns, ks])
 
     def convolve(self, n, k):
-        key = (min(n, k), max(n, k))
-        mu = self._cache.get(key)
-        if mu is None:
-            mu = linearize(self.rec, *key)
-            self._cache[key] = mu
-        return mu
+        return super().convolve(n, k, tol=NEGATIVE_COEFF_TOL)
 
     def build_table(self, n_max):
-        """Precompute all convolutions with n, k <= n_max in one block
-        reduction: at step m the rows hold P_m * P_k for k = m..n_max."""
+        """Grow the table to all n, k <= n_max in one block reduction: at
+        step m the rows hold P_m * P_k for k = m..n_max.  Needs the
+        recurrence up to degree 2 n_max."""
+        if n_max < len(self.table):
+            return
         coeffs = self.rec._float_coeffs(2 * n_max)
+        table = np.zeros((n_max + 1, n_max + 1, 2 * n_max + 1))
         cur, prev = np.eye(n_max + 1), np.zeros((n_max + 1, n_max))
         for m in range(n_max + 1):
             if m:
                 cur, prev = _linearize_step(cur[1:], prev[1:], m - 1, *coeffs)
-            for k in range(m, n_max + 1):
-                self._cache[(m, k)] = _linearization_measure(cur[k - m], m, k)
+            table[m, m:, :cur.shape[1]] = table[m:, m, :cur.shape[1]] = cur
+        low = table.min(axis=2)
+        bad = np.argwhere(np.triu(low < -NEGATIVE_COEFF_TOL))
+        if len(bad):
+            _check_weights(low[tuple(bad[0])], *bad[0])
+        table[np.abs(table) <= DROP_COEFF_TOL] = 0.0
+        self.table = table
 
 
 def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):

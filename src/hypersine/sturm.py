@@ -25,13 +25,14 @@ d[x] * d[y] = (d[x+y] + d[|x-y|]) / 2 makes the half line a hypergroup;
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FiniteMeasure, Hypergroup, _scan
+from .core import Hypergroup, _errors, _pair_batch, _reject, _scan
 
 OVERFLOW_LIMIT = 1e12
 
@@ -231,19 +232,21 @@ def ode_residual(grid, values, ratio, lam, c=0.0, forcing=None):
 
 
 def line_phi(x, lam):
-    """Closed form cosh(sqrt(lam) x) for the constant weight; even in the
-    square root, so branch-independent."""
-    return cmath.cosh(cmath.sqrt(lam) * x)
+    """Closed form cosh(sqrt(lam) x) for the constant weight, at a point or
+    an array of points; even in the square root, so branch-independent."""
+    return np.cosh(cmath.sqrt(lam) * np.asarray(x))
 
 
 def line_dphi(x, lam):
     """Closed form of the lambda-derivative x sinh(sqrt(lam) x)/(2 sqrt(lam)),
-    with the series used near lam = 0 where the quotient degenerates."""
+    at a point or an array of points, with the series used near lam = 0
+    where the quotient degenerates."""
+    x = np.asarray(x)
     w = cmath.sqrt(lam)
     if abs(w) < 1e-4:
         x2 = x * x
         return x2 / 2.0 * (1.0 + lam * x2 / 6.0 + lam * lam * x2 * x2 / 120.0 * 1.0)
-    return x * cmath.sinh(w * x) / (2.0 * w)
+    return x * np.sinh(w * x) / (2.0 * w)
 
 
 class CoshLineHypergroup(Hypergroup):
@@ -252,33 +255,21 @@ class CoshLineHypergroup(Hypergroup):
     identity = 0.0
     commutative = True
 
-    def convolve(self, x, y):
-        if x < 0 or y < 0:
-            raise ValueError(f"elements must be >= 0, got {x}, {y}")
-        return FiniteMeasure(((x + y, 0.5), (abs(x - y), 0.5)))
+    def convolve_many(self, xs, ys):
+        _reject((xs < 0) | (ys < 0), "elements must be >= 0", xs, ys)
+        support = np.column_stack([xs + ys, np.abs(xs - ys)])
+        return support, np.full(support.shape, 0.5)
 
 
 def cosh_hypergroup_check(lam, pairs):
     """Residuals of both functional equations on the cosh hypergroup:
     the exponential equation for m = cosh(sqrt(lam) .) and the sine equation
-    for its lambda-derivative.  Witnesses are tagged ('exp'|'sine', x, y)."""
-    hg = CoshLineHypergroup()
-
-    def m(x):
-        return line_phi(x, lam)
-
-    def f(x):
-        return line_dphi(x, lam)
-
-    def gen():
-        for x, y in pairs:
-            mu = hg.convolve(x, y)
-            lhs = sum(w * m(el) for el, w in mu)
-            rhs = m(x) * m(y)
-            err = abs(lhs - rhs)
-            yield err, err / (1.0 + abs(rhs)), ("exp", x, y)
-            lhs = sum(w * f(el) for el, w in mu)
-            t1, t2 = f(x) * m(y), f(y) * m(x)
-            err = abs(lhs - t1 - t2)
-            yield err, err / (1.0 + abs(t1) + abs(t2)), ("sine", x, y)
-    return _scan(gen())
+    for its lambda-derivative.  Witnesses are tagged ('exp'|'sine', x, y),
+    the two equations alternating pair by pair."""
+    hg, xs_ys = CoshLineHypergroup(), _pair_batch(pairs)
+    m, f = (functools.partial(g, lam=lam) for g in (line_phi, line_dphi))
+    exp_err, exp_rel = _errors(hg, None, m, *xs_ys)
+    sine_err, sine_rel = _errors(hg, f, m, *xs_ys)
+    witnesses = [(tag, x, y) for x, y in pairs for tag in ("exp", "sine")]
+    return _scan(np.column_stack([exp_err, sine_err]).ravel(),
+                 np.column_stack([exp_rel, sine_rel]).ravel(), witnesses)

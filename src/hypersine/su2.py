@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from . import dual
-from .core import FiniteMeasure, Hypergroup, TabulatedFunction, _scan
+from .core import (Hypergroup, TabulatedFunction, _cabs, _cmul, _reject,
+                   _scan)
 
 SMALL_SINH_TOL = 1e-6   # below this |sinh lam| the series evaluation is used
 
@@ -33,13 +34,15 @@ class Su2Hypergroup(Hypergroup):
     identity = 0
     commutative = True
 
-    def convolve(self, k, n):
-        k, n = int(k), int(n)
-        if k < 0 or n < 0:
-            raise ValueError(f"elements must be >= 0, got {k}, {n}")
-        ls = range(abs(k - n), k + n + 1, 2)
-        denom = (k + 1) * (n + 1)
-        return FiniteMeasure((l, (l + 1) / denom) for l in ls)
+    def convolve_many(self, ks, ns):
+        """Weight (l + 1) / ((k + 1)(n + 1)) on l = |k - n|, .., k + n in
+        steps of two; a row has min(k, n) + 1 entries, padded with |k - n|."""
+        _reject((ks < 0) | (ns < 0), "elements must be >= 0", ks, ns)
+        low = np.minimum(ks, ns)[:, None]
+        j = np.arange(int(low.max()) + 1)
+        support = np.abs(ks - ns)[:, None] + 2 * j * (j <= low)
+        return support, np.where(j <= low, (support + 1) / (
+            (ks + 1) * (ns + 1))[:, None], 0.0)
 
 
 def phi(n, lam):
@@ -92,11 +95,23 @@ def dphi_fn(n_max, lam):
 
 
 def additive_fn(c):
-    """The additive functions n -> c n (n+2); these are the sine functions
-    for the constant exponential m == 1 (the lam = 0 member of the family)."""
+    """The additive functions n -> c n (n+2), at one element or an array;
+    the sine functions for m == 1 (the lam = 0 member of the family)."""
     def f(n):
         return c * n * (n + 2)
     return f
+
+
+def sine_fn(n_max, lam):
+    """A non-zero phi(., lam)-sine function for n = 0..n_max: dphi, except
+    where it vanishes identically (|sinh lam| < SMALL_SINH_TOL, lam near
+    i k pi); there (-1)^(k n) n (n+2), the additive n (n+2) at lam = 0."""
+    lam = complex(lam)
+    if abs(cmath.sinh(lam)) >= SMALL_SINH_TOL:
+        return dphi_fn(n_max, lam)
+    k = round(lam.imag / math.pi)
+    ns = np.arange(n_max + 1)
+    return TabulatedFunction((-1.0) ** (k * ns) * ns * (ns + 2))
 
 
 def recurrence_residual(f, m, n_max):
@@ -108,25 +123,25 @@ def recurrence_residual(f, m, n_max):
     for n = 0..n_max-2, together with its substituted form in
     g(n) = (n+1) f(n).  cosh(lam) is read off as m(1).  The witness is the
     n attaining the worst residual; relative scaling uses all four terms.
+    f and m are called on one element at a time.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    ch = m(1)
-    f1 = f(1)
-    g = [(n + 1) * f(n) for n in range(n_max + 1)]
-
-    def gen():
-        for n in range(n_max - 1):
-            t_up = (n + 3) * f(n + 2)
-            t_mid = 2 * (n + 2) * ch * f(n + 1)
-            t_dn = (n + 1) * f(n)
-            rhs = 2 * f1 * (n + 2) * m(n + 1)
-            r1 = abs(t_up - t_mid + t_dn - rhs)
-            r2 = abs(g[n + 2] - 2 * ch * g[n + 1] + g[n] - rhs)
-            err = max(r1, r2)
-            scale = 1.0 + abs(t_up) + abs(t_mid) + abs(t_dn) + abs(rhs)
-            yield err, err / scale, n
-    return _scan(gen())
+    ch, f1 = m(1), f(1)
+    fv = np.array([f(n) for n in range(n_max + 1)])
+    mv = np.array([m(n) for n in range(n_max + 1)])
+    g = np.arange(1, n_max + 2) * fv
+    n = np.arange(n_max - 1)
+    t_up = (n + 3) * fv[2:]
+    t_mid = _cmul(2 * (n + 2) * ch, fv[1:-1])
+    t_dn = (n + 1) * fv[:-2]
+    rhs = _cmul(2 * f1 * (n + 2), mv[1:-1])
+    with np.errstate(all="ignore"):
+        r1 = _cabs(t_up - t_mid + t_dn - rhs)
+        r2 = _cabs(g[2:] - _cmul(2 * ch, g[1:-1]) + g[:-2] - rhs)
+        err = np.maximum(r1, r2)
+        scale = 1.0 + _cabs(t_up) + _cabs(t_mid) + _cabs(t_dn) + _cabs(rhs)
+        return _scan(err, err / scale, range(n_max - 1))
 
 
 def propagate_sine(lam, f1, n_max):

@@ -170,3 +170,17 @@ def test_sine_space_rejects_non_associative_table(tmp_path, capsys):
     spec.write_text(json.dumps({"size": 3, "tensor": tensor}))
     assert run(["sine-space", str(spec)]) == 2
     assert "not associative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["0", "0,3.141592653589793"])
+def test_su2_at_zeros_of_sinh_checks_a_non_zero_sine(lam, tmp_path):
+    # dphi vanishes identically at lam = i k pi; the suite must check the
+    # sine function (-1)^(k n) n (n+2) there, not the zero function
+    from hypersine import su2
+    out = tmp_path / "su2.json"
+    argv = ["verify", "su2", "--lambda", lam, "--n-max", "12"]
+    assert run(argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert all(row["pass"] for row in doc["checks"])
+    f = su2.sine_fn(24, cli._parse_lambda(lam))
+    assert (f.values[1:] != 0).all()

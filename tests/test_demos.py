@@ -1,4 +1,5 @@
-"""Every documented demo runs to completion."""
+"""Every documented demo runs to completion and prints the same output on
+every run."""
 
 import os
 import subprocess
@@ -16,6 +17,10 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    outputs = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

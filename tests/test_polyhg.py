@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -176,11 +177,11 @@ def test_ultraspherical_table_and_sines(alpha, n_max, re, im):
     rec = _ultraspherical(alpha, 2 * n_max)
     hg = PolynomialHypergroup(rec)
     hg.build_table(n_max)
-    table = dict(hg._cache)
-    assert set(table) == {(m, k) for m in range(n_max + 1)
-                          for k in range(m, n_max + 1)}
-    for (m, k), mu in table.items():
+    assert hg.table.shape == (n_max + 1, n_max + 1, 2 * n_max + 1)
+    for m, k in itertools.combinations_with_replacement(range(n_max + 1), 2):
+        mu = hg.convolve(m, k)
         assert mu.items() == linearize(rec, m, k).items()
+        assert hg.convolve(k, m).items() == mu.items()
         assert mu.allclose(linearize(rec, m, k, exact=True), tol=1e-12)
         assert min(mu.weights) >= 0.0
         assert abs(sum(mu.weights) - 1.0) <= 1e-12
