@@ -12,9 +12,12 @@ whose c = 1 solution is the lambda-derivative of the family.  A'/A may have
 a s/x singularity at the origin (power weights A = x^s).  One pass serves
 ``solve_phi``, ``solve_sine`` and ``dlambda_phi``: a fixed-step classical
 fourth-order method over (u, u', f, f'), launched from a short power series
-on [0, x_start] with x_start = max(10 h, 1e-3).  Its accuracy is checked
-against closed forms, not against a second integration: cosh(sqrt(lam) x)
-and x sinh(sqrt(lam) x) / (2 sqrt(lam)) for A == 1, and the identity
+on [0, x_start] with x_start = max(10 h, 1e-3).  The equations are linear,
+so each RK4 step is a fixed matrix [[P, 0], [c Q, P]]: the step matrices of
+the whole grid are built at once with array arithmetic, then one short loop
+applies them in order (P alone when c = 0).  Accuracy is checked against
+closed forms, not against a second integration: cosh(sqrt(lam) x) and
+x sinh(sqrt(lam) x) / (2 sqrt(lam)) for A == 1, and the identity
 d/dlam phi_alpha = x^2 / (4 (alpha + 1)) phi_(alpha + 1) for A = x^(2 alpha + 1).
 
 For A == 1 the family is cosh(sqrt(lam) x) and the point convolution
@@ -41,9 +44,13 @@ OVERFLOW_LIMIT = 1e12
 class SturmLiouvilleFunction:
     """Weight data: the logarithmic derivative A'/A and the coefficient s of
     its s/x singularity at the origin (0 for a weight smooth and positive
-    at 0)."""
+    at 0).
 
-    ratio: Callable[[float], float]
+    ``ratio`` is called on an array of points x > 0 and returns A'/A at
+    each of them: an array of the same shape, or a scalar that broadcasts
+    against it (the constant weight returns 0.0)."""
+
+    ratio: Callable[[np.ndarray], np.ndarray]
     origin_exponent: float
     name: str = ""
 
@@ -85,25 +92,16 @@ class OdeSolution:
     forcing: Optional[np.ndarray] = None
 
 
-def _series_phi(s, lam, x):
-    """Series launch for the exponential: 1 + b2 x^2 + b4 x^4 and its
-    derivative; valid for A'/A = s/x near 0 (exact for the power weights)."""
-    b2 = lam / (2.0 * (s + 1.0))
+def _series(s, lam, c, x):
+    """Series launch near 0, valid for A'/A = s/x (exact for the power
+    weights): 1 + b2 x^2 + b4 x^4 for the exponential, g2 x^2 + g4 x^4 for
+    the companion, and their derivatives."""
+    b2, g2 = lam / (2.0 * (s + 1.0)), c / (2.0 * (s + 1.0))
     b4 = lam * b2 / (4.0 * (s + 3.0))
-    x2 = x * x
-    u = 1.0 + x2 * (b2 + b4 * x2)
-    du = x * (2.0 * b2 + 4.0 * b4 * x2)
-    return u, du
-
-
-def _series_sine(s, lam, c, x):
-    """Series launch for the inhomogeneous companion: g2 x^2 + g4 x^4."""
-    g2 = c / (2.0 * (s + 1.0))
     g4 = lam * c / (4.0 * (s + 3.0) * (s + 1.0))
     x2 = x * x
-    u = x2 * (g2 + g4 * x2)
-    du = x * (2.0 * g2 + 4.0 * g4 * x2)
-    return u, du
+    return (1.0 + x2 * (b2 + b4 * x2), x * (2.0 * b2 + 4.0 * b4 * x2),
+            x2 * (g2 + g4 * x2), x * (2.0 * g2 + 4.0 * g4 * x2))
 
 
 def _grid(x_max, h):
@@ -115,73 +113,74 @@ def _grid(x_max, h):
     return np.arange(steps + 1) * h, steps
 
 
-def _check_overflow(state):
-    for v in state:
-        if abs(v) > OVERFLOW_LIMIT:
-            raise OverflowError(
-                f"solution magnitude exceeded {OVERFLOW_LIMIT:g}; "
-                "reduce x_max or Re sqrt(lam)")
-
-
-def _rk4(rhs, x0, state, h, n_steps, record):
-    """Classical fourth-order steps; ``record(i, state)`` is called after
-    step i (1-based from the launch node)."""
-    x = x0
-    for i in range(1, n_steps + 1):
-        k1 = rhs(x, state)
-        k2 = rhs(x + h / 2.0, _axpy(state, k1, h / 2.0))
-        k3 = rhs(x + h / 2.0, _axpy(state, k2, h / 2.0))
-        k4 = rhs(x + h, _axpy(state, k3, h))
-        state = tuple(
-            s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4))
-        x = x0 + i * h
-        _check_overflow(state)
-        record(i, state)
-    return state
-
-
-def _axpy(state, k, scale):
-    return tuple(s + scale * v for s, v in zip(state, k))
-
-
 def _launch_index(x_max, h, steps):
-    x_start = max(10.0 * h, 1e-3)
-    k0 = min(steps, max(1, math.ceil(x_start / h - 1e-9)))
-    return k0
+    return min(steps, max(1, math.ceil(max(10.0 * h, 1e-3) / h - 1e-9)))
+
+
+def _step_columns(ratio, lam, c, xs, h):
+    """Columns e1 and e2 of the RK4 step matrices, minus the identity, over
+    (phi, phi', f, f') for the steps starting at ``xs``, one array per
+    entry: the classical stages run on the basis vectors, vectorised over
+    the steps, with A'/A sampled at x, x + h/2 and x + h.  The system is block lower-triangular, so a step
+    matrix is I + [[D, 0], [c Q, D]] and these two columns hold every
+    entry: D00, D10, cQ00, cQ10, then D01, D11, cQ01, cQ11 (the D entries
+    alone when c == 0).  Leaving out the identity lets a step add an O(h)
+    increment to the state, so rounding stays relative to the increment."""
+    width = 2 if c == 0 else 4
+
+    def rhs(r, s):
+        d = (s[1], lam * s[0] - r * s[1])
+        return d if width == 2 else d + (s[3], lam * s[2] + c * s[0] - r * s[3])
+
+    r0, rh, r1 = ratio(xs), ratio(xs + h / 2.0), ratio(xs + h)
+    one, zero = np.ones(len(xs)), np.zeros(len(xs))
+    entries = []
+    for e in ((one, zero, zero, zero)[:width], (zero, one, zero, zero)[:width]):
+        k1 = rhs(r0, e)
+        k2 = rhs(rh, tuple(s + (h / 2.0) * k for s, k in zip(e, k1)))
+        k3 = rhs(rh, tuple(s + (h / 2.0) * k for s, k in zip(e, k2)))
+        k4 = rhs(r1, tuple(s + h * k for s, k in zip(e, k3)))
+        entries += [(h / 6.0) * (a + 2.0 * b + 2.0 * g + d)
+                    for a, b, g, d in zip(k1, k2, k3, k4)]
+    return entries
 
 
 def _integrate(family, lam, c, x_max, h):
     """The one integration pass: a series launch, then classical RK4 over
     (phi, phi', f, f') with the exponential feeding the forcing c * phi, so
-    no interpolation is needed at half steps.  Returns the grid and the four
-    tabulated components."""
-    lam = complex(lam)
-    c = complex(c)
+    no interpolation is needed at half steps.  The step matrices of the
+    whole grid are built first (``_step_columns``), then one loop applies
+    them in order; with c == 0 only (phi, phi') runs and f is exactly 0.
+    Returns the grid and the four tabulated components."""
+    lam, c = complex(lam), complex(c)
     grid, steps = _grid(x_max, h)
-    s = family.origin_exponent
-    ratio = family.ratio
-    phi_v = [0j] * (steps + 1)
-    phi_d = [0j] * (steps + 1)
-    f_v = [0j] * (steps + 1)
-    f_d = [0j] * (steps + 1)
     k0 = _launch_index(x_max, h, steps)
-    for i in range(k0 + 1):
-        phi_v[i], phi_d[i] = _series_phi(s, lam, grid[i])
-        f_v[i], f_d[i] = _series_sine(s, lam, c, grid[i])
-
-    def rhs(x, state):
-        pu, pv, fu, fv = state
-        r = ratio(x)
-        return (pv, lam * pu - r * pv, fv, lam * fu + c * pu - r * fv)
-
-    def record(i, state):
-        phi_v[k0 + i], phi_d[k0 + i], f_v[k0 + i], f_d[k0 + i] = state
-
-    _rk4(rhs, grid[k0], (phi_v[k0], phi_d[k0], f_v[k0], f_d[k0]), h,
-         steps - k0, record)
-    return (grid, np.array(phi_v), np.array(phi_d), np.array(f_v),
-            np.array(f_d))
+    width = 2 if c == 0 else 4
+    launch = _series(family.origin_exponent, lam, c, grid[:k0 + 1])[:width]
+    xs = grid[k0] + np.arange(steps - k0) * h
+    entries = zip(*(e.tolist() for e in _step_columns(family.ratio, lam, c,
+                                                       xs, h)))
+    state, out = [complex(t[-1]) for t in launch], []
+    if c == 0:
+        u, v = state
+        for a, p, b, q in entries:
+            u, v = u + (a * u + b * v), v + (p * u + q * v)
+            out.append((u, v))
+    else:
+        u, v, fu, fv = state
+        for a, p, ga, gp, b, q, gb, gq in entries:
+            u, v, fu, fv = (u + (a * u + b * v), v + (p * u + q * v),
+                            fu + (a * fu + b * fv + ga * u + gb * v),
+                            fv + (p * fu + q * fv + gp * u + gq * v))
+            out.append((u, v, fu, fv))
+    rest = np.array(out, dtype=complex).reshape(-1, width).T
+    tables = [np.concatenate(pair) for pair in zip(launch, rest)]
+    tables += [np.zeros(steps + 1, dtype=complex) for _ in range(4 - width)]
+    if not all(np.all(np.abs(t) <= OVERFLOW_LIMIT) for t in tables):  # NaN too
+        raise OverflowError(
+            f"solution magnitude exceeded {OVERFLOW_LIMIT:g}; "
+            "reduce x_max or Re sqrt(lam)")
+    return (grid, *tables)
 
 
 def solve_phi(family, lam, x_max=5.0, h=1e-3):
@@ -216,7 +215,7 @@ def ode_defect(grid, values, ratio, lam, c=0.0, forcing=None):
     u = values
     upp = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
     up = (u[2:] - u[:-2]) / (2.0 * h)
-    rvals = np.array([ratio(x) for x in grid[1:-1]])
+    rvals = ratio(grid[1:-1])
     res = upp + rvals * up - lam * u[1:-1]
     scale = 1.0 + np.abs(lam * u[1:-1]) + np.abs(rvals * up)
     if forcing is not None and c != 0:

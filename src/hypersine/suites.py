@@ -443,7 +443,8 @@ def run_coset(cfg):
         1))
     checks.append(_refutation_check(
         "coset:falsify-square:random",
-        coset.falsify_square_term(1.0, 0.25, pairs[:200]), 1e-3, 200))
+        coset.falsify_square_term(1.0, 0.25, pairs[:200]), 1e-3,
+        len(pairs[:200])))
     uv = [(u, v) for u, v in zip(us[:200], vs[:200])]
     rep = coset.square_norm_check(uv)
     checks.append(_residual_check("coset:square-norm", rep, 1e-12))

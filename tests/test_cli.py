@@ -184,3 +184,20 @@ def test_su2_at_zeros_of_sinh_checks_a_non_zero_sine(lam, tmp_path):
     assert all(row["pass"] for row in doc["checks"])
     f = su2.sine_fn(24, cli._parse_lambda(lam))
     assert (f.values[1:] != 0).all()
+
+
+def test_tabulate_su2_at_i_pi_prints_a_non_zero_sine(capsys):
+    # at lam = i pi the derivative of phi vanishes identically; the sine
+    # column must show c (-1)^n n (n+2), and the residual must stay small
+    assert run(["tabulate", "--family", "su2", "--lambda",
+                "0,3.141592653589793", "--n-max", "4", "--c", "2"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert [float(r[2]) for r in rows] == [0.0, -6.0, 16.0, -30.0, 48.0]
+    assert max(float(r[3]) for r in rows) <= 1e-12
+
+
+def test_coset_falsify_square_reports_the_pairs_it_checked(tmp_path):
+    out = tmp_path / "coset.json"
+    assert run(["verify", "coset", "--samples", "3", "--out", str(out)]) == 0
+    rows = {row["suite"]: row for row in json.loads(out.read_text())["checks"]}
+    assert rows["coset:falsify-square:random"]["samples"] == 3

@@ -89,7 +89,7 @@ finite_hypergroups = st.one_of(
 
 
 @given(hg=finite_hypergroups, seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_finite_hypergroups_match_reference(hg, seed):
     rng = np.random.default_rng(seed)
     f, m = _tabulated(rng, hg.size), _tabulated(rng, hg.size)
@@ -99,7 +99,7 @@ def test_finite_hypergroups_match_reference(hg, seed):
 @given(alpha=st.floats(min_value=-0.5, max_value=2.0),
        n_max=st.integers(min_value=1, max_value=8),
        seed=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_ultraspherical_tables_match_reference(alpha, n_max, seed):
     # Gasper (Canad. J. Math. 22, 1970): nonnegative for alpha >= -1/2
     top = 2 * n_max
@@ -114,7 +114,7 @@ def test_ultraspherical_tables_match_reference(alpha, n_max, seed):
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 40))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_su2_pairs_match_reference(seed, count):
     rng = np.random.default_rng(seed)
     pairs = [tuple(int(v) for v in rng.integers(0, 15, size=2))
@@ -124,7 +124,7 @@ def test_su2_pairs_match_reference(seed, count):
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 40))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_coset_pairs_match_reference(seed, count):
     rng = np.random.default_rng(seed)
     pts = [(float(x), float(u)) for x, u in zip(
@@ -143,7 +143,7 @@ def test_coset_pairs_match_reference(seed, count):
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 30))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_product_pairs_match_reference(seed, count):
     rng = np.random.default_rng(seed)
     pairs = [tuple(tuple(int(v) for v in rng.integers(0, 7, size=2))

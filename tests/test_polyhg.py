@@ -100,7 +100,7 @@ def test_spec_worked_linearizations():
 
 @given(n=st.integers(min_value=0, max_value=14),
        k=st.integers(min_value=0, max_value=14))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_legendre_weights_are_probabilities(n, k):
     mu = linearize(legendre_recurrence(), n, k)
     assert all(w >= 0 for w in mu.weights)
@@ -172,7 +172,7 @@ def _ultraspherical(alpha, top):
        n_max=st.integers(min_value=1, max_value=9),
        re=st.floats(min_value=-1.0, max_value=1.0),
        im=st.floats(min_value=-0.3, max_value=0.3))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_ultraspherical_table_and_sines(alpha, n_max, re, im):
     rec = _ultraspherical(alpha, 2 * n_max)
     hg = PolynomialHypergroup(rec)

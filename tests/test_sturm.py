@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hypersine import sturm
 from hypersine.sturm import (CoshLineHypergroup, constant_family,
                              cosh_hypergroup_check, dlambda_phi, line_dphi,
                              line_phi, power_family, solve_phi, solve_sine)
@@ -82,6 +84,74 @@ def test_ode_residual_is_within_grid_bound():
 def test_overflow_guard():
     with pytest.raises(OverflowError):
         solve_phi(constant_family(), 64.0, x_max=5.0, h=1e-3)
+
+
+def _reference_rk4(family, lam, c, x_max, h):
+    """Classical RK4 over (phi, phi', f, f') one state tuple at a time,
+    from the same series launch: the step-by-step form of the scheme, the
+    oracle for the step matrices.  Returns phi, phi', f, f' on the grid."""
+    lam, c = complex(lam), complex(c)
+    grid, steps = sturm._grid(x_max, h)
+    k0 = sturm._launch_index(x_max, h, steps)
+    s = family.origin_exponent
+    rows = [sturm._series(s, lam, c, x) for x in grid[:k0 + 1]]
+
+    def rhs(x, state):
+        pu, pv, fu, fv = state
+        r = family.ratio(x)
+        return (pv, lam * pu - r * pv, fv, lam * fu + c * pu - r * fv)
+
+    def axpy(state, k, scale):
+        return tuple(a + scale * b for a, b in zip(state, k))
+
+    state, x0 = rows[-1], grid[k0]
+    for i in range(steps - k0):
+        x = x0 + i * h
+        k1 = rhs(x, state)
+        k2 = rhs(x + h / 2.0, axpy(state, k1, h / 2.0))
+        k3 = rhs(x + h / 2.0, axpy(state, k2, h / 2.0))
+        k4 = rhs(x + h, axpy(state, k3, h))
+        state = tuple(s + (h / 6.0) * (a + 2.0 * b + 2.0 * c_ + d)
+                      for s, a, b, c_, d in zip(state, k1, k2, k3, k4))
+        rows.append(state)
+    return np.array(rows, dtype=complex).T
+
+
+def _close(got, ref, rtol=1e-12):
+    return np.max(np.abs(got - ref)) <= rtol * (1.0 + np.max(np.abs(ref)))
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40)
+@given(alpha=st.floats(-0.5, 2.0),
+       lam=st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       c=st.one_of(st.just(0.0), st.just(1.0),
+                   st.complex_numbers(max_magnitude=3.0, **_finite)),
+       grid=st.sampled_from([(0.5, 1e-2), (1.0, 2e-3), (2.0, 1e-2),
+                             (0.35, 5e-4)]),
+       constant=st.booleans())
+def test_step_matrices_match_scalar_rk4(alpha, lam, c, grid, constant):
+    family = constant_family() if constant else power_family(alpha)
+    x_max, h = grid
+    phi, dphi, f, df = _reference_rk4(family, lam, c, x_max, h)
+    sol = solve_phi(family, lam, x_max=x_max, h=h)
+    assert _close(sol.values, phi) and _close(sol.derivatives, dphi)
+    sine = solve_sine(family, lam, c, x_max=x_max, h=h)
+    assert _close(sine.forcing, phi)
+    assert _close(sine.values, f) and _close(sine.derivatives, df)
+    if c == 0:
+        assert not sine.values.any() and not sine.derivatives.any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_guard_covers_the_forced_pass_and_non_finite_tables():
+    with pytest.raises(OverflowError, match="solution magnitude exceeded"):
+        solve_sine(constant_family(), 64.0, 1.0, x_max=5.0, h=1e-3)
+    # the step matrices themselves overflow to inf and NaN here
+    with pytest.raises(OverflowError, match="solution magnitude exceeded"):
+        solve_phi(constant_family(), 1e300, x_max=1.0, h=1e-2)
 
 
 def test_grid_and_family_validation():
