@@ -436,7 +436,7 @@ def sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):
         raise ValueError(f"m has {len(m_vals)} values, hypergroup has {n}")
     m_fn = TabulatedFunction(m_vals)
     rep = exp_residual(hg, m_fn, hg.all_pairs())
-    if rep.max_abs > exp_tol:
+    if not rep.within(exp_tol):   # NaN fails too
         raise ValueError(
             f"m is not an exponential at tolerance {exp_tol:g}: "
             f"residual {rep.max_abs:g} at pair {rep.witness}")
@@ -451,7 +451,7 @@ def sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):
     basis = [TabulatedFunction(vec.conj()) for vec in vh[rank:]]
     for fb in basis:
         check = sine_residual(hg, fb, m_fn, hg.all_pairs())
-        if check.max_abs > max(exp_tol, 10 * cutoff * n):
+        if not check.within(max(exp_tol, 10 * cutoff * n)):
             raise RuntimeError(
                 f"solver returned a non-solution: residual {check.max_abs:g}")
     return basis

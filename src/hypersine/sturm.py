@@ -117,6 +117,7 @@ def _launch_index(x_max, h, steps):
     return min(steps, max(1, math.ceil(max(10.0 * h, 1e-3) / h - 1e-9)))
 
 
+@np.errstate(all="ignore")
 def _step_columns(ratio, lam, c, xs, h):
     """Columns e1 and e2 of the RK4 step matrices, minus the identity, over
     (phi, phi', f, f') for the steps starting at ``xs``, one array per

@@ -1,10 +1,12 @@
 """Named verification suites and deterministic report serialization.
 
-Each suite runs a fixed list of residual checks at pinned tolerances and
-returns a SuiteReport.  Serialized reports contain one row per check with
-the columns (suite, max_abs, max_rel, witness, samples, pass); given the
-same configuration and seed the JSON output is byte identical apart from
-the wall_time field.
+Each suite runs a fixed list of checks at pinned tolerances and returns a
+SuiteReport.  Every row is built by ``_row`` from a core.ResidualReport, a
+tolerance and a pass rule: ``abs``, ``rel`` or the refutation ``above``.
+Serialized reports contain one row per check with the columns (suite,
+max_abs, max_rel, witness, samples, pass), without the tolerance and rule;
+given the same configuration and seed the JSON output is byte identical
+apart from the wall_time field.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coset, su2
-from .core import (TabulatedFunction, _scan, compact_vanishing_check,
-                   exp_residual, exponentials, power_identity_check,
-                   s3_conjugacy_hypergroup, sine_residual, sine_space,
-                   two_point_hypergroup)
+from .core import (ResidualReport, TabulatedFunction, _scan,
+                   compact_vanishing_check, exp_residual, exponentials,
+                   power_identity_check, s3_conjugacy_hypergroup,
+                   sine_residual, sine_space, two_point_hypergroup)
 from .dual import central_difference
 from .multipoly import ProductPolyHypergroup
 from .polyhg import (PolynomialHypergroup, TheoremViolationError,
@@ -65,6 +67,8 @@ class CheckResult:
     witness: object
     samples: int
     passed: bool
+    tol: float       # applied by _row; not serialized
+    rule: str        # "abs", "rel" or "above"; not serialized
 
     def row(self):
         return {
@@ -114,22 +118,18 @@ class SuiteReport:
 def jsonable(obj):
     """Witnesses contain ints, floats, complex numbers, and tuples; map them
     to JSON-stable values."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, complex):
-        return repr(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return repr(complex(obj))
     if isinstance(obj, (tuple, list)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.complexfloating,)):
-        return repr(complex(obj))
     return repr(obj)
 
 
@@ -140,44 +140,47 @@ def _fmt_lam(lam):
     return f"{lam.real:g}{lam.imag:+g}j"
 
 
-def _residual_check(name, report, tol, relative=False):
-    value = report.max_rel if relative else report.max_abs
+def _row(name, report, tol, rule):
+    """The row ``name`` for ``report`` judged by ``rule`` at ``tol``: ``abs``
+    and ``rel`` pass when max_abs or max_rel <= tol (ResidualReport.within);
+    ``above`` (a refutation) passes when max_abs is finite and > tol.  A
+    yes/no fact (``_fact``) is judged ``abs`` at tol 0."""
+    if rule == "above":
+        ok = math.isfinite(report.max_abs) and report.max_abs > tol
+    else:
+        ok = report.within(tol, relative={"abs": False, "rel": True}[rule])
     return CheckResult(name, report.max_abs, report.max_rel, report.witness,
-                       report.samples, value <= tol)
+                       report.samples, bool(ok), tol, rule)
+
+
+def _fact(ok, samples=1, witness=None):
+    """A yes/no fact as a report: 0.0 when it holds, 1.0 when not."""
+    return ResidualReport(0.0 if ok else 1.0, 0.0 if ok else 1.0, witness,
+                          samples)
+
+
+def _worst(diff):
+    """Report of the largest magnitude in ``diff``, one sample per entry."""
+    err = float(np.abs(diff).max())
+    return ResidualReport(err, err, None, len(diff))
 
 
 def _equation_checks(head, tail, hg, f, m, pairs, exp_tol, sine_tol):
     """Relative residual rows head:exp<tail> and head:sine<tail>."""
-    return [_residual_check(f"{head}:exp{tail}", exp_residual(hg, m, pairs),
-                            exp_tol, relative=True),
-            _residual_check(f"{head}:sine{tail}",
-                            sine_residual(hg, f, m, pairs), sine_tol,
-                            relative=True)]
-
-
-def _error_check(name, err, samples, tol):
-    return CheckResult(name, err, err, None, samples, err <= tol)
-
-
-def _refutation_check(name, report, floor, samples):
-    """Passes when the residual exceeds ``floor``: the identity fails."""
-    return CheckResult(name, report.max_abs, report.max_rel, report.witness,
-                       samples, report.max_abs > floor)
+    return [_row(f"{head}:exp{tail}", exp_residual(hg, m, pairs), exp_tol,
+                 "rel"),
+            _row(f"{head}:sine{tail}", sine_residual(hg, f, m, pairs),
+                 sine_tol, "rel")]
 
 
 def _sine_space_checks(tag, label, hg, m, tol):
     """tag:sine-dim-label (the m-sine space is trivial), tag:vanishing-label."""
     basis = sine_space(hg, m, exp_tol=tol)
-    return [_bool_check(f"{tag}:sine-dim-{label}", len(basis) == 0,
-                        samples=hg.size ** 2, witness=len(basis)),
-            _bool_check(f"{tag}:vanishing-{label}",
-                        compact_vanishing_check(hg, TabulatedFunction(m),
-                                                basis), samples=hg.size)]
-
-
-def _bool_check(name, ok, samples=1, witness=None):
-    return CheckResult(name, 0.0 if ok else 1.0, 0.0 if ok else 1.0,
-                       witness, samples, bool(ok))
+    vanishes = compact_vanishing_check(hg, TabulatedFunction(m), basis)
+    return [_row(f"{tag}:sine-dim-{label}",
+                 _fact(len(basis) == 0, hg.size ** 2, len(basis)), 0.0, "abs"),
+            _row(f"{tag}:vanishing-{label}", _fact(vanishes, hg.size), 0.0,
+                 "abs")]
 
 
 def _pairs_grid(n_max):
@@ -193,23 +196,25 @@ def run_compact(cfg):
         hg = two_point_hypergroup(theta)
         m1 = TabulatedFunction([1.0, -theta])
         rep = exp_residual(hg, m1, hg.all_pairs())
-        checks.append(_residual_check(f"{tag}:exp", rep, 4 * np.finfo(float).eps))
+        checks.append(_row(f"{tag}:exp", rep, 4 * np.finfo(float).eps, "abs"))
         for label, m in (("m0", [1.0, 1.0]), ("m1", [1.0, -theta])):
             checks += _sine_space_checks(tag, label, hg, m, cfg.tol)
-        zero = TabulatedFunction([0.0, 0.0])
-        rep = power_identity_check(hg, zero, m1, 0, 1, 8)
-        checks.append(_residual_check(f"{tag}:power-identity", rep, 1e-10))
+        # f = [0, 1] is no m1-sine: at n = 2 the residual is 1 + theta
+        rep = power_identity_check(hg, TabulatedFunction([0.0, 1.0]), m1, 0,
+                                   1, 8)
+        checks.append(_row(f"{tag}:power-refutation", rep, 0.5, "above"))
     rec = chebyshev_recurrence()
     ph = PolynomialHypergroup(rec)
     lam = 0.9
     f = sine_fn(rec, 1.0, lam, n_max=64)
     m = exp_fn(rec, lam, n_max=64)
     rep = power_identity_check(ph, f, m, 1, 2, 8)
-    checks.append(_residual_check("compact:chebyshev:power-identity", rep, 1e-10))
+    checks.append(_row("compact:chebyshev:power-identity", rep, 1e-10, "abs"))
     s3 = s3_conjugacy_hypergroup()
     exps = exponentials(s3, tol=cfg.tol)
-    checks.append(_bool_check("compact:s3:exponential-count", len(exps) == 3,
-                              samples=s3.size ** 2, witness=len(exps)))
+    checks.append(_row("compact:s3:exponential-count",
+                       _fact(len(exps) == 3, s3.size ** 2, len(exps)), 0.0,
+                       "abs"))
     for i, m in enumerate(exps):
         checks += _sine_space_checks("compact:s3", f"m{i}", s3, m, cfg.tol)
     return checks
@@ -247,16 +252,16 @@ def run_polyone(cfg):
                 reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9)
             except TheoremViolationError as exc:
                 ok, worst = False, str(exc)
-        checks.append(_bool_check(
-            f"polyone:{name}:reconstruct", ok, samples=draws, witness=worst))
+        checks.append(_row(f"polyone:{name}:reconstruct",
+                           _fact(ok, draws, worst), 0.0, "abs"))
         sines = sine_values(rec, 5, 0.3)
         prods = sine_values(rec, 5, 1.0) * exp_values(rec, 5, 0.3)
         sv = np.linalg.svd(np.column_stack([sines, prods]),
                            compute_uv=False)
         ratio = float(sv[1] / sv[0])
-        checks.append(CheckResult(
-            f"polyone:{name}:derivative-not-multiplicative", ratio, ratio,
-            None, 6, ratio > 1e-6))
+        checks.append(_row(f"polyone:{name}:derivative-not-multiplicative",
+                           ResidualReport(ratio, ratio, None, 6), 1e-6,
+                           "above"))
     return checks
 
 
@@ -273,11 +278,12 @@ def run_su2(cfg):
     err = np.concatenate([np.abs(sum(hg.convolve_many(
         np.full(101 - k, k), np.arange(k, 101))[1].T) - 1.0) for k in range(101)])
     worst = float(err.max())
-    checks.append(CheckResult("su2:weight-sums", worst, worst, upper[
-        int(np.argmax(err))] if worst > 0 else None, len(err), worst <= 1e-12))
+    checks.append(_row("su2:weight-sums", ResidualReport(worst, worst, upper[
+        int(np.argmax(err))] if worst > 0 else None, len(err)), 1e-12, "abs"))
     mu = hg.convolve(1, 1)
     ok = mu.weight(0) == 0.25 and mu.weight(2) == 0.75 and len(mu) == 2
-    checks.append(_bool_check("su2:unit-square", ok, witness=mu.items()))
+    checks.append(_row("su2:unit-square", _fact(ok, witness=mu.items()), 0.0,
+                       "abs"))
     pairs = _pairs_grid(n_max)
     rng = np.random.default_rng(cfg.seed)
     for lam in lambdas:
@@ -286,8 +292,8 @@ def run_su2(cfg):
         checks += _equation_checks("su2", f":lam={_fmt_lam(lam)}", hg, f, m,
                                    pairs, 1e-9, 1e-9)
         rep = su2.recurrence_residual(f, m, n_max)
-        checks.append(_residual_check(
-            f"su2:recurrence:lam={_fmt_lam(lam)}", rep, 1e-9, relative=True))
+        checks.append(_row(f"su2:recurrence:lam={_fmt_lam(lam)}", rep, 1e-9,
+                           "rel"))
         f1 = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
         prop = su2.propagate_sine(lam, f1, n_max)
         # f(1) = dphi(1, lam) = sinh lam, except at lam = i k pi (su2.sine_fn)
@@ -296,13 +302,13 @@ def run_su2(cfg):
         want = (f1 / f_at_1) * f.values[:n_max + 1]
         rel = np.abs(prop - want) / (1.0 + np.abs(want))
         idx = int(np.argmax(rel))
-        checks.append(CheckResult(
-            f"su2:propagation:lam={_fmt_lam(lam)}",
-            float(np.abs(prop - want)[idx]), float(rel[idx]), idx,
-            n_max + 1, float(rel.max()) <= 1e-8))
+        rep = ResidualReport(float(np.abs(prop - want)[idx]), float(rel[idx]),
+                             idx, n_max + 1)
+        checks.append(_row(f"su2:propagation:lam={_fmt_lam(lam)}", rep, 1e-8,
+                           "rel"))
     f_add = su2.additive_fn(1.0)
     rep = sine_residual(hg, f_add, lambda n: 1.0, pairs)
-    checks.append(_residual_check("su2:additive", rep, 1e-10))
+    checks.append(_row("su2:additive", rep, 1e-10, "abs"))
     return checks
 
 
@@ -333,12 +339,10 @@ def run_sinsev(cfg):
                                    1e-9, 1e-9)
         try:
             got = hg.fit_coefficients(f, lam, n_max=6, rtol=1e-9)
-            err = float(np.abs(got - np.asarray(coeff, dtype=complex)).max())
-            ok = err <= 1e-9
+            rep = _worst(got - np.asarray(coeff, dtype=complex))
         except TheoremViolationError:
-            err, ok = math.inf, False
-        checks.append(CheckResult(
-            f"sinsev:{tag}:fit-roundtrip", err, err, None, d, ok))
+            rep = ResidualReport(math.inf, math.inf, None, d)
+        checks.append(_row(f"sinsev:{tag}:fit-roundtrip", rep, 1e-9, "abs"))
     return checks
 
 
@@ -357,13 +361,11 @@ def run_sturm(cfg):
         ssol = sturm_mod.solve_sine(const, lam, 1.0, x_max=x_max, h=h)
         grid, phi = ssol.grid, ssol.forcing
         ref = sturm_mod.line_phi(grid, lam)
-        checks.append(_error_check(
-            f"sturm:const:phi:lam={_fmt_lam(lam)}",
-            float(np.abs(phi - ref).max()), len(grid), 1e-6))
-        checks.append(_error_check(
+        checks.append(_row(f"sturm:const:phi:lam={_fmt_lam(lam)}",
+                           _worst(phi - ref), 1e-6, "abs"))
+        checks.append(_row(
             f"sturm:const:sine-closed-form:lam={_fmt_lam(lam)}",
-            float(np.abs(ssol.values - sturm_mod.line_dphi(grid, lam)).max()),
-            len(grid), 1e-5))
+            _worst(ssol.values - sturm_mod.line_dphi(grid, lam)), 1e-5, "abs"))
         residuals += [sturm_mod.ode_residual(grid, phi, const.ratio, lam),
                       ssol.ode_residual]
     lam = 1.0
@@ -371,33 +373,29 @@ def run_sturm(cfg):
                               x_max=x_max, h=h)
     ref = np.ones_like(sol.values)
     ref[1:] = np.sinh(sol.grid[1:]) / sol.grid[1:]
-    checks.append(_error_check("sturm:power-half:phi:lam=1",
-                               float(np.abs(sol.values - ref).max()),
-                               len(sol.grid), 1e-6))
+    checks.append(_row("sturm:power-half:phi:lam=1", _worst(sol.values - ref),
+                       1e-6, "abs"))
     # d/dlam phi_alpha = x^2 / (4 (alpha + 1)) phi_(alpha + 1)
     ssol = sturm_mod.solve_sine(power, lam, 1.0, x_max=x_max, h=h)
     up = sturm_mod.solve_phi(sturm_mod.power_family(cfg.alpha + 1.0), lam,
                              x_max=x_max, h=h)
     ref = up.grid ** 2 / (4.0 * (cfg.alpha + 1.0)) * up.values
-    checks.append(_error_check(f"sturm:{power_tag}:sine-vs-phi(alpha+1):lam=1",
-                               float(np.abs(ssol.values - ref).max()),
-                               len(ssol.grid), 1e-5))
+    checks.append(_row(f"sturm:{power_tag}:sine-vs-phi(alpha+1):lam=1",
+                       _worst(ssol.values - ref), 1e-5, "abs"))
     residuals += [sol.ode_residual, ssol.ode_residual, up.ode_residual]
     for fam, tag in ((const, "const"), (power, power_tag)):
         sol = sturm_mod.solve_sine(fam, 1.0, 0.0, x_max=x_max, h=h)
-        checks.append(_error_check(f"sturm:{tag}:homogeneous-zero",
-                                   float(np.abs(sol.values).max()),
-                                   len(sol.grid), 1e-10))
+        checks.append(_row(f"sturm:{tag}:homogeneous-zero",
+                           _worst(sol.values), 1e-10, "abs"))
     worst_res = max(residuals)
-    checks.append(CheckResult(
-        "sturm:ode-residual-bound", worst_res, worst_res / res_bound, None,
-        len(residuals), worst_res <= res_bound))
+    rep = ResidualReport(worst_res, worst_res / res_bound, None, len(residuals))
+    checks.append(_row("sturm:ode-residual-bound", rep, res_bound, "abs"))
     rng = np.random.default_rng(cfg.seed)
     pts = rng.uniform(0.05, 2.5, size=(40, 2))
     for lam in (0.8, 1.0, 2.0):
         rep = sturm_mod.cosh_hypergroup_check(lam, [tuple(p) for p in pts])
-        checks.append(_residual_check(
-            f"sturm:cosh-check:lam={_fmt_lam(lam)}", rep, 1e-10))
+        checks.append(_row(f"sturm:cosh-check:lam={_fmt_lam(lam)}", rep,
+                           1e-10, "abs"))
     return checks
 
 
@@ -424,63 +422,56 @@ def run_coset(cfg):
         f = coset.coset_sine(1.0, lam)
         checks += _equation_checks("coset", f":lam={_fmt_lam(lam)}", hg, f, m,
                                    pairs, 1e-12, 1e-10)
-    recorded = [(2.0, 1.0, 1.0, 1.0)]
-    rep = coset.falsify_dalembert_alpha(0.0, 1.0, recorded)
-    independent = math.cosh(3.0) + math.cosh(1.0) - 2.0 * math.cosh(1.0) ** 2
-    ok = abs(rep.max_abs - independent) <= 1e-6 and rep.max_abs > 0.1
-    checks.append(CheckResult(
-        "coset:falsify-alpha:recorded", rep.max_abs, rep.max_rel,
-        rep.witness, 1, ok))
+    # the closed-form value cosh 3 + cosh 1 - 2 cosh^2 1 is pinned in tests
+    rep = coset.falsify_dalembert_alpha(0.0, 1.0, [(2.0, 1.0, 1.0, 1.0)])
+    checks.append(_row("coset:falsify-alpha:recorded", rep, 0.1, "above"))
     quads = list(zip(xs[:200], us[:200], ys[:200], vs[:200]))
     for alpha, lam in ((1.0, 0.0), (0.5, 1.0)):
-        checks.append(_refutation_check(
+        checks.append(_row(
             f"coset:falsify-alpha={alpha:g}:lam={_fmt_lam(lam)}",
-            coset.falsify_dalembert_alpha(lam, alpha, quads), 1e-3,
-            len(quads)))
-    checks.append(_refutation_check(
+            coset.falsify_dalembert_alpha(lam, alpha, quads), 1e-3, "above"))
+    checks.append(_row(
         "coset:falsify-square:recorded",
         coset.falsify_square_term(1.0, 1.0, [((2.0, 1.0), (3.0, 1.0))]), 0.5,
-        1))
-    checks.append(_refutation_check(
-        "coset:falsify-square:random",
-        coset.falsify_square_term(1.0, 0.25, pairs[:200]), 1e-3,
-        len(pairs[:200])))
+        "above"))
+    checks.append(_row("coset:falsify-square:random",
+                       coset.falsify_square_term(1.0, 0.25, pairs[:200]),
+                       1e-3, "above"))
     uv = [(u, v) for u, v in zip(us[:200], vs[:200])]
-    rep = coset.square_norm_check(uv)
-    checks.append(_residual_check("coset:square-norm", rep, 1e-12))
+    checks.append(_row("coset:square-norm", coset.square_norm_check(uv),
+                       1e-12, "abs"))
     gpairs = [((x, u), (y, v))
               for x, u, y, v in zip(xs[:200], us[:200], ys[:200], vs[:200])]
-    rep = coset.group_sine_check(1.0 + 1.0j, gpairs)
-    checks.append(_residual_check("coset:group-sine", rep, 1e-12,
-                                  relative=True))
+    checks.append(_row("coset:group-sine",
+                       coset.group_sine_check(1.0 + 1.0j, gpairs), 1e-12,
+                       "rel"))
     dyadic, i = np.array([0.5, -2.0, 4.0, -0.25, 8.0, 1.0]), np.arange(6.0)
     p, q = (dyadic, i - 2), (np.roll(dyadic, -1), 2 * i)
     r = (np.roll(dyadic, -2), i)
     same = [*zip(coset.group_mul(coset.group_mul(p, q), r),
                  coset.group_mul(p, coset.group_mul(q, r))),
             *zip(coset.conjugate_by(p, (-1.0, 0.0)), (-1.0, 2.0 * p[1]))]
-    checks.append(_bool_check("coset:group-identities-exact",
-                              all((a == b).all() for a, b in same),
-                              samples=len(dyadic)))
+    checks.append(_row("coset:group-identities-exact",
+                       _fact(all((a == b).all() for a, b in same),
+                             len(dyadic)), 0.0, "abs"))
     p, q = (xs[:200], us[:200]), (ys[:200], vs[:200])
     r = (xs[:200] * 0.5 + 1.0, vs[:200] - us[:200])
     lhs = coset.group_mul(coset.group_mul(p, q), r)
     rhs = coset.group_mul(p, coset.group_mul(q, r))
     worst = float(np.maximum(*(np.abs(a - b) / (1.0 + np.abs(b))
                                for a, b in zip(lhs, rhs))).max())
-    checks.append(CheckResult("coset:associativity-float", worst, worst,
-                              None, 200, worst <= 1e-12))
+    checks.append(_row("coset:associativity-float",
+                       ResidualReport(worst, worst, None, 200), 1e-12, "abs"))
     witness_f = lambda p: p[1]
     left = coset.coset_apply(witness_f, (2.0, 3.0), (5.0, 7.0))
     right = coset.coset_apply(witness_f, (5.0, 7.0), (2.0, 3.0))
-    checks.append(_bool_check(
-        "coset:non-commutative-witness", abs(left - right) > 0.5,
-        witness=(left, right)))
+    checks.append(_row("coset:non-commutative-witness",
+                       _fact(abs(left - right) > 0.5, witness=(left, right)),
+                       0.0, "abs"))
     raw_samples = [(x, u) for x, u in zip(xs[:50], us[:50])]
     m_raw = lambda p: coset.coset_exponential(1.0)(coset.coset_of(p))
-    checks.append(_bool_check(
-        "coset:compat", coset.verify_compat(m_raw, raw_samples),
-        samples=len(raw_samples)))
+    checks.append(_row("coset:compat", _fact(coset.verify_compat(
+        m_raw, raw_samples), len(raw_samples)), 0.0, "abs"))
     return checks
 
 
@@ -496,18 +487,13 @@ _RUNNERS = {
 
 def run_suite(name, cfg=None):
     """Run one suite (or "all") and return its SuiteReport."""
+    if name != "all" and name not in _RUNNERS:
+        raise ValueError(
+            f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     cfg = cfg or SuiteConfig()
     t0 = time.perf_counter()
-    if name == "all":
-        checks = []
-        for s in SUITE_NAMES:
-            checks.extend(_RUNNERS[s](cfg))
-    else:
-        runner = _RUNNERS.get(name)
-        if runner is None:
-            raise ValueError(
-                f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-        checks = runner(cfg)
+    checks = [c for s in (SUITE_NAMES if name == "all" else (name,))
+              for c in _RUNNERS[s](cfg)]
     return SuiteReport(name, checks, wall_time=time.perf_counter() - t0)
 
 

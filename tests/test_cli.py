@@ -1,12 +1,14 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
 from hypersine import cli
-from hypersine.core import dump_finite_hypergroup, two_point_hypergroup
-from hypersine.suites import CheckResult, SuiteReport
+from hypersine.core import (ResidualReport, dump_finite_hypergroup,
+                            two_point_hypergroup)
+from hypersine.suites import SuiteReport, _row
 
 
 def run(argv):
@@ -76,9 +78,27 @@ def test_non_finite_inputs_are_usage_errors(argv):
 
 def test_verification_failure_maps_to_exit_one(monkeypatch):
     failing = SuiteReport("compact", [
-        CheckResult("compact:forced", 1.0, 1.0, None, 1, False)])
+        _row("compact:forced", ResidualReport(1.0, 1.0, None, 1), 0.0, "abs")])
     monkeypatch.setattr(cli, "run_suite", lambda name, cfg: failing)
     assert run(["verify", "compact"]) == 1
+
+
+def test_fail_line_names_the_rule_and_tolerance(capsys):
+    assert run(["verify", "sturm", "--xmax", "5", "--h", "1e-2", "--lambda",
+                "2", "--alpha", "-0.5"]) == 1
+    prefix = "FAIL sturm:const:sine-closed-form:lam=2: "
+    line, = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith(prefix)]
+    assert line.startswith(prefix + "abs tol=1e-05 max_abs=")
+
+
+def test_overflowing_lambda_prints_only_the_error_line(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["verify", "sturm", "--lambda", "1e300"]) == 2
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: solution magnitude")
 
 
 def test_tabulate_chebyshev_sine_column(capsys):
@@ -148,6 +168,16 @@ def test_sine_space_rejects_non_exponential(tmp_path, capsys):
     dump_finite_hypergroup(two_point_hypergroup(0.25), spec)
     assert run(["sine-space", str(spec), "--m", "1,0.5"]) == 2
     assert "not an exponential" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m, message", [("1,nan", "not an exponential"),
+                                        ("1,-0.25,1", "m has 3 values")])
+def test_sine_space_rejects_nan_and_wrong_length_m(tmp_path, capsys, m,
+                                                   message):
+    spec = tmp_path / "d.json"
+    dump_finite_hypergroup(two_point_hypergroup(0.25), spec)
+    assert run(["sine-space", str(spec), "--m", m]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_sine_space_missing_file_is_config_error(tmp_path):

@@ -165,6 +165,12 @@ def test_sine_space_rejects_non_exponential():
         sine_space(hg, [1.0, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sine_space_rejects_non_finite_m(bad):
+    with pytest.raises(ValueError, match="not an exponential"):
+        sine_space(two_point_hypergroup(0.3), [1.0, bad])
+
+
 def test_sine_space_on_group_algebra_has_additive_solutions():
     # Z/3 as a hypergroup: convolution is group addition, so sine functions
     # for m == 1 are the additive characters, a 0-dimensional real... no:

@@ -145,7 +145,7 @@ def test_step_matrices_match_scalar_rk4(alpha, lam, c, grid, constant):
         assert not sine.values.any() and not sine.derivatives.any()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_guard_covers_the_forced_pass_and_non_finite_tables():
     with pytest.raises(OverflowError, match="solution magnitude exceeded"):
         solve_sine(constant_family(), 64.0, 1.0, x_max=5.0, h=1e-3)

@@ -1,9 +1,12 @@
 import json
+import math
 
 import pytest
 
-from hypersine.suites import (SuiteConfig, SUITE_NAMES, dual_vs_fd_report,
-                              jsonable, run_suite)
+from hypersine.core import (ResidualReport, TabulatedFunction,
+                            power_identity_check, two_point_hypergroup)
+from hypersine.suites import (SuiteConfig, SUITE_NAMES, _row,
+                              dual_vs_fd_report, jsonable, run_suite)
 
 ROW_KEYS = {"suite", "max_abs", "max_rel", "witness", "samples", "pass"}
 
@@ -46,6 +49,36 @@ def test_compact_suite_reports_zero_dimensions():
     dims = [c for c in rep.checks if "sine-dim" in c.name]
     assert dims and all(c.passed for c in dims)
     assert all(c.witness == 0 for c in dims)
+
+
+@pytest.mark.parametrize("value, passes", [
+    (1e-3, {"abs": True, "rel": True, "above": False}),
+    (2e-3, {"abs": False, "rel": False, "above": True}),
+    (math.nan, {"abs": False, "rel": False, "above": False}),
+    (math.inf, {"abs": False, "rel": False, "above": False}),
+])
+@pytest.mark.parametrize("rule", ["abs", "rel", "above"])
+def test_row_rules_at_the_tolerance_and_at_non_finite_values(value, passes,
+                                                             rule):
+    check = _row("x", ResidualReport(value, value, None, 1), 1e-3, rule)
+    assert check.passed is passes[rule]
+    assert (check.tol, check.rule) == (1e-3, rule)
+    assert set(check.row()) == ROW_KEYS
+
+
+def test_compact_power_refutation_rows_fail_the_identity():
+    thetas = (0.1, 0.25, 0.5, 0.9)
+    rows = [c for c in run_suite("compact", SuiteConfig(thetas=thetas)).checks
+            if c.name.endswith(":power-refutation")]
+    assert [c.name for c in rows] == [
+        f"compact:theta={t:g}:power-refutation" for t in thetas]
+    for theta, c in zip(thetas, rows):
+        assert c.passed and c.rule == "above" and c.max_abs >= 1.0 + theta
+    # the zero function satisfies the identity, so the rule rejects it
+    hg = two_point_hypergroup(0.5)
+    rep = power_identity_check(hg, TabulatedFunction([0.0, 0.0]),
+                               TabulatedFunction([1.0, -0.5]), 0, 1, 8)
+    assert not _row("zero", rep, 0.5, "above").passed
 
 
 def test_sturm_suite_respects_overridden_grid():
