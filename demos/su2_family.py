@@ -22,7 +22,7 @@ for n in range(6):
     print(f"  {n:2d}  {p:+.6f}   {d:+.6f}")
 
 pairs = [(n, k) for n in range(25) for k in range(25)]
-f = su2.dphi_fn(50, lam)
+f = su2.sine_fn(50, lam)
 m = su2.phi_fn(50, lam)
 rep = sine_residual(hg, f, m, pairs)
 print(f"\nsine-equation residual of the derivative family: {rep.max_rel:.2e}")
@@ -31,7 +31,7 @@ print(f"\nsine-equation residual of the derivative family: {rep.max_rel:.2e}")
 # f(0) = 0 and f(1) it reproduces the derivative route
 f1 = su2.dphi(1, lam)
 prop = su2.propagate_sine(lam, f1, 20)
-want = (f1 / cmath.sinh(lam)) * su2.dphi_values(20, lam)
+want = (f1 / cmath.sinh(lam)) * su2.dphi(np.arange(21), lam)
 print("recurrence propagation vs direct derivative:",
       f"{np.max(np.abs(prop - want)):.2e}")
 

@@ -65,7 +65,6 @@ from .sturm import (
 )
 from .coset import (
     CosetHypergroup,
-    coset_apply,
     coset_exponential,
     coset_of,
     coset_sine,
@@ -75,7 +74,6 @@ from .coset import (
     group_mul,
     group_sine_check,
     square_norm_check,
-    verify_compat,
 )
 from .suites import SuiteConfig, SuiteReport, run_suite
 

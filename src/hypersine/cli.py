@@ -186,9 +186,8 @@ def _tabulate_su2(args):
     n_max = 8 if args.n_max is None else args.n_max
     lam = (args.lambdas or [0.3])[0]
     m, base = su2.phi_fn(2 * n_max + 2, lam), su2.sine_fn(2 * n_max + 2, lam)
-    f = (su2.additive_fn(args.c) if lam == 0
-         else lambda n: _cmul(args.c, base(n)))
-    return _sine_rows(su2.Su2Hypergroup(), f, m, list(range(n_max + 1)), 1)
+    return _sine_rows(su2.Su2Hypergroup(), lambda n: _cmul(args.c, base(n)),
+                      m, list(range(n_max + 1)), 1)
 
 
 def _tabulate_product(args):

@@ -47,16 +47,6 @@ def coset_of(p):
     return (abs(x), abs(u))
 
 
-def coset_apply(f, p, q):
-    """Average of f over the convolution of the cosets of p and q; f takes
-    canonical representatives."""
-    x, u = p
-    y, v = q
-    a = coset_of((x * y, x * v + u))
-    b = coset_of((-x * y, -x * v + u))
-    return 0.5 * f(a) + 0.5 * f(b)
-
-
 class CosetHypergroup(Hypergroup):
     """The double-coset hypergroup; elements are canonical pairs."""
 
@@ -95,15 +85,6 @@ def coset_sine(c, lam):
         lg = np.log(ax)
         return _cmul(c, np.exp(complex(lam) * lg)) * lg
     return f
-
-
-def verify_compat(f_raw, samples):
-    """True if a function on raw group elements is constant on double cosets,
-    i.e. agrees on all four sign combinations (x, u), (-x, u), (x, -u),
-    (-x, -u).  Functions built from canonical representatives pass by
-    construction."""
-    return all(f_raw(p) == ref for x, u in samples for ref in [f_raw((x, u))]
-               for p in ((-x, u), (x, -u), (-x, -u)))
 
 
 def falsify_dalembert_alpha(lam, alpha, samples):

@@ -41,7 +41,7 @@ class ThreeTermRecurrence:
         self._validate()
 
     def _validate(self):
-        top = 64 if self.max_order is None else min(self.max_order, 64)
+        top = 64 if self.max_order is None else self.max_order
         if float(self.a(0)) <= 0:
             raise NotHypergroupError(f"a_0 = {self.a(0)} must be positive")
         if abs(float(self.a(0)) + float(self.b(0)) - 1.0) > 1e-12:
@@ -189,18 +189,18 @@ def _linearize_step(cur, prev, m, a, b, c):
     return out / a[m], cur
 
 
-def _check_weights(low, n, k):
-    if low < -NEGATIVE_COEFF_TOL:
+def _checked(rows, n, k):
+    """Linearization rows, degrees (n, k) along the last axis, with their
+    floating-point zeros set to 0; the first (n, k), broadcast against the
+    rows, with a weight below -NEGATIVE_COEFF_TOL raises NotHypergroupError."""
+    low, n, k = np.broadcast_arrays(rows.min(axis=-1), n, k)
+    i = np.argmax(low < -NEGATIVE_COEFF_TOL)
+    if low.flat[i] < -NEGATIVE_COEFF_TOL:
         raise NotHypergroupError(
-            f"negative linearization coefficient {low:g} at ({n}, {k})")
-
-
-def _linearization_measure(row, n, k):
-    """The convolution measure of degrees n and k from its coefficient row."""
-    _check_weights(row.min(), n, k)
-    support = np.flatnonzero(np.abs(row) > DROP_COEFF_TOL)
-    return FiniteMeasure(zip(support.tolist(), row[support].tolist()),
-                         tol=NEGATIVE_COEFF_TOL)
+            f"negative linearization coefficient {low.flat[i]:g} at "
+            f"({n.flat[i]}, {k.flat[i]})")
+    rows[np.abs(rows) <= DROP_COEFF_TOL] = 0.0
+    return rows
 
 
 def linearize(rec, n, k, exact=False):
@@ -228,7 +228,10 @@ def linearize(rec, n, k, exact=False):
     cur, prev = np.eye(k + 1)[k:], np.zeros((1, k))
     for m in range(n):
         cur, prev = _linearize_step(cur, prev, m, *coeffs)
-    return _linearization_measure(cur[0], n, k)
+    row = _checked(cur[0], n, k)
+    support = np.flatnonzero(row)
+    return FiniteMeasure(zip(support.tolist(), row[support].tolist()),
+                         tol=NEGATIVE_COEFF_TOL)
 
 
 def _linearize_exact(rec, n, k):
@@ -283,12 +286,8 @@ class PolynomialHypergroup(Hypergroup):
             if m:
                 cur, prev = _linearize_step(cur[1:], prev[1:], m - 1, *coeffs)
             table[m, m:, :cur.shape[1]] = table[m:, m, :cur.shape[1]] = cur
-        low = table.min(axis=2)
-        bad = np.argwhere(np.triu(low < -NEGATIVE_COEFF_TOL))
-        if len(bad):
-            _check_weights(low[tuple(bad[0])], *bad[0])
-        table[np.abs(table) <= DROP_COEFF_TOL] = 0.0
-        self.table = table
+        # the table is symmetric, so the first bad pair has n <= k
+        self.table = _checked(table, *np.indices(table.shape[:2]))
 
 
 def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):
@@ -304,16 +303,13 @@ def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):
     rows, _ = _linearize_step(np.eye(n_max)[1:],
                               np.zeros((n_max - 1, n_max - 1)), 0,
                               *rec._float_coeffs(n_max))
-    m1 = eval_P(rec, 1, lam)
+    rows = _checked(rows, 1, np.arange(1, n_max))
     p_vals = exp_values(rec, n_max, lam)
     f = np.zeros(n_max + 1, dtype=complex)
     f[1] = f1
-    for n in range(1, n_max):
-        mu = _linearization_measure(rows[n - 1], 1, n)
-        rhs = f[n] * m1 + f1 * p_vals[n]
-        partial = sum(w * f[l] for l, w in mu if l <= n)
-        w_top = mu.weight(n + 1)
-        f[n + 1] = (rhs - partial) / w_top
+    for n, row in enumerate(rows, 1):
+        f[n + 1] = (f[n] * p_vals[1] + f1 * p_vals[n]
+                    - row[:n + 1] @ f[:n + 1]) / row[n + 1]
     expected = sine_values(rec, n_max, lam, float(rec.a(0))) * f1
     err = np.abs(f - expected)
     scale = 1.0 + np.abs(expected)

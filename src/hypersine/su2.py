@@ -7,10 +7,13 @@ and its hyperbolic exponential family
 
     phi(n, lam) = sinh((n+1) lam) / ((n+1) sinh(lam)),   phi(n, 0) = 1.
 
-The lambda-derivative of phi is a phi(.,lam)-sine function; for lam = 0 the
-sine functions of the exponential m == 1 are the additive multiples of
-n (n+2).  Residuals are reported relative because phi grows like
-exp(n lam) / (n + 1).
+Its lambda-derivative, a phi(.,lam)-sine function, has the closed form
+
+    dphi(n, lam) = (cosh((n+1) lam) - phi(n, lam) cosh(lam)) / sinh(lam).
+
+For lam = 0 the sine functions of the exponential m == 1 are the additive
+multiples of n (n+2).  Residuals are reported relative because phi grows
+like exp(n lam) / (n + 1).
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 
 import numpy as np
 
-from . import dual
 from .core import (Hypergroup, TabulatedFunction, _cabs, _cmul, _reject,
                    _scan)
 
@@ -45,53 +47,47 @@ class Su2Hypergroup(Hypergroup):
             (ks + 1) * (ns + 1))[:, None], 0.0)
 
 
-def phi(n, lam):
-    """phi(n, lam); lam may be complex or a DualScalar.
+def _phi_dphi(n, lam):
+    """(phi(n, lam), dphi(n, lam)): arrays at an integer array n, complex
+    numbers at one element.  Near the zeros i k pi of sinh
+    (|sinh lam| < SMALL_SINH_TOL) both come from the even series in
+    mu = lam - i k pi through degree six, exact up to O((n mu)^8); the shift
+    contributes a sign (-1)^(k n)."""
+    ns = np.atleast_1d(n)
+    if (ns < 0).any():
+        raise ValueError(f"element must be >= 0, got {ns.min()}")
+    lam = complex(lam)
+    s, n1 = cmath.sinh(lam), ns + 1
+    if abs(s) >= SMALL_SINH_TOL:
+        p = np.sinh(n1 * lam) / (n1 * s)
+        d = (np.cosh(n1 * lam) - p * cmath.cosh(lam)) / s
+    else:
+        k = round(lam.imag / math.pi)
+        mu = lam - complex(0.0, k * math.pi)
+        sign = np.where((k * ns) % 2, -1.0, 1.0)
+        big = n1 * mu
+        bb, mm = big * big, mu * mu
+        num = 1.0 + bb * (1.0 / 6.0 + bb * (1.0 / 120.0 + bb / 5040.0))
+        dnum = n1 * big * (1.0 / 3.0 + bb * (1.0 / 30.0 + bb / 840.0))
+        den = 1.0 + mm * (1.0 / 6.0 + mm * (1.0 / 120.0 + mm / 5040.0))
+        dden = mu * (1.0 / 3.0 + mm * (1.0 / 30.0 + mm / 840.0))
+        p = sign * num / den
+        d = sign * (dnum * den - num * dden) / (den * den)
+    return (complex(p[0]), complex(d[0])) if np.ndim(n) == 0 else (p, d)
 
-    Near zeros of sinh (|sinh lam| < 1e-6) the quotient is replaced by the
-    even series in mu = lam - i k pi through degree six, exact up to
-    O((n mu)^8); the shift contributes a sign (-1)^(k n).
-    """
-    if n < 0:
-        raise ValueError(f"element must be >= 0, got {n}")
-    s = dual.sinh(lam)
-    if abs(dual.value_of(s)) >= SMALL_SINH_TOL:
-        return dual.sinh((n + 1) * lam) / ((n + 1) * s)
-    k = round(dual.value_of(lam).imag / math.pi)
-    mu = lam - complex(0.0, k * math.pi)
-    sign = -1.0 if (k * n) % 2 else 1.0
-    big = (n + 1) * mu
-    num = 1.0 + big * big * (1.0 / 6.0 + big * big * (1.0 / 120.0 + big * big / 5040.0))
-    small = mu * mu
-    den = 1.0 + small * (1.0 / 6.0 + small * (1.0 / 120.0 + small / 5040.0))
-    return sign * num / den
+
+def phi(n, lam):
+    """phi(n, lam) at one element or at an integer array of elements."""
+    return _phi_dphi(n, lam)[0]
 
 
 def dphi(n, lam):
-    """Derivative of phi(n, .) at lam, computed with dual numbers."""
-    return dual.deriv_of(phi(n, dual.DualScalar(lam, 1.0)))
-
-
-def phi_values(n_max, lam):
-    """Array of phi(n, lam) for n = 0..n_max."""
-    lam = complex(lam)
-    if abs(cmath.sinh(lam)) >= SMALL_SINH_TOL:
-        ns = np.arange(n_max + 1)
-        return np.sinh((ns + 1) * lam) / ((ns + 1) * cmath.sinh(lam))
-    return np.array([phi(n, lam) for n in range(n_max + 1)])
-
-
-def dphi_values(n_max, lam):
-    """Array of the lambda-derivatives of phi for n = 0..n_max."""
-    return np.array([dphi(n, lam) for n in range(n_max + 1)])
+    """The lambda-derivative of phi(n, .) at lam, taking n as phi does."""
+    return _phi_dphi(n, lam)[1]
 
 
 def phi_fn(n_max, lam):
-    return TabulatedFunction(phi_values(n_max, lam))
-
-
-def dphi_fn(n_max, lam):
-    return TabulatedFunction(dphi_values(n_max, lam))
+    return TabulatedFunction(phi(np.arange(n_max + 1), lam))
 
 
 def additive_fn(c):
@@ -106,11 +102,10 @@ def sine_fn(n_max, lam):
     """A non-zero phi(., lam)-sine function for n = 0..n_max: dphi, except
     where it vanishes identically (|sinh lam| < SMALL_SINH_TOL, lam near
     i k pi); there (-1)^(k n) n (n+2), the additive n (n+2) at lam = 0."""
-    lam = complex(lam)
+    lam, ns = complex(lam), np.arange(n_max + 1)
     if abs(cmath.sinh(lam)) >= SMALL_SINH_TOL:
-        return dphi_fn(n_max, lam)
+        return TabulatedFunction(dphi(ns, lam))
     k = round(lam.imag / math.pi)
-    ns = np.arange(n_max + 1)
     return TabulatedFunction((-1.0) ** (k * ns) * ns * (ns + 2))
 
 
@@ -123,13 +118,14 @@ def recurrence_residual(f, m, n_max):
     for n = 0..n_max-2, together with its substituted form in
     g(n) = (n+1) f(n).  cosh(lam) is read off as m(1).  The witness is the
     n attaining the worst residual; relative scaling uses all four terms.
-    f and m are called on one element at a time.
+    f and m are called once, on the array of elements 0..n_max; a constant
+    they return is broadcast.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    ch, f1 = m(1), f(1)
-    fv = np.array([f(n) for n in range(n_max + 1)])
-    mv = np.array([m(n) for n in range(n_max + 1)])
+    ns = np.arange(n_max + 1)
+    fv, mv = (np.broadcast_to(fn(ns), ns.shape) for fn in (f, m))
+    ch, f1 = mv[1], fv[1]
     g = np.arange(1, n_max + 2) * fv
     n = np.arange(n_max - 1)
     t_up = (n + 3) * fv[2:]
@@ -156,7 +152,7 @@ def propagate_sine(lam, f1, n_max):
     out = np.zeros(n_max + 1, dtype=complex)
     if n_max >= 1:
         out[1] = f1
-    mvals = phi_values(n_max, lam)
+    mvals = phi(np.arange(n_max + 1), lam)
     for n in range(n_max - 1):
         out[n + 2] = (2 * (n + 2) * ch * out[n + 1] - (n + 1) * out[n]
                       + 2 * f1 * (n + 2) * mvals[n + 1]) / (n + 3)

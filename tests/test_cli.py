@@ -231,3 +231,4 @@ def test_coset_falsify_square_reports_the_pairs_it_checked(tmp_path):
     assert run(["verify", "coset", "--samples", "3", "--out", str(out)]) == 0
     rows = {row["suite"]: row for row in json.loads(out.read_text())["checks"]}
     assert rows["coset:falsify-square:random"]["samples"] == 3
+    assert rows["coset:associativity-float"]["samples"] == 3

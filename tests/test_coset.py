@@ -3,12 +3,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hypersine.coset import (CosetHypergroup, conjugate_by, coset_apply,
+from hypersine.coset import (CosetHypergroup, conjugate_by,
                              coset_exponential, coset_of, coset_sine,
                              falsify_dalembert_alpha, falsify_square_term,
                              group_inv, group_mul, group_sine_check,
-                             square_norm_check, verify_compat)
-from hypersine.core import exp_residual, sine_residual
+                             square_norm_check)
+from hypersine.core import exp_residual, integrate, sine_residual
 
 # dyadic rationals make every group operation exact in floating point
 dyadic = st.integers(min_value=-64, max_value=64).map(lambda n: n / 8.0)
@@ -56,10 +56,10 @@ def test_coset_of_canonicalizes():
     assert coset_of((2.0, 3.0)) == (2.0, 3.0)
 
 
-def test_coset_apply_averages_two_representatives():
+def test_coset_convolution_averages_two_representatives():
     f = lambda p: p[1]
-    # (2,3)(5,7) = (10, 21); (2,3)(-5,-7)... the K-average uses (-y, -v)
-    got = coset_apply(f, (2.0, 3.0), (5.0, 7.0))
+    # (2,3)(5,7) = (10, 17); the K-average adds (2,3)(-5,-7) = (-10, -11)
+    got = integrate(f, CosetHypergroup().convolve((2.0, 3.0), (5.0, 7.0)))
     assert got == pytest.approx(0.5 * abs(2 * 7 + 3) + 0.5 * abs(-2 * 7 + 3))
 
 
@@ -90,13 +90,6 @@ def test_sine_values_are_c_m_log():
     x = 3.0
     assert f((x, 7.0)) == pytest.approx(2.0 * x ** 1.5 * math.log(x))
 
-
-def test_verify_compat_accepts_biinvariant_and_rejects_odd():
-    samples = [(2.0, 1.0), (0.5, -3.0), (4.0, 0.25)]
-    good = lambda p: coset_exponential(1.0)(coset_of(p))
-    assert verify_compat(good, samples)
-    odd = lambda p: p[1]
-    assert not verify_compat(odd, samples)
 
 
 def test_falsify_dalembert_recorded_sample():

@@ -115,6 +115,11 @@ def test_recurrence_validation():
     with pytest.raises(NotHypergroupError):
         recurrence_from_lists([1.0, 0.5], [0.0, 0.7], [0.0, 0.1],
                               name="bad-sum")
+    # a list is checked to its end, not only to degree 64
+    a, b, c = [1.0] + [0.5] * 80, [0.0] * 81, [0.0] + [0.5] * 80
+    b[70] = 0.1
+    with pytest.raises(NotHypergroupError, match="a_70 "):
+        recurrence_from_lists(a, b, c, name="bad-sum-at-70")
 
 
 def test_recurrence_file_round_trip(tmp_path):
@@ -201,6 +206,8 @@ def test_build_table_names_the_negative_pair():
         linearize(rec, 1, 1)
     with pytest.raises(NotHypergroupError, match=r"-1 at \(1, 1\)"):
         PolynomialHypergroup(rec).build_table(1)
+    with pytest.raises(NotHypergroupError, match=r"-1 at \(1, 1\)"):
+        reconstruct_sine(rec, 0.5, 1.0, 2)
 
 
 def test_reconstruct_sine_additive_case():
