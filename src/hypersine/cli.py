@@ -61,17 +61,19 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_finite(float), default=1e-9,
+    common.add_argument("--tol", type=_finite(float),
+                        default=SuiteConfig.tol,
                         help="probability-weight verification tolerance")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int, default=SuiteConfig.seed)
     common.add_argument("--lambda", dest="lambdas",
                         type=_finite(_parse_lambda), action="append",
                         metavar="LAM",
                         help="spectral parameter; repeatable; accepts "
                              "re, re+imj, or re,im")
     common.add_argument("--n-max", type=int, default=None)
-    common.add_argument("--xmax", type=_finite(float), default=5.0)
-    common.add_argument("--h", type=_finite(float), default=1e-3)
+    common.add_argument("--xmax", type=_finite(float),
+                        default=SuiteConfig.x_max)
+    common.add_argument("--h", type=_finite(float), default=SuiteConfig.h)
     common.add_argument("--out", default=None,
                         help="write the report here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default=None,
@@ -83,9 +85,10 @@ def build_parser():
     p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p_verify.add_argument("--theta", type=_finite(float), action="append",
                           help="two-point family parameter; repeatable")
-    p_verify.add_argument("--alpha", type=_finite(float), default=0.5,
+    p_verify.add_argument("--alpha", type=_finite(float),
+                          default=SuiteConfig.alpha,
                           help="power-weight parameter for the ODE family")
-    p_verify.add_argument("--samples", type=int, default=1000)
+    p_verify.add_argument("--samples", type=int, default=SuiteConfig.samples)
     p_verify.add_argument("--rec-file", default=None,
                           help="JSON recurrence spec replacing the built-in "
                                "polynomial families")
@@ -145,7 +148,7 @@ def cmd_verify(args):
         seed=args.seed, tol=args.tol,
         lambdas=tuple(args.lambdas or ()),
         n_max=args.n_max or 0, x_max=args.xmax, h=args.h,
-        thetas=tuple(args.theta) if args.theta else (0.1, 0.25, 0.5, 0.9),
+        thetas=tuple(args.theta or SuiteConfig.thetas),
         alpha=args.alpha, samples=args.samples,
         rec_file=args.rec_file or "")
     report = run_suite(args.suite, cfg)

@@ -294,12 +294,12 @@ def s3_conjugacy_hypergroup():
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Worst-case residual over a sample set.
-
-    max_rel is the residual divided by 1 + (sum of magnitudes of the
-    identity's right-hand terms at that sample).  witness is the sample at
-    which max_abs was attained.  A non-finite residual is a failure: both
-    maxima are then non-finite and the witness is the first such sample.
+    """Worst-case residual over a sample set.  At each sample an identity
+    lhs = t_1 + .. + t_k has the error |lhs - t_1 - .. - t_k| and the
+    relative error err / (1 + |t_1| + .. + |t_k|) (``_residual``).  max_abs
+    and max_rel are the largest of each; witness is the first sample
+    attaining max_abs.  A non-finite residual is a failure: both maxima
+    are then non-finite and the witness is the first such sample.
     """
 
     max_abs: float
@@ -343,6 +343,15 @@ def _scan(errs, rels, witnesses):
     return ResidualReport(float(errs[i]), float(max_rel), witnesses[i], count)
 
 
+def _residual(lhs, terms):
+    """Absolute and relative errors of lhs = sum(terms), elementwise: the
+    terms are subtracted from lhs left to right, and the relative error is
+    the absolute one over 1 + the magnitudes of the terms."""
+    with np.errstate(all="ignore"):
+        err = _cabs(functools.reduce(operator.sub, terms, lhs))
+        return err, err / sum(map(_cabs, terms), 1.0)
+
+
 def _integrate_many(f, support, weights):
     """sum_K weights * f(support) per row, added in column order as
     ``integrate`` adds; zero-weight slots add nothing, whatever f is there."""
@@ -356,14 +365,12 @@ def _integrate_many(f, support, weights):
 
 @np.errstate(all="ignore")
 def _errors(hg, f, m, xs, ys):
-    """Per-pair absolute and relative errors of f(x*y) = f(x)m(y) + f(y)m(x),
-    or of m(x*y) = m(x)m(y) when f is None; relative to 1 + the magnitudes
-    of the right-hand terms."""
+    """Per-pair errors (``_residual``) of f(x*y) = f(x)m(y) + f(y)m(x), or
+    of m(x*y) = m(x)m(y) when f is None."""
     lhs = _integrate_many(m if f is None else f, *hg.convolve_many(xs, ys))
     terms = ([_cmul(m(xs), m(ys))] if f is None
              else [_cmul(f(xs), m(ys)), _cmul(f(ys), m(xs))])
-    err = _cabs(functools.reduce(operator.sub, terms, lhs))
-    return err, err / sum(map(_cabs, terms), 1.0)
+    return _residual(lhs, terms)
 
 
 def sine_residual(hg, f, m, pairs):
@@ -407,15 +414,13 @@ def power_identity_check(hg, f, m, x, y, n_max, cap=DEFAULT_SUPPORT_CAP):
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     my, mx, fx, fy = m(y), m(x), f(x), f(y)
-    errs, rels = [], []
+    rows = []
     for n, mu in enumerate(_powers(hg, y, n_max, cap), start=1):
         shifted = mix((w, hg.convolve(x, el)) for el, w in mu)
-        lhs = integrate(f, shifted)
-        t1 = fx * my ** n
-        t2 = n * fy * mx * my ** (n - 1)
-        errs.append(abs(lhs - t1 - t2))
-        rels.append(errs[-1] / (1.0 + abs(t1) + abs(t2)))
-    return _scan(errs, rels, range(1, n_max + 1))
+        rows.append((integrate(f, shifted), fx * my ** n,
+                     n * fy * mx * my ** (n - 1)))
+    lhs, t1, t2 = (np.array(col) for col in zip(*rows))
+    return _scan(*_residual(lhs, [t1, t2]), range(1, n_max + 1))
 
 
 def sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):

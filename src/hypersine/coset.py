@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (Hypergroup, _cabs, _cmul, _pair_batch, _reject, _scan,
+from .core import (Hypergroup, _cmul, _pair_batch, _reject, _residual, _scan,
                    sine_residual)
 
 
@@ -105,8 +105,7 @@ def falsify_dalembert_alpha(lam, alpha, samples):
 
     lhs = m(x * y, x * v + u) + m(x * y, x * v - u)
     rhs = _cmul(2.0 * m(x, u), m(y, v))
-    err = _cabs(lhs - rhs)
-    return _scan(err, err / (1.0 + _cabs(rhs)), samples)
+    return _scan(*_residual(lhs, [rhs]), samples)
 
 
 def falsify_square_term(lam, a, pairs):
@@ -134,8 +133,7 @@ def square_norm_check(samples):
     u, v = (np.array(c, dtype=float) for c in zip(*samples))
     lhs = (u + v) * (u + v) + (u - v) * (u - v)
     rhs = 2.0 * (u * u) + 2.0 * (v * v)
-    err = np.abs(lhs - rhs)
-    return _scan(err, err / (1.0 + np.abs(rhs)), samples)
+    return _scan(*_residual(lhs, [rhs]), samples)
 
 
 def group_sine_check(lam, pairs):
@@ -147,12 +145,9 @@ def group_sine_check(lam, pairs):
     p, q = _pair_batch(pairs)
     a_p, a_q, a_pq = (np.log(np.abs(x)) for x in (p[0], q[0], p[0] * q[0]))
     m_p, m_q, m_pq = (np.exp(lam * a) for a in (a_p, a_q, a_pq))
-    add_err = np.abs(a_pq - a_p - a_q)
-    add_rel = add_err / (1.0 + np.abs(a_p) + np.abs(a_q))
-    t1 = _cmul(a_p * m_p, m_q)
-    t2 = _cmul(a_q * m_q, m_p)
-    sine_err = _cabs(a_pq * m_pq - t1 - t2)
-    sine_rel = sine_err / (1.0 + _cabs(t1) + _cabs(t2))
+    add_err, add_rel = _residual(a_pq, [a_p, a_q])
+    sine_err, sine_rel = _residual(
+        a_pq * m_pq, [_cmul(a_p * m_p, m_q), _cmul(a_q * m_q, m_p)])
     witnesses = [(tag, p_, q_) for p_, q_ in pairs
                  for tag in ("additive", "sine")]
     return _scan(np.column_stack([add_err, sine_err]).ravel(),

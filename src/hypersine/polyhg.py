@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (FiniteMeasure, Hypergroup, NotHypergroupError,
                    TabulatedFunction, TheoremViolationError, _compact,
-                   _reject)
+                   _reject, _residual)
 
 NEGATIVE_COEFF_TOL = 1e-10   # below this a linearization weight is an error
 DROP_COEFF_TOL = 1e-13       # floating-point zeros created by cancellation
@@ -189,26 +189,12 @@ def _linearize_step(cur, prev, m, a, b, c):
     return out / a[m], cur
 
 
-def _checked(rows, n, k):
-    """Linearization rows, degrees (n, k) along the last axis, with their
-    floating-point zeros set to 0; the first (n, k), broadcast against the
-    rows, with a weight below -NEGATIVE_COEFF_TOL raises NotHypergroupError."""
-    low, n, k = np.broadcast_arrays(rows.min(axis=-1), n, k)
-    i = np.argmax(low < -NEGATIVE_COEFF_TOL)
-    if low.flat[i] < -NEGATIVE_COEFF_TOL:
-        raise NotHypergroupError(
-            f"negative linearization coefficient {low.flat[i]:g} at "
-            f"({n.flat[i]}, {k.flat[i]})")
-    rows[np.abs(rows) <= DROP_COEFF_TOL] = 0.0
-    return rows
-
-
 def linearize(rec, n, k, exact=False):
     """Convolution measure of degrees n and k: the coefficients of
-    P_n * P_k = sum_l w_l P_l, computed by repeated basis reduction.
+    P_n * P_k = sum_l w_l P_l, read from a ``PolynomialHypergroup`` table.
 
-    With ``exact=True`` the reduction runs in rational arithmetic (intended
-    as an oracle for n + k <= 32).  A coefficient below -1e-10 means the
+    With ``exact=True`` the reduction runs in rational arithmetic instead,
+    as an oracle for n + k <= 32.  A coefficient below -1e-10 means the
     recurrence does not define a hypergroup and raises NotHypergroupError.
     """
     n, k = int(n), int(k)
@@ -224,14 +210,7 @@ def linearize(rec, n, k, exact=False):
             raise NotHypergroupError(
                 f"negative linearization coefficient at ({n}, {k})")
         return FiniteMeasure(pairs, tol=NEGATIVE_COEFF_TOL)
-    coeffs = rec._float_coeffs(n + k)
-    cur, prev = np.eye(k + 1)[k:], np.zeros((1, k))
-    for m in range(n):
-        cur, prev = _linearize_step(cur, prev, m, *coeffs)
-    row = _checked(cur[0], n, k)
-    support = np.flatnonzero(row)
-    return FiniteMeasure(zip(support.tolist(), row[support].tolist()),
-                         tol=NEGATIVE_COEFF_TOL)
+    return PolynomialHypergroup(rec).convolve(n, k)
 
 
 def _linearize_exact(rec, n, k):
@@ -256,8 +235,9 @@ def _linearize_exact(rec, n, k):
 
 class PolynomialHypergroup(Hypergroup):
     """Hypergroup on degrees with convolution given by linearization: one
-    table G[n, k, l], the coefficient of P_l in P_n P_k (zero below
-    DROP_COEFF_TOL), grown to the largest degree asked for."""
+    table G[m, k, l], the coefficient of P_l in P_m P_k (zero below
+    DROP_COEFF_TOL), stored for m <= k only and read at (min, max); it
+    grows to the largest row m and column k asked for."""
 
     def __init__(self, rec):
         self.rec = rec
@@ -267,27 +247,38 @@ class PolynomialHypergroup(Hypergroup):
 
     def convolve_many(self, ns, ks):
         _reject((ns < 0) | (ks < 0), "degrees must be >= 0", ns, ks)
-        self.build_table(int(max(ns.max(), ks.max())))
-        return _compact(self.table[ns, ks])
+        lo, hi = np.minimum(ns, ks), np.maximum(ns, ks)
+        self.build_table(int(lo.max()), int(hi.max()))
+        return _compact(self.table[lo, hi])
 
     def convolve(self, n, k):
         return super().convolve(n, k, tol=NEGATIVE_COEFF_TOL)
 
-    def build_table(self, n_max):
-        """Grow the table to all n, k <= n_max in one block reduction: at
-        step m the rows hold P_m * P_k for k = m..n_max.  Needs the
-        recurrence up to degree 2 n_max."""
-        if n_max < len(self.table):
+    def build_table(self, m_max, k_max=None):
+        """Grow the table to the rows m <= m_max and columns k <= k_max
+        (default m_max), at least as far as it reached, in one block
+        reduction: at step m the rows hold P_m * P_k for k = m..k_max.
+        Needs the recurrence up to degree m_max + k_max; the first (m, k)
+        with a weight below -NEGATIVE_COEFF_TOL raises NotHypergroupError."""
+        k_max = max(m_max if k_max is None else k_max,
+                    self.table.shape[1] - 1)
+        m_max = max(m_max, len(self.table) - 1)
+        if self.table.shape[:2] == (m_max + 1, k_max + 1):
             return
-        coeffs = self.rec._float_coeffs(2 * n_max)
-        table = np.zeros((n_max + 1, n_max + 1, 2 * n_max + 1))
-        cur, prev = np.eye(n_max + 1), np.zeros((n_max + 1, n_max))
-        for m in range(n_max + 1):
+        coeffs = self.rec._float_coeffs(m_max + k_max)
+        table = np.zeros((m_max + 1, k_max + 1, m_max + k_max + 1))
+        cur, prev = np.eye(k_max + 1), np.zeros((k_max + 1, k_max))
+        for m in range(m_max + 1):
             if m:
                 cur, prev = _linearize_step(cur[1:], prev[1:], m - 1, *coeffs)
-            table[m, m:, :cur.shape[1]] = table[m:, m, :cur.shape[1]] = cur
-        # the table is symmetric, so the first bad pair has n <= k
-        self.table = _checked(table, *np.indices(table.shape[:2]))
+            table[m, m:, :cur.shape[1]] = cur
+        bad = np.argwhere(table.min(axis=-1) < -NEGATIVE_COEFF_TOL)
+        if len(bad):
+            m, k = bad[0]
+            raise NotHypergroupError(f"negative linearization coefficient "
+                                     f"{table[m, k].min():g} at ({m}, {k})")
+        table[np.abs(table) <= DROP_COEFF_TOL] = 0.0
+        self.table = table
 
 
 def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):
@@ -299,11 +290,9 @@ def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):
     match f1 * a_0 * P_n'(lam) (the unique sine function with that value
     at 1); a mismatch beyond rtol raises TheoremViolationError.
     """
-    # row n - 1 holds P_1 * P_n for n = 1..n_max-1: one step from P_0 * P_n
-    rows, _ = _linearize_step(np.eye(n_max)[1:],
-                              np.zeros((n_max - 1, n_max - 1)), 0,
-                              *rec._float_coeffs(n_max))
-    rows = _checked(rows, 1, np.arange(1, n_max))
+    hg = PolynomialHypergroup(rec)
+    hg.build_table(1, n_max - 1)
+    rows = hg.table[1, 1:]   # row n - 1 holds P_1 * P_n for n = 1..n_max-1
     p_vals = exp_values(rec, n_max, lam)
     f = np.zeros(n_max + 1, dtype=complex)
     f[1] = f1
@@ -311,11 +300,10 @@ def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):
         f[n + 1] = (f[n] * p_vals[1] + f1 * p_vals[n]
                     - row[:n + 1] @ f[:n + 1]) / row[n + 1]
     expected = sine_values(rec, n_max, lam, float(rec.a(0))) * f1
-    err = np.abs(f - expected)
-    scale = 1.0 + np.abs(expected)
-    worst = int(np.argmax(err / scale))
-    if err[worst] / scale[worst] > rtol:
+    rel = _residual(f, [expected])[1]
+    worst = int(np.argmax(rel))   # the first NaN, if there is one
+    if not rel[worst] <= rtol:
         raise TheoremViolationError(
             f"reconstructed value {f[worst]} at n={worst} is not "
-            f"{expected[worst]} (relative error {err[worst] / scale[worst]:g})")
+            f"{expected[worst]} (relative error {rel[worst]:g})")
     return TabulatedFunction(f)

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import (Hypergroup, TabulatedFunction, _cabs, _cmul, _reject,
+from .core import (Hypergroup, TabulatedFunction, _cmul, _reject, _residual,
                    _scan)
 
 SMALL_SINH_TOL = 1e-6   # below this |sinh lam| the series evaluation is used
@@ -110,34 +110,27 @@ def sine_fn(n_max, lam):
 
 
 def recurrence_residual(f, m, n_max):
-    """Residual of the three-point recurrence characterizing sine functions:
+    """Residual of the three-point recurrence characterizing sine functions,
+    in the propagation form that ``propagate_sine`` solves:
 
-        (n+3) f(n+2) - 2 (n+2) cosh(lam) f(n+1) + (n+1) f(n)
-            = 2 f(1) (n+2) m(n+1),
+        (n+3) f(n+2) = 2 (n+2) cosh(lam) f(n+1) - (n+1) f(n)
+                       + 2 f(1) (n+2) m(n+1),
 
-    for n = 0..n_max-2, together with its substituted form in
-    g(n) = (n+1) f(n).  cosh(lam) is read off as m(1).  The witness is the
-    n attaining the worst residual; relative scaling uses all four terms.
-    f and m are called once, on the array of elements 0..n_max; a constant
-    they return is broadcast.
+    for n = 0..n_max-2, relative to 1 + the magnitudes of the three
+    right-hand terms (``core._residual``).  cosh(lam) is read off as m(1).
+    The witness is the n attaining the largest absolute residual.  f and m
+    are called once, on the array of elements 0..n_max; a constant they
+    return is broadcast.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     ns = np.arange(n_max + 1)
     fv, mv = (np.broadcast_to(fn(ns), ns.shape) for fn in (f, m))
     ch, f1 = mv[1], fv[1]
-    g = np.arange(1, n_max + 2) * fv
     n = np.arange(n_max - 1)
-    t_up = (n + 3) * fv[2:]
-    t_mid = _cmul(2 * (n + 2) * ch, fv[1:-1])
-    t_dn = (n + 1) * fv[:-2]
-    rhs = _cmul(2 * f1 * (n + 2), mv[1:-1])
-    with np.errstate(all="ignore"):
-        r1 = _cabs(t_up - t_mid + t_dn - rhs)
-        r2 = _cabs(g[2:] - _cmul(2 * ch, g[1:-1]) + g[:-2] - rhs)
-        err = np.maximum(r1, r2)
-        scale = 1.0 + _cabs(t_up) + _cabs(t_mid) + _cabs(t_dn) + _cabs(rhs)
-        return _scan(err, err / scale, range(n_max - 1))
+    terms = [_cmul(2 * (n + 2) * ch, fv[1:-1]), -(n + 1) * fv[:-2],
+             _cmul(2 * f1 * (n + 2), mv[1:-1])]
+    return _scan(*_residual((n + 3) * fv[2:], terms), range(n_max - 1))
 
 
 def propagate_sine(lam, f1, n_max):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coset, su2
-from .core import (ResidualReport, TabulatedFunction, _scan,
+from .core import (ResidualReport, TabulatedFunction, _residual, _scan,
                    compact_vanishing_check, exp_residual, exponentials,
                    integrate, power_identity_check, s3_conjugacy_hypergroup,
                    sine_residual, sine_space, two_point_hypergroup)
@@ -159,12 +159,6 @@ def _fact(ok, samples=1, witness=None):
                           samples)
 
 
-def _worst(diff):
-    """Report of the largest magnitude in ``diff``, one sample per entry."""
-    err = float(np.abs(diff).max())
-    return ResidualReport(err, err, None, len(diff))
-
-
 def _equation_checks(head, tail, hg, f, m, pairs, exp_tol, sine_tol):
     """Relative residual rows head:exp<tail> and head:sine<tail>."""
     return [_row(f"{head}:exp{tail}", exp_residual(hg, m, pairs), exp_tol,
@@ -275,11 +269,10 @@ def run_su2(cfg):
     upper = [(k, n) for k in range(101) for n in range(k, 101)]
     # one batch per k keeps the padding small (a row has k + 1 weights);
     # sum() over the columns adds left to right, as over one measure
-    err = np.concatenate([np.abs(sum(hg.convolve_many(
-        np.full(101 - k, k), np.arange(k, 101))[1].T) - 1.0) for k in range(101)])
-    worst = float(err.max())
-    checks.append(_row("su2:weight-sums", ResidualReport(worst, worst, upper[
-        int(np.argmax(err))] if worst > 0 else None, len(err)), 1e-12, "abs"))
+    sums = np.concatenate([sum(hg.convolve_many(
+        np.full(101 - k, k), np.arange(k, 101))[1].T) for k in range(101)])
+    checks.append(_row("su2:weight-sums", _scan(*_residual(sums - 1.0, []),
+                                                upper), 1e-12, "abs"))
     mu = hg.convolve(1, 1)
     ok = mu.weight(0) == 0.25 and mu.weight(2) == 0.75 and len(mu) == 2
     checks.append(_row("su2:unit-square", _fact(ok, witness=mu.items()), 0.0,
@@ -300,10 +293,7 @@ def run_su2(cfg):
         sinh = cmath.sinh(complex(lam))
         f_at_1 = sinh if abs(sinh) >= su2.SMALL_SINH_TOL else f(1)
         want = (f1 / f_at_1) * f.values[:n_max + 1]
-        rel = np.abs(prop - want) / (1.0 + np.abs(want))
-        idx = int(np.argmax(rel))
-        rep = ResidualReport(float(np.abs(prop - want)[idx]), float(rel[idx]),
-                             idx, n_max + 1)
+        rep = _scan(*_residual(prop, [want]), range(n_max + 1))
         checks.append(_row(f"su2:propagation:lam={_fmt_lam(lam)}", rep, 1e-8,
                            "rel"))
     f_add = su2.additive_fn(1.0)
@@ -339,7 +329,8 @@ def run_sinsev(cfg):
                                    1e-9, 1e-9)
         try:
             got = hg.fit_coefficients(f, lam, n_max=6, rtol=1e-9)
-            rep = _worst(got - np.asarray(coeff, dtype=complex))
+            rep = _scan(*_residual(got, [np.asarray(coeff, dtype=complex)]),
+                        range(d))
         except TheoremViolationError:
             rep = ResidualReport(math.inf, math.inf, None, d)
         checks.append(_row(f"sinsev:{tag}:fit-roundtrip", rep, 1e-9, "abs"))
@@ -347,6 +338,12 @@ def run_sinsev(cfg):
 
 
 # ---------------------------------------------------------------- sturm
+
+def _closed_form(values, ref, grid):
+    """Report of a solution against its closed form ref on the grid; the
+    witness is the grid point x of the largest absolute error."""
+    return _scan(*_residual(values, [ref]), grid.tolist())
+
 
 def run_sturm(cfg):
     checks = []
@@ -360,12 +357,13 @@ def run_sturm(cfg):
     for lam in lambdas:
         ssol = sturm_mod.solve_sine(const, lam, 1.0, x_max=x_max, h=h)
         grid, phi = ssol.grid, ssol.forcing
-        ref = sturm_mod.line_phi(grid, lam)
         checks.append(_row(f"sturm:const:phi:lam={_fmt_lam(lam)}",
-                           _worst(phi - ref), 1e-6, "abs"))
+                           _closed_form(phi, sturm_mod.line_phi(grid, lam),
+                                        grid), 1e-6, "abs"))
         checks.append(_row(
             f"sturm:const:sine-closed-form:lam={_fmt_lam(lam)}",
-            _worst(ssol.values - sturm_mod.line_dphi(grid, lam)), 1e-5, "abs"))
+            _closed_form(ssol.values, sturm_mod.line_dphi(grid, lam), grid),
+            1e-5, "abs"))
         residuals += [sturm_mod.ode_residual(grid, phi, const.ratio, lam),
                       ssol.ode_residual]
     lam = 1.0
@@ -373,20 +371,21 @@ def run_sturm(cfg):
                               x_max=x_max, h=h)
     ref = np.ones_like(sol.values)
     ref[1:] = np.sinh(sol.grid[1:]) / sol.grid[1:]
-    checks.append(_row("sturm:power-half:phi:lam=1", _worst(sol.values - ref),
-                       1e-6, "abs"))
+    checks.append(_row("sturm:power-half:phi:lam=1",
+                       _closed_form(sol.values, ref, sol.grid), 1e-6, "abs"))
     # d/dlam phi_alpha = x^2 / (4 (alpha + 1)) phi_(alpha + 1)
     ssol = sturm_mod.solve_sine(power, lam, 1.0, x_max=x_max, h=h)
     up = sturm_mod.solve_phi(sturm_mod.power_family(cfg.alpha + 1.0), lam,
                              x_max=x_max, h=h)
     ref = up.grid ** 2 / (4.0 * (cfg.alpha + 1.0)) * up.values
     checks.append(_row(f"sturm:{power_tag}:sine-vs-phi(alpha+1):lam=1",
-                       _worst(ssol.values - ref), 1e-5, "abs"))
+                       _closed_form(ssol.values, ref, ssol.grid), 1e-5, "abs"))
     residuals += [sol.ode_residual, ssol.ode_residual, up.ode_residual]
     for fam, tag in ((const, "const"), (power, power_tag)):
         sol = sturm_mod.solve_sine(fam, 1.0, 0.0, x_max=x_max, h=h)
         checks.append(_row(f"sturm:{tag}:homogeneous-zero",
-                           _worst(sol.values), 1e-10, "abs"))
+                           _closed_form(sol.values, 0.0, sol.grid), 1e-10,
+                           "abs"))
     worst_res = max(residuals)
     rep = ResidualReport(worst_res, worst_res / res_bound, None, len(residuals))
     checks.append(_row("sturm:ode-residual-bound", rep, res_bound, "abs"))
@@ -458,10 +457,10 @@ def run_coset(cfg):
     r = (xs[:200] * 0.5 + 1.0, vs[:200] - us[:200])
     lhs = coset.group_mul(coset.group_mul(p, q), r)
     rhs = coset.group_mul(p, coset.group_mul(q, r))
-    worst = float(np.maximum(*(np.abs(a - b) / (1.0 + np.abs(b))
-                               for a, b in zip(lhs, rhs))).max())
-    checks.append(_row("coset:associativity-float", ResidualReport(
-        worst, worst, None, len(xs[:200])), 1e-12, "abs"))
+    # per triple, the worse of the two coordinates
+    errs = (np.maximum(*e) for e in _residual(np.array(lhs), [np.array(rhs)]))
+    checks.append(_row("coset:associativity-float",
+                       _scan(*errs, range(len(xs[:200]))), 1e-12, "rel"))
     left, right = (integrate(lambda el: el[1], hg.convolve(*pq)) for pq in
                    [((2.0, 3.0), (5.0, 7.0)), ((5.0, 7.0), (2.0, 3.0))])
     checks.append(_row("coset:non-commutative-witness",
@@ -531,12 +530,11 @@ def dual_fd_families(x_max=1.0, h=1e-3, alpha=0.5):
 def dual_vs_fd_report(h=1e-5):
     """Worst relative disagreement between the families' lambda-derivatives
     and central differences across all built-in families."""
-    errs, rels, witnesses = [], [], []
+    derivs, fds, witnesses = [], [], []
     for name, value, deriv, points, lambdas in dual_fd_families():
         for x in points:
             for lam in lambdas:
-                d_fd = central_difference(lambda t: value(x, t), lam, h=h)
-                errs.append(abs(deriv(x, lam) - d_fd))
-                rels.append(errs[-1] / (1.0 + abs(d_fd)))
+                derivs.append(deriv(x, lam))
+                fds.append(central_difference(lambda t: value(x, t), lam, h=h))
                 witnesses.append((name, x, _fmt_lam(lam)))
-    return _scan(errs, rels, witnesses)
+    return _scan(*_residual(np.array(derivs), [np.array(fds)]), witnesses)

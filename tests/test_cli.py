@@ -34,14 +34,16 @@ def test_verify_compact_json_report(capsys):
 def test_verify_writes_file_and_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    args = ["verify", "coset", "--seed", "3", "--samples", "100"]
-    assert run(args + ["--out", str(a)]) == 0
-    assert run(args + ["--out", str(b)]) == 0
-    da = json.loads(a.read_text())
-    db = json.loads(b.read_text())
-    da.pop("wall_time")
-    db.pop("wall_time")
-    assert da == db
+    for args in (["verify", "coset", "--seed", "3", "--samples", "100"],
+                 ["verify", "all", "--n-max", "10", "--samples", "3",
+                  "--xmax", "0.3", "--h", "2e-3"]):
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
+        da = json.loads(a.read_text())
+        db = json.loads(b.read_text())
+        da.pop("wall_time")
+        db.pop("wall_time")
+        assert da == db
 
 
 def test_verify_unknown_suite_is_usage_error():

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from hypersine import su2
 from hypersine.core import (EvaluationError, FiniteHypergroup,
-                            TabulatedFunction, exp_residual, integrate,
-                            sine_residual, two_point_hypergroup)
+                            TabulatedFunction, _residual, exp_residual,
+                            integrate, sine_residual, two_point_hypergroup)
 from hypersine.coset import CosetHypergroup
 from hypersine.multipoly import ProductPolyHypergroup
 from hypersine.polyhg import (PolynomialHypergroup, chebyshev_recurrence,
@@ -51,6 +51,36 @@ def _assert_matches_reference(hg, f, m, pairs):
         assert got.max_abs == pytest.approx(want[0], rel=1e-13, abs=1e-300)
         assert got.max_rel == pytest.approx(want[1], rel=1e-13, abs=1e-300)
         assert got.witness in pairs
+
+
+@given(data=st.data(), size=st.integers(min_value=1, max_value=5),
+       count=st.integers(min_value=0, max_value=3), is_complex=st.booleans())
+@settings(max_examples=200)
+def test_residual_matches_a_scalar_loop(data, size, count, is_complex):
+    # NaN and inf included: the kernel must neither warn nor round
+    # differently from subtracting the terms one sample at a time
+    value = st.complex_numbers() if is_complex else st.floats()
+    lhs, *terms = (np.array(data.draw(st.lists(value, min_size=size,
+                                                 max_size=size)))
+                   for _ in range(count + 1))
+    err, rel = _residual(lhs, terms)
+
+    def size_of(z):   # Python's complex abs; inf where it overflows
+        try:
+            return abs(complex(z))
+        except OverflowError:
+            return math.inf
+
+    want_err, want_rel = [], []
+    for i in range(size):
+        diff = lhs[i].item()
+        for t in terms:
+            diff = diff - t[i].item()
+        want_err.append(size_of(diff))
+        want_rel.append(size_of(diff) / sum(
+            (size_of(t[i].item()) for t in terms), 1.0))
+    np.testing.assert_array_equal(err, want_err)
+    np.testing.assert_array_equal(rel, want_rel)
 
 
 def _tabulated(rng, size):

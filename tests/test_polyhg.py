@@ -197,6 +197,18 @@ def test_ultraspherical_table_and_sines(alpha, n_max, re, im):
     assert sine_residual(hg, f, m, pairs).max_rel <= 1e-9
 
 
+def test_lone_convolution_grows_only_the_rows_it_reads():
+    # one row of degree 0 against degrees up to 160, not a 161 x 161 block
+    rec = legendre_recurrence()
+    hg = PolynomialHypergroup(rec)
+    assert hg.convolve(0, 160).items() == ((160, 1.0),)
+    assert hg.table.nbytes <= 1_000_000
+    # growing the rows keeps the columns already built
+    assert hg.convolve(5, 3).allclose(linearize(rec, 3, 5, exact=True),
+                                      tol=1e-12)
+    assert hg.table.shape[:2] == (4, 161)
+
+
 def test_build_table_names_the_negative_pair():
     # valid coefficients, but b_1 < b_0 puts weight (b_1 - b_0) / a_0 = -1
     # on P_1 in P_1 * P_1
@@ -222,6 +234,10 @@ def test_reconstruct_sine_raises_when_tolerance_is_impossible():
     rec = legendre_recurrence()
     with pytest.raises(TheoremViolationError):
         reconstruct_sine(rec, 0.6, 1.0, 40, rtol=1e-18)
+    # at lam = 1e200 the propagation overflows to NaN, which must not pass
+    with np.errstate(all="ignore"), pytest.raises(TheoremViolationError,
+                                                  match="nan"):
+        reconstruct_sine(chebyshev_recurrence(), 1e200, 1.0, 8)
 
 
 def test_convolution_is_commutative_and_normalized():

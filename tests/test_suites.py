@@ -1,11 +1,14 @@
+import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 
+from hypersine import coset, su2
 from hypersine.core import (ResidualReport, TabulatedFunction,
                             power_identity_check, two_point_hypergroup)
-from hypersine.suites import (SuiteConfig, SUITE_NAMES, _row,
+from hypersine.suites import (SuiteConfig, SUITE_NAMES, _coset_samples, _row,
                               dual_vs_fd_report, jsonable, run_suite)
 
 ROW_KEYS = {"suite", "max_abs", "max_rel", "witness", "samples", "pass"}
@@ -93,6 +96,9 @@ def test_sturm_sine_rows_fail_on_a_coarse_grid():
     rows = {c.name: c for c in run_suite("sturm", cfg).checks}
     assert not rows["sturm:const:sine-closed-form:lam=2"].passed
     assert rows["sturm:const:sine-closed-form:lam=2"].max_abs > 1e-4
+    # the witness is the grid point x = i h of the worst error
+    x = rows["sturm:const:sine-closed-form:lam=2"].witness
+    assert 0.0 <= x <= 5.0 and x == round(x / 1e-2) * 1e-2
     assert not rows["sturm:power(alpha=-0.5):sine-vs-phi(alpha+1):lam=1"].passed
 
 
@@ -121,3 +127,34 @@ def test_jsonable_handles_composites():
 def test_dual_vs_fd_cross_check():
     rep = dual_vs_fd_report()
     assert rep.max_rel <= 1e-6
+
+
+def test_su2_propagation_row_reports_the_largest_absolute_error():
+    # max_abs and the witness come from the worst absolute error, which at
+    # lam = 1 is not where the relative error is worst
+    rep = run_suite("su2", SuiteConfig(seed=11, lambdas=(1.0,)))
+    row = {c.name: c for c in rep.checks}["su2:propagation:lam=1"]
+    rng = np.random.default_rng(11)
+    f1 = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+    prop = su2.propagate_sine(1.0, f1, 40)
+    want = f1 / cmath.sinh(1.0) * su2.sine_fn(80, 1.0).values[:41]
+    err = np.abs(prop - want)
+    assert row.max_abs == pytest.approx(err.max(), rel=1e-15)
+    assert row.witness == int(np.argmax(err))
+    assert row.max_rel == pytest.approx((err / (1.0 + np.abs(want))).max(),
+                                        rel=1e-15)
+
+
+def test_coset_associativity_row_reports_the_absolute_coordinate_error():
+    rep = run_suite("coset", SuiteConfig(seed=3, samples=100))
+    row = {c.name: c for c in rep.checks}["coset:associativity-float"]
+    rng = np.random.default_rng(3)
+    xs, us = _coset_samples(rng, 100)
+    ys, vs = _coset_samples(rng, 100)
+    p, q, r = (xs, us), (ys, vs), (xs * 0.5 + 1.0, vs - us)
+    lhs = coset.group_mul(coset.group_mul(p, q), r)
+    rhs = coset.group_mul(p, coset.group_mul(q, r))
+    err = np.maximum(*(np.abs(a - b) for a, b in zip(lhs, rhs)))
+    assert (row.max_abs, row.witness, row.samples) == (
+        err.max(), int(np.argmax(err)), 100)
+    assert row.rule == "rel" and row.passed
