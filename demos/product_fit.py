@@ -5,7 +5,7 @@ import numpy as np
 
 from hypersine import ProductPolyHypergroup, chebyshev_recurrence, \
     legendre_recurrence
-from hypersine.core import integrate
+from hypersine.core import TheoremViolationError, integrate
 
 hg = ProductPolyHypergroup([chebyshev_recurrence(), legendre_recurrence()])
 lam = (0.6, 0.8)
@@ -28,8 +28,8 @@ print(f"\ncoefficients used: {c}")
 print(f"coefficients fit:  ({got[0].real:+.12f}, {got[1].real:+.12f})")
 
 # a function that is not in the gradient span gets rejected
-bad = lambda z: float(z[0] + z[1] ** 2)
+bad = lambda z: z[0] + z[1] ** 2
 try:
     hg.fit_coefficients(bad, lam, n_max=4)
-except Exception as exc:
+except TheoremViolationError as exc:
     print(f"\nnon-sine candidate rejected: {type(exc).__name__}")

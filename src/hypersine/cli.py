@@ -16,9 +16,8 @@ import sys
 import numpy as np
 
 from . import coset, su2
-from .core import (NotHypergroupError, TabulatedFunction, _cmul, _errors,
-                   _pair_batch, exponentials, load_finite_hypergroup,
-                   sine_residual, sine_space)
+from .core import (NotHypergroupError, _cmul, _errors, _pair_batch,
+                   _sine_space, exponentials, load_finite_hypergroup)
 from .multipoly import ProductPolyHypergroup
 from .polyhg import (BUILTIN_RECURRENCES, PolynomialHypergroup, exp_fn,
                      sine_fn)
@@ -222,9 +221,8 @@ def _tabulate_sturm(args):
         family = sturm_mod.power_family(args.alpha)
     sol = sturm_mod.solve_sine(family, lam, args.c, x_max=args.xmax, h=args.h)
     phi, f = sol.forcing, sol.values
-    res = np.zeros(len(sol.grid))
-    res[1:-1] = np.abs(sturm_mod.ode_defect(sol.grid, f, family.ratio, sol.lam,
-                                            sol.c, phi)[0])
+    res = np.pad(sturm_mod.ode_defect(sol.grid, f, family.ratio, sol.lam,
+                                      sol.c, phi)[0], 1)
     return [tuple(repr(float(v)) for v in row) for row in
             zip(sol.grid, phi.real, phi.imag, f.real, f.imag, res)]
 
@@ -254,10 +252,7 @@ def cmd_sine_space(args):
         ms = [list(m) for m in exponentials(hg, tol=args.tol)]
     rows = []
     for mv in ms:
-        basis = sine_space(hg, mv, exp_tol=args.tol)
-        mfun = TabulatedFunction(mv)
-        worst = max([sine_residual(hg, b, mfun, hg.all_pairs()).max_abs
-                     for b in basis], default=0.0)
+        basis, worst = _sine_space(hg, mv, exp_tol=args.tol)
         rows.append((json.dumps(jsonable([complex(v) for v in mv])),
                      len(basis),
                      json.dumps([jsonable([complex(b(i)) for i in

@@ -352,6 +352,18 @@ def _residual(lhs, terms):
         return err, err / sum(map(_cabs, terms), 1.0)
 
 
+def _certify(got, want, rtol, witnesses, what):
+    """Raise TheoremViolationError unless got = want within relative error
+    rtol (``_residual``) at every sample.  The error names the witness of
+    the largest relative error, or of the first non-finite one: NaN fails."""
+    rel = _residual(got, [want])[1]
+    i = int(np.argmax(np.where(np.isfinite(rel), rel, np.inf)))
+    if not rel[i] <= rtol:
+        raise TheoremViolationError(
+            f"{what} at {witnesses[i]!r}: {got[i]} is not {want[i]} "
+            f"(relative error {rel[i]:g})")
+
+
 def _integrate_many(f, support, weights):
     """sum_K weights * f(support) per row, added in column order as
     ``integrate`` adds; zero-weight slots add nothing, whatever f is there."""
@@ -434,6 +446,11 @@ def sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):
     ``m`` must pass exp_residual at ``exp_tol`` over all pairs, otherwise a
     ValueError is raised.  Returns a list of TabulatedFunction basis elements.
     """
+    return _sine_space(hg, m, exp_tol)[0]
+
+
+def _sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):
+    """``sine_space`` and the worst max_abs of its basis (0.0 if empty)."""
     n = hg.size
     m_vals = np.asarray([complex(m(i)) for i in range(n)] if callable(m)
                         else [complex(v) for v in m])
@@ -454,20 +471,20 @@ def sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):
     cutoff = max(a.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
     rank = int((s > cutoff).sum())
     basis = [TabulatedFunction(vec.conj()) for vec in vh[rank:]]
-    for fb in basis:
-        check = sine_residual(hg, fb, m_fn, hg.all_pairs())
+    checks = [sine_residual(hg, fb, m_fn, hg.all_pairs()) for fb in basis]
+    for check in checks:
         if not check.within(max(exp_tol, 10 * cutoff * n)):
             raise RuntimeError(
                 f"solver returned a non-solution: residual {check.max_abs:g}")
-    return basis
+    return basis, max([check.max_abs for check in checks], default=0.0)
 
 
 def compact_vanishing_check(hg, m, basis, tol=1e-10):
-    """True if f(y) * m(y) vanishes within tol for every basis f and element y."""
+    """True if f(y) * m(y) vanishes within tol for every basis f and element
+    y; m and the basis functions are called on the array of all elements."""
+    ys = np.array(hg.elements())
     m_fn = m if callable(m) else TabulatedFunction(m)
-    return all(
-        abs(f(y) * m_fn(y)) <= tol
-        for f in basis for y in hg.elements())
+    return all(np.all(_cabs(_cmul(f(ys), m_fn(ys))) <= tol) for f in basis)
 
 
 def exponentials(hg, tol=VERIFY_WEIGHT_TOL):

@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .core import Hypergroup, TheoremViolationError, _cmul
+from .core import Hypergroup, _certify, _cmul
 from .polyhg import PolynomialHypergroup, _p_and_dp
 
 
@@ -107,30 +107,28 @@ class ProductPolyHypergroup(Hypergroup):
 
     def fit_coefficients(self, f, lam, n_max=None, rtol=1e-9):
         """Coefficients c with f = sum_j c_j dQ/dlam_j, from the values of f
-        at the unit tuples.
+        at the unit tuples; f is called on batches, as by ``sine_residual``,
+        and its result is broadcast to the batch.
 
         The d-by-d system has matrix M[i][j] = dQ_(e_i)/dlam_j; a singular
         matrix raises DegenerateParameterError.  When ``n_max`` is given the
-        fitted combination is checked against f on every element of total
-        degree <= n_max, raising TheoremViolationError on mismatch.
+        fitted combination is checked against f on all elements of total
+        degree <= n_max (``core._certify``, NaN fails).
         """
-        units = self.unit_elements()
-        mat = np.array([self.q_grad(e, lam) for e in units], dtype=complex)
-        vec = np.array([f(e) for e in units], dtype=complex)
+        units = tuple(np.array(self.unit_elements()).T)
+        mat = np.array(self.q_grad(units, lam), dtype=complex).T
+        vec = np.broadcast_to(f(units), self.dimension).astype(complex)
         sing = np.linalg.svd(mat, compute_uv=False)
         if sing[-1] <= len(mat) * np.finfo(float).eps * sing[0]:
             raise DegenerateParameterError(
                 f"fit system singular at lambda = {lam!r}")
         c = np.linalg.solve(mat, vec)
-        if n_max is not None:
-            combo = self.multi_sine(tuple(c), lam)
-            for x in elements_of_total_degree(self.dimension, n_max):
-                got = combo(x)
-                want = f(x)
-                if abs(got - want) > rtol * (1.0 + abs(want)):
-                    raise TheoremViolationError(
-                        f"fit mismatch at {x}: combination {got}, "
-                        f"function {want}")
+        if n_max is not None and n_max >= 0:   # no element below degree 0
+            elements = list(elements_of_total_degree(self.dimension, n_max))
+            batch = tuple(np.array(elements).T)
+            _certify(self.multi_sine(tuple(c), lam)(batch),
+                     np.broadcast_to(f(batch), len(elements)), rtol,
+                     elements, "fit mismatch")
         return c
 
 

@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (FiniteMeasure, Hypergroup, NotHypergroupError,
-                   TabulatedFunction, TheoremViolationError, _compact,
-                   _reject, _residual)
+                   TabulatedFunction, _certify, _compact, _reject)
 
 NEGATIVE_COEFF_TOL = 1e-10   # below this a linearization weight is an error
 DROP_COEFF_TOL = 1e-13       # floating-point zeros created by cancellation
@@ -288,7 +287,7 @@ def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):
     The step solves f(n*1) = f(n) P_1(lam) + f1 P_n(lam) for f(n+1), with
     f(n*1) expanded in the linearization of P_1 * P_n.  The result must
     match f1 * a_0 * P_n'(lam) (the unique sine function with that value
-    at 1); a mismatch beyond rtol raises TheoremViolationError.
+    at 1); ``core._certify`` raises TheoremViolationError beyond rtol.
     """
     hg = PolynomialHypergroup(rec)
     hg.build_table(1, n_max - 1)
@@ -300,10 +299,5 @@ def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):
         f[n + 1] = (f[n] * p_vals[1] + f1 * p_vals[n]
                     - row[:n + 1] @ f[:n + 1]) / row[n + 1]
     expected = sine_values(rec, n_max, lam, float(rec.a(0))) * f1
-    rel = _residual(f, [expected])[1]
-    worst = int(np.argmax(rel))   # the first NaN, if there is one
-    if not rel[worst] <= rtol:
-        raise TheoremViolationError(
-            f"reconstructed value {f[worst]} at n={worst} is not "
-            f"{expected[worst]} (relative error {rel[worst]:g})")
+    _certify(f, expected, rtol, range(n_max + 1), "reconstructed value")
     return TabulatedFunction(f)

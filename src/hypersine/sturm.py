@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Hypergroup, _errors, _pair_batch, _reject, _scan
+from .core import Hypergroup, _errors, _pair_batch, _reject, _residual, _scan
 
 OVERFLOW_LIMIT = 1e12
 
@@ -78,7 +78,7 @@ def constant_family():
 class OdeSolution:
     """Solution tabulated on a uniform grid.
 
-    ``ode_residual`` is the worst scaled central-difference defect of the
+    ``ode_residual`` is the worst relative central-difference error of the
     equation on interior nodes (see ``ode_defect``); ``forcing`` holds the
     exponential values of the same pass, used on the right-hand side.
     """
@@ -209,26 +209,20 @@ def dlambda_phi(family, lam, x_max=5.0, h=1e-3):
 
 
 def ode_defect(grid, values, ratio, lam, c=0.0, forcing=None):
-    """Central-difference defect u'' + (A'/A) u' - lam u - c forcing of the
-    equation on the interior nodes, and the scale
-    1 + |lam u| + |(A'/A) u'| (+ |c forcing|) it is measured against."""
+    """``core._residual`` (err, rel) of u'' = lam u - (A'/A) u' + c forcing
+    on the interior nodes, u'' and u' by central differences: rel is err
+    over 1 + |lam u| + |(A'/A) u'| + |c forcing|."""
     h = grid[1] - grid[0]
     u = values
     upp = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
     up = (u[2:] - u[:-2]) / (2.0 * h)
-    rvals = ratio(grid[1:-1])
-    res = upp + rvals * up - lam * u[1:-1]
-    scale = 1.0 + np.abs(lam * u[1:-1]) + np.abs(rvals * up)
-    if forcing is not None and c != 0:
-        res = res - c * forcing[1:-1]
-        scale = scale + np.abs(c * forcing[1:-1])
-    return res, scale
+    forced = 0.0 if forcing is None else c * forcing[1:-1]
+    return _residual(upp, [lam * u[1:-1], -ratio(grid[1:-1]) * up, forced])
 
 
 def ode_residual(grid, values, ratio, lam, c=0.0, forcing=None):
-    """Worst scaled defect max |defect| / scale on the interior nodes."""
-    res, scale = ode_defect(grid, values, ratio, lam, c, forcing)
-    return float(np.max(np.abs(res) / scale))
+    """Worst relative error rel of ``ode_defect`` on the interior nodes."""
+    return float(ode_defect(grid, values, ratio, lam, c, forcing)[1].max())
 
 
 def line_phi(x, lam):

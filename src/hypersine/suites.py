@@ -22,15 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coset, su2
-from .core import (ResidualReport, TabulatedFunction, _residual, _scan,
-                   compact_vanishing_check, exp_residual, exponentials,
-                   integrate, power_identity_check, s3_conjugacy_hypergroup,
-                   sine_residual, sine_space, two_point_hypergroup)
+from .core import (ResidualReport, TabulatedFunction, TheoremViolationError,
+                   _residual, _scan, compact_vanishing_check, exp_residual,
+                   exponentials, integrate, power_identity_check,
+                   s3_conjugacy_hypergroup, sine_residual, sine_space,
+                   two_point_hypergroup)
 from .dual import central_difference
 from .multipoly import ProductPolyHypergroup
-from .polyhg import (PolynomialHypergroup, TheoremViolationError,
-                     chebyshev_recurrence, eval_P, eval_P_with_derivative,
-                     exp_fn, exp_values, legendre_recurrence, reconstruct_sine,
+from .polyhg import (PolynomialHypergroup, chebyshev_recurrence, eval_P,
+                     eval_P_with_derivative, exp_fn, exp_values,
+                     legendre_recurrence, reconstruct_sine,
                      recurrence_from_file, sine_fn, sine_values)
 from . import sturm as sturm_mod
 

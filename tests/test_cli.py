@@ -8,6 +8,7 @@ import pytest
 from hypersine import cli
 from hypersine.core import (ResidualReport, dump_finite_hypergroup,
                             two_point_hypergroup)
+from hypersine.sturm import power_family, solve_sine
 from hypersine.suites import SuiteReport, _row
 
 
@@ -112,6 +113,23 @@ def test_tabulate_chebyshev_sine_column(capsys):
                                         "16.0", "25.0"]
 
 
+def test_tabulate_chebyshev_at_complex_lambda(capsys):
+    assert run(["tabulate", "--family", "chebyshev", "--lambda", "1,0.5",
+                "--n-max", "3"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert [r[1:3] for r in rows] == [["1.0", "0.0"], ["(1+0.5j)", "1.0"],
+                                      ["(0.5+2j)", "(4+2j)"],
+                                      ["(-2+4j)", "(6+12j)"]]
+
+
+def test_tabulate_coset_rows(capsys):
+    assert run(["tabulate", "--family", "coset", "--n-max", "6"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["element", "m", "sine", "residual"]
+    assert len(rows) == 1 + 7
+    assert max(float(r[3]) for r in rows[1:]) <= 1e-12
+
+
 def test_tabulate_su2_at_zero_lambda(capsys):
     assert run(["tabulate", "--family", "su2", "--lambda", "0",
                 "--n-max", "5"]) == 0
@@ -134,6 +152,15 @@ def test_tabulate_sturm_grid_csv(capsys):
     assert float(rows[1][1]) == 1.0  # phi(0) = 1
 
 
+def test_tabulate_sturm_power_weight_sine_column(capsys):
+    assert run(["tabulate", "--family", "sturm", "--alpha", "0.5",
+                "--lambda", "1.5", "--xmax", "0.4", "--h", "0.01"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    sol = solve_sine(power_family(0.5), 1.5, 1.0, x_max=0.4, h=0.01)
+    assert [(float(r[3]), float(r[4])) for r in rows] == [
+        (v.real, v.imag) for v in sol.values.tolist()]
+
+
 def test_tabulate_sturm_rejects_conflicting_weights(capsys):
     assert run(["tabulate", "--family", "sturm", "--alpha", "0.5",
                 "--a-const"]) == 2
@@ -154,6 +181,7 @@ def test_sine_space_subcommand(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(captured.out)))
     assert rows[0] == ["m", "dimension", "basis", "max_residual"]
     assert [r[1] for r in rows[1:]] == ["0", "0"]
+    assert [r[3] for r in rows[1:]] == ["0.0", "0.0"]   # empty basis
     assert "dimension 0" in captured.err
 
 

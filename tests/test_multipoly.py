@@ -81,9 +81,43 @@ def test_fit_recovers_coefficients(cheb_leg):
 
 def test_fit_rejects_non_sine(cheb_leg):
     lam = (0.6, 0.8)
-    bad = lambda x: float(x[0] ** 2 + x[1])
+    bad = lambda x: x[0] ** 2 + x[1]
     with pytest.raises(TheoremViolationError):
         cheb_leg.fit_coefficients(bad, lam, n_max=5)
+
+
+def _at(x, el):
+    return (x[0] == el[0]) & (x[1] == el[1])
+
+
+def test_fit_rejects_nan_values(cheb_leg):
+    lam = (0.6, 0.8)
+    f = cheb_leg.multi_sine((1.5, -2.0), lam)
+    nan_at_23 = lambda x: np.where(_at(x, (2, 3)), np.nan, f(x))
+    with pytest.raises(TheoremViolationError, match=r"at \(2, 3\)"):
+        cheb_leg.fit_coefficients(nan_at_23, lam, n_max=5)
+    # a constant is broadcast to the batch: NaN everywhere fails at the
+    # identity, the first element, and zero is the zero sine function
+    with pytest.raises(TheoremViolationError, match=r"at \(0, 0\)"):
+        cheb_leg.fit_coefficients(lambda x: np.nan, lam, n_max=5)
+    assert not cheb_leg.fit_coefficients(lambda x: 0.0, lam, n_max=5).any()
+
+
+def test_fit_names_the_worst_element(cheb_leg):
+    lam, rtol = (0.6, 0.8), 1e-9
+    f = cheb_leg.multi_sine((1.5, -2.0), lam)
+
+    def off(x, by_32, by_14):
+        scale = rtol * (1.0 + np.abs(f(x)))
+        return f(x) + scale * (by_32 * _at(x, (3, 2)) + by_14 * _at(x, (1, 4)))
+
+    # (1, 4) comes first among the elements of total degree 5, (3, 2) is worse
+    with pytest.raises(TheoremViolationError, match=r"at \(3, 2\)"):
+        cheb_leg.fit_coefficients(lambda x: off(x, 3.0, 2.0), lam, n_max=5,
+                                  rtol=rtol)
+    got = cheb_leg.fit_coefficients(lambda x: off(x, 1.0 / 3.0, 0.0), lam,
+                                    n_max=5, rtol=rtol)
+    assert np.allclose(got, [1.5, -2.0], atol=1e-11)
 
 
 def test_three_factor_product():

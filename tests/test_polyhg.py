@@ -216,6 +216,8 @@ def test_build_table_names_the_negative_pair():
                                 [0.0, 0.5, 0.5], name="skewed")
     with pytest.raises(NotHypergroupError, match=r"at \(1, 1\)"):
         linearize(rec, 1, 1)
+    with pytest.raises(NotHypergroupError, match=r"at \(1, 1\)"):
+        linearize(rec, 1, 1, exact=True)
     with pytest.raises(NotHypergroupError, match=r"-1 at \(1, 1\)"):
         PolynomialHypergroup(rec).build_table(1)
     with pytest.raises(NotHypergroupError, match=r"-1 at \(1, 1\)"):
