@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import coset, su2
-from .core import (NotHypergroupError, _cmul, _errors, _pair_batch,
-                   _sine_space, exponentials, load_finite_hypergroup)
+from .core import (NotHypergroupError, _cmul, _errors, _sine_space,
+                   exponentials, load_finite_hypergroup)
 from .multipoly import ProductPolyHypergroup
 from .polyhg import (BUILTIN_RECURRENCES, PolynomialHypergroup, exp_fn,
                      sine_fn)
@@ -143,6 +143,8 @@ def _c(z):
 
 
 def cmd_verify(args):
+    if args.n_max is not None and args.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     cfg = SuiteConfig(
         seed=args.seed, tol=args.tol,
         lambdas=tuple(args.lambdas or ()),
@@ -170,7 +172,7 @@ def _sine_rows(hg, f, m, elements, y, labels=None):
     at (x, y) for each element x."""
     if not elements:
         return []
-    errs, _ = _errors(hg, f, m, *_pair_batch([(x, y) for x in elements]))
+    [(errs, _)] = _errors(hg, [(f, m)], [(x, y) for x in elements])
     return [(label, _c(m(x)), _c(f(x)), repr(float(err)))
             for label, x, err in zip(labels or elements, elements, errs)]
 

@@ -189,8 +189,9 @@ class Hypergroup:
     the convolutions of xs[i] and ys[i] for batches of elements (see
     ``_pair_batch``): [P, K] weights padded with zeros, and a support of
     that shape (a tuple of them for tuple elements) whose padding slots
-    hold valid elements.  The identity must satisfy
-    convolve(o, x) = convolve(x, o) = point mass at x.
+    hold valid elements.  The residual checks (``_errors``) call it once
+    per pair set, for every equation checked there.  The identity must
+    satisfy convolve(o, x) = convolve(x, o) = point mass at x.
     """
 
     identity = None
@@ -376,25 +377,29 @@ def _integrate_many(f, support, weights):
 
 
 @np.errstate(all="ignore")
-def _errors(hg, f, m, xs, ys):
-    """Per-pair errors (``_residual``) of f(x*y) = f(x)m(y) + f(y)m(x), or
-    of m(x*y) = m(x)m(y) when f is None."""
-    lhs = _integrate_many(m if f is None else f, *hg.convolve_many(xs, ys))
-    terms = ([_cmul(m(xs), m(ys))] if f is None
-             else [_cmul(f(xs), m(ys)), _cmul(f(ys), m(xs))])
-    return _residual(lhs, terms)
+def _errors(hg, equations, pairs):
+    """Per-pair errors (``_residual``) of each (f, m) in ``equations`` over
+    the pairs: of f(x*y) = f(x)m(y) + f(y)m(x), or of m(x*y) = m(x)m(y) when
+    f is None.  The pairs are batched (``_pair_batch``) and convolved once,
+    for every equation; this is the only place an equation check does so."""
+    xs, ys = _pair_batch(pairs)
+    support, weights = hg.convolve_many(xs, ys)
+    return [_residual(_integrate_many(m if f is None else f, support, weights),
+                      [_cmul(m(xs), m(ys))] if f is None
+                      else [_cmul(f(xs), m(ys)), _cmul(f(ys), m(xs))])
+            for f, m in equations]
 
 
 def sine_residual(hg, f, m, pairs):
     """Residual of f(x*y) = f(x)m(y) + f(y)m(x) over the given pairs; f and
     m are called on batches of elements (see ``_pair_batch``)."""
-    return _scan(*_errors(hg, f, m, *_pair_batch(pairs)), pairs)
+    return _scan(*_errors(hg, [(f, m)], pairs)[0], pairs)
 
 
 def exp_residual(hg, m, pairs):
     """Residual of m(x*y) = m(x)m(y) over the given pairs; m is called on
     batches of elements (see ``_pair_batch``)."""
-    return _scan(*_errors(hg, None, m, *_pair_batch(pairs)), pairs)
+    return _scan(*_errors(hg, [(None, m)], pairs)[0], pairs)
 
 
 def _powers(hg, y, n_max, cap):
@@ -456,8 +461,8 @@ def _sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):
                         else [complex(v) for v in m])
     if len(m_vals) != n:
         raise ValueError(f"m has {len(m_vals)} values, hypergroup has {n}")
-    m_fn = TabulatedFunction(m_vals)
-    rep = exp_residual(hg, m_fn, hg.all_pairs())
+    m_fn, pairs = TabulatedFunction(m_vals), hg.all_pairs()
+    rep = exp_residual(hg, m_fn, pairs)
     if not rep.within(exp_tol):   # NaN fails too
         raise ValueError(
             f"m is not an exponential at tolerance {exp_tol:g}: "
@@ -471,12 +476,12 @@ def _sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):
     cutoff = max(a.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
     rank = int((s > cutoff).sum())
     basis = [TabulatedFunction(vec.conj()) for vec in vh[rank:]]
-    checks = [sine_residual(hg, fb, m_fn, hg.all_pairs()) for fb in basis]
-    for check in checks:
-        if not check.within(max(exp_tol, 10 * cutoff * n)):
-            raise RuntimeError(
-                f"solver returned a non-solution: residual {check.max_abs:g}")
-    return basis, max([check.max_abs for check in checks], default=0.0)
+    errors = _errors(hg, [(fb, m_fn) for fb in basis], pairs)
+    worst = float(np.max([err.max() for err, _ in errors], initial=0.0))
+    if not worst <= max(exp_tol, 10 * cutoff * n):   # NaN fails too
+        raise RuntimeError(
+            f"solver returned a non-solution: residual {worst:g}")
+    return basis, worst
 
 
 def compact_vanishing_check(hg, m, basis, tol=1e-10):
@@ -501,15 +506,15 @@ def exponentials(hg, tol=VERIFY_WEIGHT_TOL):
         return [np.ones(1)]
     r = np.random.default_rng(0).uniform(1.0, 2.0, size=hg.size)
     _, eigvecs = np.linalg.eig(np.einsum("i,ijl->jl", r, hg.tensor))
+    ms = [vec / vec[0] for vec in eigvecs.T
+          if not abs(vec[0]) < 1e-12 * np.linalg.norm(vec)]
+    ms = [m.real.astype(complex) if np.abs(m.imag).max() < 1e-12 else m
+          for m in ms]
+    errors = _errors(hg, [(None, TabulatedFunction(m)) for m in ms],
+                     hg.all_pairs())
     found = []
-    for vec in eigvecs.T:
-        if abs(vec[0]) < 1e-12 * np.linalg.norm(vec):
-            continue
-        m = vec / vec[0]
-        if np.abs(m.imag).max() < 1e-12:
-            m = m.real.astype(complex)
-        rep = exp_residual(hg, TabulatedFunction(m), hg.all_pairs())
-        if rep.max_abs <= tol and not any(
+    for m, (err, _) in zip(ms, errors):   # a NaN max fails the test
+        if err.max() <= tol and not any(
                 np.allclose(m, other, atol=1e-9) for other in found):
             found.append(m)
     return sorted(found, key=lambda m: [(-v.real, -v.imag) for v in m[1:]])

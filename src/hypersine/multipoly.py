@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .core import Hypergroup, _certify, _cmul
+from .core import Hypergroup, TheoremViolationError, _certify, _cmul
 from .polyhg import PolynomialHypergroup, _p_and_dp
 
 
@@ -113,7 +113,9 @@ class ProductPolyHypergroup(Hypergroup):
         The d-by-d system has matrix M[i][j] = dQ_(e_i)/dlam_j; a singular
         matrix raises DegenerateParameterError.  When ``n_max`` is given the
         fitted combination is checked against f on all elements of total
-        degree <= n_max (``core._certify``, NaN fails).
+        degree <= n_max (``core._certify``, NaN fails); without it, a value
+        of f at a unit tuple that is not finite raises TheoremViolationError
+        naming the tuple.
         """
         units = tuple(np.array(self.unit_elements()).T)
         mat = np.array(self.q_grad(units, lam), dtype=complex).T
@@ -129,6 +131,10 @@ class ProductPolyHypergroup(Hypergroup):
             _certify(self.multi_sine(tuple(c), lam)(batch),
                      np.broadcast_to(f(batch), len(elements)), rtol,
                      elements, "fit mismatch")
+        elif not np.isfinite(vec).all():   # nothing certified the values
+            i = int(np.argmax(~np.isfinite(vec)))
+            raise TheoremViolationError(
+                f"f is not finite at {self.unit_elements()[i]!r}: {vec[i]}")
         return c
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Hypergroup, _errors, _pair_batch, _reject, _residual, _scan
+from .core import Hypergroup, _errors, _reject, _residual, _scan
 
 OVERFLOW_LIMIT = 1e12
 
@@ -260,10 +260,9 @@ def cosh_hypergroup_check(lam, pairs):
     the exponential equation for m = cosh(sqrt(lam) .) and the sine equation
     for its lambda-derivative.  Witnesses are tagged ('exp'|'sine', x, y),
     the two equations alternating pair by pair."""
-    hg, xs_ys = CoshLineHypergroup(), _pair_batch(pairs)
     m, f = (functools.partial(g, lam=lam) for g in (line_phi, line_dphi))
-    exp_err, exp_rel = _errors(hg, None, m, *xs_ys)
-    sine_err, sine_rel = _errors(hg, f, m, *xs_ys)
+    errors = _errors(CoshLineHypergroup(), [(None, m), (f, m)], pairs)
     witnesses = [(tag, x, y) for x, y in pairs for tag in ("exp", "sine")]
-    return _scan(np.column_stack([exp_err, sine_err]).ravel(),
-                 np.column_stack([exp_rel, sine_rel]).ravel(), witnesses)
+    # err and rel columns of both equations, alternating pair by pair
+    return _scan(*(np.column_stack(col).ravel() for col in zip(*errors)),
+                 witnesses)

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import coset, su2
 from .core import (ResidualReport, TabulatedFunction, TheoremViolationError,
-                   _residual, _scan, compact_vanishing_check, exp_residual,
-                   exponentials, integrate, power_identity_check,
-                   s3_conjugacy_hypergroup, sine_residual, sine_space,
+                   _errors, _residual, _scan, compact_vanishing_check,
+                   exp_residual, exponentials, integrate,
+                   power_identity_check, s3_conjugacy_hypergroup, sine_space,
                    two_point_hypergroup)
 from .dual import central_difference
 from .multipoly import ProductPolyHypergroup
@@ -160,12 +160,16 @@ def _fact(ok, samples=1, witness=None):
                           samples)
 
 
-def _equation_checks(head, tail, hg, f, m, pairs, exp_tol, sine_tol):
-    """Relative residual rows head:exp<tail> and head:sine<tail>."""
-    return [_row(f"{head}:exp{tail}", exp_residual(hg, m, pairs), exp_tol,
-                 "rel"),
-            _row(f"{head}:sine{tail}", sine_residual(hg, f, m, pairs),
-                 sine_tol, "rel")]
+def _equation_checks(hg, pairs, head, cases, exp_tol, sine_tol, extra=()):
+    """Relative rows head:exp<tail> and head:sine<tail> for each (tail, f, m)
+    in cases, then a row per (name, f, m, tol, rule) in extra (the exp
+    equation if f is None), all from one batch and convolution of the pairs."""
+    specs = [spec for tail, f, m in cases for spec in (
+        (f"{head}:exp{tail}", None, m, exp_tol, "rel"),
+        (f"{head}:sine{tail}", f, m, sine_tol, "rel"))] + list(extra)
+    errors = _errors(hg, [(f, m) for _, f, m, _, _ in specs], pairs)
+    return [_row(name, _scan(*errs, pairs), tol, rule)
+            for (name, _, _, tol, rule), errs in zip(specs, errors)]
 
 
 def _sine_space_checks(tag, label, hg, m, tol):
@@ -217,28 +221,22 @@ def run_compact(cfg):
 
 # ---------------------------------------------------------------- polyone
 
-def _polyone_recs(cfg):
-    if cfg.rec_file:
-        return [recurrence_from_file(cfg.rec_file)]
-    return [chebyshev_recurrence(), legendre_recurrence()]
-
-
 def run_polyone(cfg):
     checks = []
     lambdas = cfg.lambdas or (0.3, 0.7, 1.0, 1.5, 0.5 + 0.5j)
     n_max = cfg.n_max or 64
     rng = np.random.default_rng(cfg.seed)
     pairs = _pairs_grid(n_max)
-    for rec in _polyone_recs(cfg):
+    for rec in ([recurrence_from_file(cfg.rec_file)] if cfg.rec_file
+                else [chebyshev_recurrence(), legendre_recurrence()]):
         name = rec.name or "custom"
         ph = PolynomialHypergroup(rec)
         ph.build_table(n_max)
-        for lam in lambdas:
-            m = exp_fn(rec, lam, n_max=2 * n_max)
-            f = sine_fn(rec, 1.0, lam, n_max=2 * n_max)
-            checks += _equation_checks(f"polyone:{name}",
-                                       f":lam={_fmt_lam(lam)}", ph, f, m,
-                                       pairs, 1e-9, 1e-9)
+        cases = [(f":lam={_fmt_lam(lam)}",
+                  sine_fn(rec, 1.0, lam, n_max=2 * n_max),
+                  exp_fn(rec, lam, n_max=2 * n_max)) for lam in lambdas]
+        checks += _equation_checks(ph, pairs, f"polyone:{name}", cases, 1e-9,
+                                   1e-9)
         ok, worst, draws = True, None, 10
         for _ in range(draws):
             lam = complex(rng.uniform(-1.25, 1.25), rng.uniform(-0.5, 0.5))
@@ -280,14 +278,14 @@ def run_su2(cfg):
                        "abs"))
     pairs = _pairs_grid(n_max)
     rng = np.random.default_rng(cfg.seed)
-    for lam in lambdas:
-        m = su2.phi_fn(2 * n_max, lam)
-        f = su2.sine_fn(2 * n_max, lam)
-        checks += _equation_checks("su2", f":lam={_fmt_lam(lam)}", hg, f, m,
-                                   pairs, 1e-9, 1e-9)
+    cases = [(f":lam={_fmt_lam(lam)}", su2.sine_fn(2 * n_max, lam),
+              su2.phi_fn(2 * n_max, lam)) for lam in lambdas]
+    rows = iter(_equation_checks(hg, pairs, "su2", cases, 1e-9, 1e-9, [
+        ("su2:additive", su2.additive_fn(1.0), lambda n: 1.0, 1e-10, "abs")]))
+    for lam, (tail, f, m) in zip(lambdas, cases):
+        checks += [next(rows), next(rows)]
         rep = su2.recurrence_residual(f, m, n_max)
-        checks.append(_row(f"su2:recurrence:lam={_fmt_lam(lam)}", rep, 1e-9,
-                           "rel"))
+        checks.append(_row(f"su2:recurrence{tail}", rep, 1e-9, "rel"))
         f1 = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
         prop = su2.propagate_sine(lam, f1, n_max)
         # f(1) = dphi(1, lam) = sinh lam, except at lam = i k pi (su2.sine_fn)
@@ -295,39 +293,31 @@ def run_su2(cfg):
         f_at_1 = sinh if abs(sinh) >= su2.SMALL_SINH_TOL else f(1)
         want = (f1 / f_at_1) * f.values[:n_max + 1]
         rep = _scan(*_residual(prop, [want]), range(n_max + 1))
-        checks.append(_row(f"su2:propagation:lam={_fmt_lam(lam)}", rep, 1e-8,
-                           "rel"))
-    f_add = su2.additive_fn(1.0)
-    rep = sine_residual(hg, f_add, lambda n: 1.0, pairs)
-    checks.append(_row("su2:additive", rep, 1e-10, "abs"))
+        checks.append(_row(f"su2:propagation{tail}", rep, 1e-8, "rel"))
+    checks.append(next(rows))
     return checks
 
 
 # ---------------------------------------------------------------- sinsev
 
-def _product_cases(cfg):
-    cheb, leg = chebyshev_recurrence(), legendre_recurrence()
-    return [
-        ("d=2", ProductPolyHypergroup([cheb, leg]), (0.6, 0.8), (1.5, -2.0)),
-        ("d=3", ProductPolyHypergroup([cheb, cheb, leg]), (0.6, 1.1, 0.8),
-         (1.0, 0.5, -0.75)),
-    ]
-
-
 def run_sinsev(cfg):
     checks = []
     rng = np.random.default_rng(cfg.seed)
     n_pairs = min(cfg.samples, 200)
-    for tag, hg, lam, coeff in _product_cases(cfg):
+    cheb, leg = chebyshev_recurrence(), legendre_recurrence()
+    for tag, hg, lam, coeff in [
+            ("d=2", ProductPolyHypergroup([cheb, leg]), (0.6, 0.8),
+             (1.5, -2.0)),
+            ("d=3", ProductPolyHypergroup([cheb, cheb, leg]), (0.6, 1.1, 0.8),
+             (1.0, 0.5, -0.75))]:
         d = hg.dimension
         pairs = [
             (tuple(int(v) for v in rng.integers(0, 13, size=d)),
              tuple(int(v) for v in rng.integers(0, 13, size=d)))
             for _ in range(n_pairs)]
-        m = hg.exp_fn(lam)
         f = hg.multi_sine(coeff, lam)
-        checks += _equation_checks(f"sinsev:{tag}", "", hg, f, m, pairs,
-                                   1e-9, 1e-9)
+        checks += _equation_checks(hg, pairs, f"sinsev:{tag}",
+                                   [("", f, hg.exp_fn(lam))], 1e-9, 1e-9)
         try:
             got = hg.fit_coefficients(f, lam, n_max=6, rtol=1e-9)
             rep = _scan(*_residual(got, [np.asarray(coeff, dtype=complex)]),
@@ -417,11 +407,9 @@ def run_coset(cfg):
     hg = coset.CosetHypergroup()
     pairs = list(zip(zip(xs.tolist(), np.abs(us).tolist()),
                      zip(ys.tolist(), np.abs(vs).tolist())))
-    for lam in lambdas:
-        m = coset.coset_exponential(lam)
-        f = coset.coset_sine(1.0, lam)
-        checks += _equation_checks("coset", f":lam={_fmt_lam(lam)}", hg, f, m,
-                                   pairs, 1e-12, 1e-10)
+    cases = [(f":lam={_fmt_lam(lam)}", coset.coset_sine(1.0, lam),
+              coset.coset_exponential(lam)) for lam in lambdas]
+    checks += _equation_checks(hg, pairs, "coset", cases, 1e-12, 1e-10)
     # the closed-form value cosh 3 + cosh 1 - 2 cosh^2 1 is pinned in tests
     rep = coset.falsify_dalembert_alpha(0.0, 1.0, [(2.0, 1.0, 1.0, 1.0)])
     checks.append(_row("coset:falsify-alpha:recorded", rep, 0.1, "above"))
@@ -494,7 +482,7 @@ def run_suite(name, cfg=None):
 
 # ------------------------------------------------- dual vs finite difference
 
-def dual_fd_families(x_max=1.0, h=1e-3, alpha=0.5):
+def dual_fd_families():
     """Built-in exponential families exposed as (name, value, deriv, points,
     lambdas) tuples, where value(x, lam) is the exponential and deriv(x, lam)
     is the artifact's lambda-derivative.  Used to cross-check derivatives
@@ -502,7 +490,7 @@ def dual_fd_families(x_max=1.0, h=1e-3, alpha=0.5):
     cheb = chebyshev_recurrence()
     leg = legendre_recurrence()
     prod = ProductPolyHypergroup([cheb, leg])
-    power = sturm_mod.power_family(alpha)
+    power, h = sturm_mod.power_family(0.5), 1e-3
 
     return [
         (rec.name,

@@ -59,6 +59,19 @@ def test_bad_lambda_is_usage_error():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_verify_n_max_below_one_is_usage_error(n_max, capsys):
+    assert run(["verify", "su2", "--n-max", n_max]) == 2
+    captured = capsys.readouterr()
+    assert "--n-max" in captured.err and captured.out == ""
+
+
+def test_tabulate_n_max_zero_is_one_row(capsys):
+    assert run(["tabulate", "--family", "su2", "--n-max", "0"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 2 and rows[1][0] == "0"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "polyone", "--lambda", "nan", "--n-max", "8"],
     ["verify", "coset", "--lambda", "inf"],

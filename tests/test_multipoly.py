@@ -120,6 +120,19 @@ def test_fit_names_the_worst_element(cheb_leg):
     assert np.allclose(got, [1.5, -2.0], atol=1e-11)
 
 
+def test_uncertified_fit_rejects_non_finite_unit_values(cheb_leg):
+    lam = (0.6, 0.8)
+    f = cheb_leg.multi_sine((1.5, -2.0), lam)
+    with pytest.raises(TheoremViolationError, match=r"at \(1, 0\)"):
+        cheb_leg.fit_coefficients(lambda x: np.nan, lam)
+    inf_at_01 = lambda x: np.where(_at(x, (0, 1)), np.inf, f(x))
+    for n_max in (None, -1):
+        with pytest.raises(TheoremViolationError, match=r"at \(0, 1\)"):
+            cheb_leg.fit_coefficients(inf_at_01, lam, n_max=n_max)
+    assert np.allclose(cheb_leg.fit_coefficients(f, lam), [1.5, -2.0],
+                       atol=1e-12)
+
+
 def test_three_factor_product():
     hg = ProductPolyHypergroup([chebyshev_recurrence(),
                                 chebyshev_recurrence(),

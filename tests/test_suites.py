@@ -158,3 +158,28 @@ def test_coset_associativity_row_reports_the_absolute_coordinate_error():
     assert (row.max_abs, row.witness, row.samples) == (
         err.max(), int(np.argmax(err)), 100)
     assert row.rule == "rel" and row.passed
+
+
+def _convolution_batches(monkeypatch, cls):
+    """Batch lengths of every cls.convolve_many call, in call order."""
+    lengths, original = [], cls.convolve_many
+
+    def counting(self, xs, ys):
+        lengths.append(len(xs[0] if isinstance(xs, tuple) else xs))
+        return original(self, xs, ys)
+    monkeypatch.setattr(cls, "convolve_many", counting)
+    return lengths
+
+
+def test_each_equation_pair_set_is_convolved_once(monkeypatch):
+    from hypersine.polyhg import PolynomialHypergroup
+    poly = _convolution_batches(monkeypatch, PolynomialHypergroup)
+    run_suite("polyone", SuiteConfig(n_max=6, lambdas=(0.3, 0.7, 0.5 + 0.5j)))
+    assert poly == [49, 49]   # one per recurrence, all lambdas and equations
+    pairs = _convolution_batches(monkeypatch, coset.CosetHypergroup)
+    run_suite("coset", SuiteConfig(samples=300))
+    assert pairs.count(300) == 1
+    # the weight-sums batches have 1..101 pairs; the grid at n_max 10 has 121
+    grid = _convolution_batches(monkeypatch, su2.Su2Hypergroup)
+    run_suite("su2", SuiteConfig(n_max=10))
+    assert grid.count(121) == 1
