@@ -1,6 +1,6 @@
 """The dimension hypergroup with weights (l+1)/((k+1)(n+1)): its exponential
-family, the lambda-derivative sine functions, and the three-point recurrence
-that propagates them."""
+family, the lambda-derivative sine functions, and their propagation from
+f(1) through the sine equation at (n, 1)."""
 
 import cmath
 
@@ -27,12 +27,12 @@ m = su2.phi_fn(50, lam)
 rep = sine_residual(hg, f, m, pairs)
 print(f"\nsine-equation residual of the derivative family: {rep.max_rel:.2e}")
 
-# the same functions satisfy a three-point recurrence in n; starting from
-# f(0) = 0 and f(1) it reproduces the derivative route
+# the sine equation at (n, 1) gives f(n+1) from f(n), f(n-1) and phi;
+# starting from f(0) = 0 and f(1) it reproduces the derivative route
 f1 = su2.dphi(1, lam)
 prop = su2.propagate_sine(lam, f1, 20)
 want = (f1 / cmath.sinh(lam)) * su2.dphi(np.arange(21), lam)
-print("recurrence propagation vs direct derivative:",
+print("propagation from f(1) vs direct derivative:",
       f"{np.max(np.abs(prop - want)):.2e}")
 
 # at lam = 0 the exponential collapses to 1 and the sines become additive

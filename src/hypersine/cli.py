@@ -170,8 +170,6 @@ def cmd_verify(args):
 def _sine_rows(hg, f, m, elements, y, labels=None):
     """Rows (element, m, sine, residual): the residual of the sine equation
     at (x, y) for each element x."""
-    if not elements:
-        return []
     [(errs, _)] = _errors(hg, [(f, m)], [(x, y) for x in elements])
     return [(label, _c(m(x)), _c(f(x)), repr(float(err)))
             for label, x, err in zip(labels or elements, elements, errs)]
@@ -230,6 +228,8 @@ def _tabulate_sturm(args):
 
 
 def cmd_tabulate(args):
+    if args.n_max is not None and args.n_max < 0:
+        raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
     header = ["element", "m", "sine", "residual"]
     if args.family in ("chebyshev", "legendre"):
         rows = _tabulate_poly(args, BUILTIN_RECURRENCES[args.family]())

@@ -390,6 +390,30 @@ def _errors(hg, equations, pairs):
             for f, m in equations]
 
 
+def _propagate(hg, m, f1, n_max):
+    """The m-sine f on 0..n_max with f(0) = 0, f(1) = f1: f(n*1) =
+    f(n) m(1) + f1 m(n) solved for f(n+1), n = 1..n_max-1, on a hypergroup
+    on the nonnegative integers whose n*1 charges n+1 and nothing beyond.
+    One ``convolve_many`` call (none at n_max = 1); m is called once, on
+    the array 0..n_max."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    f = np.zeros(n_max + 1, dtype=complex)
+    f[1] = f1
+    if n_max == 1:
+        return f
+    ns = np.arange(1, n_max)
+    support, weights = hg.convolve_many(ns, np.ones_like(ns))
+    rows = np.zeros((n_max - 1, n_max + 1))
+    # add, not assign: a zero-weight padding slot may repeat a real element
+    np.add.at(rows, (ns[:, None] - 1, support), weights)
+    mv = m(np.arange(n_max + 1))
+    for n, row in enumerate(rows, 1):
+        f[n + 1] = (f[n] * mv[1] + f1 * mv[n]
+                    - row[:n + 1] @ f[:n + 1]) / row[n + 1]
+    return f
+
+
 def sine_residual(hg, f, m, pairs):
     """Residual of f(x*y) = f(x)m(y) + f(y)m(x) over the given pairs; f and
     m are called on batches of elements (see ``_pair_batch``)."""

@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (FiniteMeasure, Hypergroup, NotHypergroupError,
-                   TabulatedFunction, _certify, _compact, _reject)
+                   TabulatedFunction, _certify, _compact, _propagate,
+                   _reject)
 
 NEGATIVE_COEFF_TOL = 1e-10   # below this a linearization weight is an error
 DROP_COEFF_TOL = 1e-13       # floating-point zeros created by cancellation
@@ -281,23 +282,12 @@ class PolynomialHypergroup(Hypergroup):
 
 
 def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):
-    """Propagate the sine equation against degree one upward from
-    f(0) = 0, f(1) = f1 and compare with the derivative formula.
-
-    The step solves f(n*1) = f(n) P_1(lam) + f1 P_n(lam) for f(n+1), with
-    f(n*1) expanded in the linearization of P_1 * P_n.  The result must
-    match f1 * a_0 * P_n'(lam) (the unique sine function with that value
-    at 1); ``core._certify`` raises TheoremViolationError beyond rtol.
-    """
-    hg = PolynomialHypergroup(rec)
-    hg.build_table(1, n_max - 1)
-    rows = hg.table[1, 1:]   # row n - 1 holds P_1 * P_n for n = 1..n_max-1
-    p_vals = exp_values(rec, n_max, lam)
-    f = np.zeros(n_max + 1, dtype=complex)
-    f[1] = f1
-    for n, row in enumerate(rows, 1):
-        f[n + 1] = (f[n] * p_vals[1] + f1 * p_vals[n]
-                    - row[:n + 1] @ f[:n + 1]) / row[n + 1]
+    """The sine function propagated from f(0) = 0, f(1) = f1
+    (``core._propagate``), certified against f1 * a_0 * P_n'(lam), the
+    unique sine function with that value at 1: ``core._certify`` raises
+    TheoremViolationError beyond rtol."""
+    f = _propagate(PolynomialHypergroup(rec), exp_fn(rec, lam, n_max), f1,
+                   n_max)
     expected = sine_values(rec, n_max, lam, float(rec.a(0))) * f1
     _certify(f, expected, rtol, range(n_max + 1), "reconstructed value")
     return TabulatedFunction(f)

@@ -23,8 +23,7 @@ import math
 
 import numpy as np
 
-from .core import (Hypergroup, TabulatedFunction, _cmul, _reject, _residual,
-                   _scan)
+from .core import Hypergroup, TabulatedFunction, _propagate, _reject
 
 SMALL_SINH_TOL = 1e-6   # below this |sinh lam| the series evaluation is used
 
@@ -109,44 +108,12 @@ def sine_fn(n_max, lam):
     return TabulatedFunction((-1.0) ** (k * ns) * ns * (ns + 2))
 
 
-def recurrence_residual(f, m, n_max):
-    """Residual of the three-point recurrence characterizing sine functions,
-    in the propagation form that ``propagate_sine`` solves:
-
-        (n+3) f(n+2) = 2 (n+2) cosh(lam) f(n+1) - (n+1) f(n)
-                       + 2 f(1) (n+2) m(n+1),
-
-    for n = 0..n_max-2, relative to 1 + the magnitudes of the three
-    right-hand terms (``core._residual``).  cosh(lam) is read off as m(1).
-    The witness is the n attaining the largest absolute residual.  f and m
-    are called once, on the array of elements 0..n_max; a constant they
-    return is broadcast.
-    """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    ns = np.arange(n_max + 1)
-    fv, mv = (np.broadcast_to(fn(ns), ns.shape) for fn in (f, m))
-    ch, f1 = mv[1], fv[1]
-    n = np.arange(n_max - 1)
-    terms = [_cmul(2 * (n + 2) * ch, fv[1:-1]), -(n + 1) * fv[:-2],
-             _cmul(2 * f1 * (n + 2), mv[1:-1])]
-    return _scan(*_residual((n + 3) * fv[2:], terms), range(n_max - 1))
-
-
 def propagate_sine(lam, f1, n_max):
-    """Forward solve of the recurrence above from f(0) = 0, f(1) = f1.
+    """The phi(., lam)-sine function on 0..n_max with f(0) = 0, f(1) = f1,
+    propagated from f(1) by ``core._propagate``.
 
     For lam != 0 the result must coincide with (f1 / sinh lam) * dphi(., lam),
     since the derivative of phi(1, .) is sinh; this propagation is the
     independent route used to certify that claim.
     """
-    lam = complex(lam)
-    ch = cmath.cosh(lam)
-    out = np.zeros(n_max + 1, dtype=complex)
-    if n_max >= 1:
-        out[1] = f1
-    mvals = phi(np.arange(n_max + 1), lam)
-    for n in range(n_max - 1):
-        out[n + 2] = (2 * (n + 2) * ch * out[n + 1] - (n + 1) * out[n]
-                      + 2 * f1 * (n + 2) * mvals[n + 1]) / (n + 3)
-    return out
+    return _propagate(Su2Hypergroup(), phi_fn(n_max, lam), f1, n_max)

@@ -284,8 +284,6 @@ def run_su2(cfg):
         ("su2:additive", su2.additive_fn(1.0), lambda n: 1.0, 1e-10, "abs")]))
     for lam, (tail, f, m) in zip(lambdas, cases):
         checks += [next(rows), next(rows)]
-        rep = su2.recurrence_residual(f, m, n_max)
-        checks.append(_row(f"su2:recurrence{tail}", rep, 1e-9, "rel"))
         f1 = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
         prop = su2.propagate_sine(lam, f1, n_max)
         # f(1) = dphi(1, lam) = sinh lam, except at lam = i k pi (su2.sine_fn)

@@ -150,10 +150,12 @@ def test_tabulate_su2_at_zero_lambda(capsys):
     assert [r[1] for r in rows[1:]] == ["1.0"] * 6
 
 
-def test_tabulate_empty_range(capsys):
-    assert run(["tabulate", "--family", "legendre", "--n-max", "-1"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines() == ["element,m,sine,residual"]
+@pytest.mark.parametrize("family",
+                         ["chebyshev", "legendre", "su2", "product", "coset"])
+def test_tabulate_negative_n_max_is_usage_error(family, capsys):
+    assert run(["tabulate", "--family", family, "--n-max", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--n-max must be >= 0" in captured.err and captured.out == ""
 
 
 def test_tabulate_sturm_grid_csv(capsys):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hypersine.core import (EvaluationError, FiniteMeasure,
+from hypersine.core import (EvaluationError, FiniteMeasure, Hypergroup,
                             NotHypergroupError, SupportCapError,
-                            TabulatedFunction, compact_vanishing_check,
-                            convolve_power, dump_finite_hypergroup,
-                            exp_residual, exponentials, integrate,
-                            load_finite_hypergroup, mix, power_identity_check,
+                            TabulatedFunction, _propagate,
+                            compact_vanishing_check, convolve_power,
+                            dump_finite_hypergroup, exp_residual,
+                            exponentials, integrate, load_finite_hypergroup,
+                            mix, power_identity_check,
                             s3_conjugacy_hypergroup, sine_residual,
                             sine_space, two_point_hypergroup)
 
@@ -282,3 +283,11 @@ def test_spec_file_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"size": 2, "tensor": [[[1.0, 0.0]]]}))
     with pytest.raises(ValueError):
         load_finite_hypergroup(path)
+
+
+def test_propagation_from_f1_alone_makes_no_convolution_call():
+    class NoConvolution(Hypergroup):
+        def convolve_many(self, xs, ys):
+            raise AssertionError("convolve_many called")
+    f = _propagate(NoConvolution(), lambda n: np.ones(len(n)), 2.5 - 1j, 1)
+    assert f.tolist() == [0j, 2.5 - 1j]

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hypersine import dual, su2
-from hypersine.core import exp_residual, sine_residual
+from hypersine.core import _propagate, exp_residual, sine_residual
+from hypersine.polyhg import (PolynomialHypergroup, exp_fn, exp_values,
+                              recurrence_from_lists, sine_values)
 
 
 def _phi_mp(n, lam):
@@ -104,19 +106,12 @@ def test_additive_family_is_sine_for_constant_exponential():
     assert f(5) == pytest.approx(0.5 * 35.0)
 
 
-def test_recurrence_residual_small_for_true_sine():
-    lam = 0.7
-    f = su2.sine_fn(40, lam)
-    m = su2.phi_fn(40, lam)
-    rep = su2.recurrence_residual(f, m, 30)
-    assert rep.max_rel <= 1e-13
-
-
-def test_recurrence_residual_flags_wrong_function():
+def test_sine_residual_flags_wrong_function_at_degree_one():
     lam = 0.7
     m = su2.phi_fn(40, lam)
     wrong = lambda n: n * 1.0
-    rep = su2.recurrence_residual(wrong, m, 30)
+    pairs = [(n, 1) for n in range(1, 30)]
+    rep = sine_residual(su2.Su2Hypergroup(), wrong, m, pairs)
     assert rep.max_rel > 1e-3
 
 
@@ -130,8 +125,11 @@ def test_propagation_matches_derivative_route():
 
 
 def test_propagation_needs_enough_terms():
-    with pytest.raises(ValueError):
-        su2.recurrence_residual(su2.additive_fn(1.0), lambda n: 1.0, 1)
+    for n_max in (0, -2):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            _propagate(su2.Su2Hypergroup(), su2.phi_fn(4, 0.5), 1.0, n_max)
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            su2.propagate_sine(0.5, 1.0, n_max)
 
 
 def _dphi_dual(n, lam):
@@ -180,3 +178,43 @@ def test_negative_elements_are_rejected():
         for fn in (su2.phi, su2.dphi):
             with pytest.raises(ValueError, match="must be >= 0"):
                 fn(n, 0.3)
+
+
+def _u_recurrence(order):
+    """U_n(x) / (n + 1) up to degree ``order``: a_0 = 1,
+    a_n = (n+2)/(2n+2), b_n = 0, c_n = n/(2n+2)."""
+    ns = np.arange(order + 1)
+    a = (ns + 2) / (2 * ns + 2)
+    a[0] = 1.0
+    return recurrence_from_lists(a, 0.0 * ns, ns / (2 * ns + 2), name="u")
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want) / (1.0 + np.abs(want)))
+
+
+def test_su2_weights_are_the_linearization_of_u():
+    # two independent codes: the closed-form stride-two weights against the
+    # linearization table of U_n / (n + 1)
+    ph, hg = PolynomialHypergroup(_u_recurrence(80)), su2.Su2Hypergroup()
+    ph.build_table(40)
+    for n in range(41):
+        for k in range(41):
+            assert ph.convolve(n, k).allclose(hg.convolve(n, k), tol=1e-15)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5 + 0.2j, 1.0, 1j * math.pi])
+def test_su2_functions_are_u_at_cosh(lam):
+    # phi(n, lam) = P_n(cosh lam), dphi by the chain rule
+    # d/dlam P_n(cosh lam) = sinh(lam) P_n'(cosh lam), and the propagation
+    # from f(1) agrees on both hypergroups
+    n_max, x = 40, cmath.cosh(lam)
+    rec, ns = _u_recurrence(n_max), np.arange(n_max + 1)
+    assert _rel(exp_values(rec, n_max, x), su2.phi(ns, lam)) <= 1e-12
+    assert _rel(cmath.sinh(lam) * sine_values(rec, n_max, x),
+                su2.dphi(ns, lam)) <= 1e-12
+    f1 = 1.3 - 0.4j
+    got = _propagate(PolynomialHypergroup(rec), exp_fn(rec, x, n_max), f1,
+                     n_max)
+    want = _propagate(su2.Su2Hypergroup(), su2.phi_fn(n_max, lam), f1, n_max)
+    assert _rel(got, want) <= 1e-12

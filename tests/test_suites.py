@@ -175,7 +175,9 @@ def test_each_equation_pair_set_is_convolved_once(monkeypatch):
     from hypersine.polyhg import PolynomialHypergroup
     poly = _convolution_batches(monkeypatch, PolynomialHypergroup)
     run_suite("polyone", SuiteConfig(n_max=6, lambdas=(0.3, 0.7, 0.5 + 0.5j)))
-    assert poly == [49, 49]   # one per recurrence, all lambdas and equations
+    # per recurrence: one batch for all lambdas and equations, then one for
+    # each of the 10 reconstruct draws (the rows n * 1, n = 1..5)
+    assert poly == [49] + [5] * 10 + [49] + [5] * 10
     pairs = _convolution_batches(monkeypatch, coset.CosetHypergroup)
     run_suite("coset", SuiteConfig(samples=300))
     assert pairs.count(300) == 1
