@@ -1,5 +1,6 @@
 """The dimension hypergroup with weights (l+1)/((k+1)(n+1)): its exponential
-family, the lambda-derivative sine functions, and their propagation from
+family and the lambda-derivative sine functions, both read off the
+recurrence of U_n(x) / (n+1) at x = cosh lam, and their propagation from
 f(1) through the sine equation at (n, 1)."""
 
 import cmath

@@ -7,25 +7,28 @@ and its hyperbolic exponential family
 
     phi(n, lam) = sinh((n+1) lam) / ((n+1) sinh(lam)),   phi(n, 0) = 1.
 
-Its lambda-derivative, a phi(.,lam)-sine function, has the closed form
-
-    dphi(n, lam) = (cosh((n+1) lam) - phi(n, lam) cosh(lam)) / sinh(lam).
-
-For lam = 0 the sine functions of the exponential m == 1 are the additive
-multiples of n (n+2).  Residuals are reported relative because phi grows
-like exp(n lam) / (n + 1).
+It is the polynomial hypergroup of U_n(x) / (n+1) at x = cosh lam, U_n the
+Chebyshev polynomials of the second kind, so phi and its lambda-derivative
+dphi(n, lam) = sinh(lam) U_n'(cosh lam) / (n+1) are read off the recurrence
+x U_m = (U_(m+1) + U_(m-1)) / 2 by ``polyhg._p_and_dp``.  Every multiple of
+U_n'(cosh lam) / (n+1) is a phi(., lam)-sine function; at lam = 0 these are
+the additive multiples of n (n+2).  Residuals are reported relative because
+phi grows like exp(n lam) / (n + 1).
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
-from .core import Hypergroup, TabulatedFunction, _propagate, _reject
+from .core import Hypergroup, TabulatedFunction, _cmul, _propagate, _reject
+from .polyhg import _p_and_dp
 
-SMALL_SINH_TOL = 1e-6   # below this |sinh lam| the series evaluation is used
+# below this |sinh lam| (lam near i k pi) dphi is close to 0, so sine_fn
+# scales U_n' by 3 cosh lam instead: the sine rows never check a function
+# that is almost zero, where they would pass vacuously
+SMALL_SINH_TOL = 1e-6
 
 
 class Su2Hypergroup(Hypergroup):
@@ -46,43 +49,31 @@ class Su2Hypergroup(Hypergroup):
             (ks + 1) * (ns + 1))[:, None], 0.0)
 
 
-def _phi_dphi(n, lam):
-    """(phi(n, lam), dphi(n, lam)): arrays at an integer array n, complex
-    numbers at one element.  Near the zeros i k pi of sinh
-    (|sinh lam| < SMALL_SINH_TOL) both come from the even series in
-    mu = lam - i k pi through degree six, exact up to O((n mu)^8); the shift
-    contributes a sign (-1)^(k n)."""
+def _scaled(n, lam, scale=None):
+    """U_n(x) / (n+1), or scale U_n'(x) / (n+1), at x = cosh lam for one
+    element or an integer array; U_n and U_n' are exact integers at x = +-1.
+    Each part is divided by n + 1 apart: numpy's complex-by-real division is
+    not correctly rounded, and its scalar and array loops disagree."""
     ns = np.atleast_1d(n)
     if (ns < 0).any():
         raise ValueError(f"element must be >= 0, got {ns.min()}")
-    lam = complex(lam)
-    s, n1 = cmath.sinh(lam), ns + 1
-    if abs(s) >= SMALL_SINH_TOL:
-        p = np.sinh(n1 * lam) / (n1 * s)
-        d = (np.cosh(n1 * lam) - p * cmath.cosh(lam)) / s
-    else:
-        k = round(lam.imag / math.pi)
-        mu = lam - complex(0.0, k * math.pi)
-        sign = np.where((k * ns) % 2, -1.0, 1.0)
-        big = n1 * mu
-        bb, mm = big * big, mu * mu
-        num = 1.0 + bb * (1.0 / 6.0 + bb * (1.0 / 120.0 + bb / 5040.0))
-        dnum = n1 * big * (1.0 / 3.0 + bb * (1.0 / 30.0 + bb / 840.0))
-        den = 1.0 + mm * (1.0 / 6.0 + mm * (1.0 / 120.0 + mm / 5040.0))
-        dden = mu * (1.0 / 3.0 + mm * (1.0 / 30.0 + mm / 840.0))
-        p = sign * num / den
-        d = sign * (dnum * den - num * dden) / (den * den)
-    return (complex(p[0]), complex(d[0])) if np.ndim(n) == 0 else (p, d)
+    top = int(ns.max(initial=0))
+    u, du = _p_and_dp(np.array([[0.5] * top, [0.0] * top, [0.5] * top]),
+                      cmath.cosh(lam))
+    z = u[ns] if scale is None else _cmul(scale, du[ns])
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = z.real / (ns + 1), z.imag / (ns + 1)
+    return complex(out[0]) if np.ndim(n) == 0 else out
 
 
 def phi(n, lam):
     """phi(n, lam) at one element or at an integer array of elements."""
-    return _phi_dphi(n, lam)[0]
+    return _scaled(n, lam)
 
 
 def dphi(n, lam):
     """The lambda-derivative of phi(n, .) at lam, taking n as phi does."""
-    return _phi_dphi(n, lam)[1]
+    return _scaled(n, lam, cmath.sinh(lam))
 
 
 def phi_fn(n_max, lam):
@@ -98,14 +89,13 @@ def additive_fn(c):
 
 
 def sine_fn(n_max, lam):
-    """A non-zero phi(., lam)-sine function for n = 0..n_max: dphi, except
-    where it vanishes identically (|sinh lam| < SMALL_SINH_TOL, lam near
-    i k pi); there (-1)^(k n) n (n+2), the additive n (n+2) at lam = 0."""
-    lam, ns = complex(lam), np.arange(n_max + 1)
-    if abs(cmath.sinh(lam)) >= SMALL_SINH_TOL:
-        return TabulatedFunction(dphi(ns, lam))
-    k = round(lam.imag / math.pi)
-    return TabulatedFunction((-1.0) ** (k * ns) * ns * (ns + 2))
+    """A non-zero phi(., lam)-sine function on 0..n_max: scale U_n'(cosh lam)
+    / (n+1), scale = sinh lam (dphi) or, where |sinh lam| < SMALL_SINH_TOL,
+    3 cosh lam, which makes it (-1)^(k n) n (n+2) at lam = i k pi."""
+    s = cmath.sinh(lam)
+    scale = s if abs(s) >= SMALL_SINH_TOL else 3 * cmath.cosh(lam)
+    # + 0.0 turns f(0) = scale * 0 into 0 where it is -0 (Re scale < 0)
+    return TabulatedFunction(_scaled(np.arange(n_max + 1), lam, scale) + 0.0)
 
 
 def propagate_sine(lam, f1, n_max):

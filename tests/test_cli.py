@@ -261,6 +261,17 @@ def test_su2_at_zeros_of_sinh_checks_a_non_zero_sine(lam, tmp_path):
     assert (f.values[1:] != 0).all()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--lambda", "9e-7", "--n-max", "100"],
+    ["--lambda=5e-7,3.141592653589793", "--n-max", "160"],
+    ["--lambda=2e-6,3.141592653589793"]])
+def test_su2_near_zeros_of_sinh_passes(argv, tmp_path):
+    # close to i k pi every su2 row still checks a true identity
+    out = tmp_path / "su2.json"
+    assert run(["verify", "su2", *argv, "--out", str(out)]) == 0
+    assert all(row["pass"] for row in json.loads(out.read_text())["checks"])
+
+
 def test_tabulate_su2_at_i_pi_prints_a_non_zero_sine(capsys):
     # at lam = i pi the derivative of phi vanishes identically; the sine
     # column must show c (-1)^n n (n+2), and the residual must stay small

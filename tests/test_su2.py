@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hypersine import dual, su2
+from hypersine import su2
 from hypersine.core import _propagate, exp_residual, sine_residual
 from hypersine.polyhg import (PolynomialHypergroup, exp_fn, exp_values,
                               recurrence_from_lists, sine_values)
+from hypersine.suites import SuiteConfig, run_suite
 
 
 def _phi_mp(n, lam):
@@ -132,12 +133,6 @@ def test_propagation_needs_enough_terms():
             su2.propagate_sine(0.5, 1.0, n_max)
 
 
-def _dphi_dual(n, lam):
-    """The dual-number route: derivative of the sinh quotient."""
-    return dual.derivative(
-        lambda t: dual.sinh((n + 1) * t) / ((n + 1) * dual.sinh(t)), lam)
-
-
 def _dphi_mp(n, lam):
     with mp.workdps(50):
         return complex(mp.diff(
@@ -148,14 +143,25 @@ def _dphi_mp(n, lam):
 _ELEMENTS = np.arange(81)
 
 
+def _dphi_closed_mp(ns, lam):
+    """50-digit reference from the closed form of the derivative,
+    (cosh((n+1) lam) - phi(n, lam) cosh lam) / sinh lam."""
+    with mp.workdps(50):
+        z = mp.mpc(lam)
+        s, c = mp.sinh(z), mp.cosh(z)
+        return np.array([complex(
+            (mp.cosh(n1 * z) - mp.sinh(n1 * z) / (n1 * s) * c) / s)
+            for n1 in (int(n) + 1 for n in ns)])
+
+
 @given(re=st.floats(-3.0, 3.0), im=st.floats(-10.0, 10.0),
        n=st.integers(0, 80))
 @settings(max_examples=60)
-def test_closed_form_dphi_matches_dual_numbers(re, im, n):
+def test_dphi_matches_high_precision_closed_form(re, im, n):
     lam = complex(re, im)
     assume(abs(lam - 1j * math.pi * round(im / math.pi)) >= 1e-2)
     got = su2.dphi(_ELEMENTS, lam)
-    ref = np.array([_dphi_dual(int(m), lam) for m in _ELEMENTS])
+    ref = _dphi_closed_mp(_ELEMENTS, lam)
     assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
     # one element is the matching entry of the array call, bit for bit
     assert su2.dphi(n, lam) == got[n]
@@ -165,12 +171,31 @@ def test_closed_form_dphi_matches_dual_numbers(re, im, n):
 @given(k=st.sampled_from([0, 1, 2]), r=st.floats(1e-8, 1e-7),
        angle=st.floats(0.0, 2.0 * math.pi), n=st.integers(0, 80))
 @settings(max_examples=40)
-def test_series_dphi_near_zeros_of_sinh_matches_mpmath(k, r, angle, n):
+def test_dphi_near_zeros_of_sinh_matches_mpmath(k, r, angle, n):
     lam = 1j * math.pi * k + r * complex(math.cos(angle), math.sin(angle))
     want = _dphi_mp(n, lam)
     got = su2.dphi(n, lam)
     assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
     assert got == su2.dphi(_ELEMENTS, lam)[n]
+
+
+def test_phi_is_exact_at_zeros_of_sinh():
+    # U_n(1) = n + 1 and U_n(-1) = (-1)^n (n + 1) are exact integers
+    ns = np.arange(81)
+    for lam, want in ((0.0, 1.0), (1j * math.pi, (-1.0) ** ns),
+                      (2j * math.pi, 1.0)):
+        assert (su2.phi(ns, lam) == want).all()
+
+
+@given(k=st.sampled_from([0, 1, 2]), r=st.floats(1e-9, 1e-1),
+       angle=st.floats(0.0, 2.0 * math.pi))
+@settings(max_examples=25)
+def test_su2_suite_passes_near_zeros_of_sinh(k, r, angle):
+    # every row checks a true identity there, so none may fail, however
+    # close lam comes to a zero of sinh
+    lam = 1j * math.pi * k + r * complex(math.cos(angle), math.sin(angle))
+    rep = run_suite("su2", SuiteConfig(lambdas=(lam,), n_max=40))
+    assert [c.name for c in rep.checks if not c.passed] == []
 
 
 def test_negative_elements_are_rejected():
@@ -203,7 +228,8 @@ def test_su2_weights_are_the_linearization_of_u():
             assert ph.convolve(n, k).allclose(hg.convolve(n, k), tol=1e-15)
 
 
-@pytest.mark.parametrize("lam", [0.3, 0.5 + 0.2j, 1.0, 1j * math.pi])
+@pytest.mark.parametrize("lam", [0.3, 0.5 + 0.2j, 1.0, 1j * math.pi,
+                                 2e-6 + 1j * math.pi])
 def test_su2_functions_are_u_at_cosh(lam):
     # phi(n, lam) = P_n(cosh lam), dphi by the chain rule
     # d/dlam P_n(cosh lam) = sinh(lam) P_n'(cosh lam), and the propagation

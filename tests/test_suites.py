@@ -23,6 +23,15 @@ def test_config_validation():
         SuiteConfig(h=-1.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("tol", math.nan), ("lambdas", (0.3, complex(0.5, math.nan))),
+    ("x_max", math.inf), ("h", math.nan), ("thetas", (0.1, math.inf)),
+    ("alpha", math.nan), ("n_max", -1)])
+def test_config_rejects_non_finite_values_and_negative_n_max(name, value):
+    with pytest.raises(ValueError, match=name):
+        SuiteConfig(**{name: value})
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("bogus")
