@@ -426,15 +426,14 @@ def exp_residual(hg, m, pairs):
     return _scan(*_errors(hg, [(None, m)], pairs)[0], pairs)
 
 
-def _powers(hg, y, n_max, cap):
-    """Convolution powers 1..n_max of the point mass at y, one at a time."""
-    mu = FiniteMeasure.point(y)
-    yield mu
-    for n in range(2, n_max + 1):
+def _powers(hg, x, y, n_max, cap):
+    """d_x * d_y^n for n = 1..n_max, each the one before convolved by y."""
+    mu = FiniteMeasure.point(x)
+    for n in range(1, n_max + 1):
         mu = mix((w, hg.convolve(el, y)) for el, w in mu)
         if len(mu) > cap:
             raise SupportCapError(
-                f"support grew past cap {cap} while raising {y!r} to power {n}")
+                f"support grew past cap {cap} while forming {x!r} * {y!r}^{n}")
         yield mu
 
 
@@ -442,7 +441,8 @@ def convolve_power(hg, y, n, cap=DEFAULT_SUPPORT_CAP):
     """n-th convolution power of the point mass at y (n >= 1)."""
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n!r}")
-    for mu in _powers(hg, y, n, cap):
+    mu = FiniteMeasure.point(y)
+    for mu in _powers(hg, y, y, n - 1, cap):
         pass
     return mu
 
@@ -455,11 +455,8 @@ def power_identity_check(hg, f, m, x, y, n_max, cap=DEFAULT_SUPPORT_CAP):
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     my, mx, fx, fy = m(y), m(x), f(x), f(y)
-    rows = []
-    for n, mu in enumerate(_powers(hg, y, n_max, cap), start=1):
-        shifted = mix((w, hg.convolve(x, el)) for el, w in mu)
-        rows.append((integrate(f, shifted), fx * my ** n,
-                     n * fy * mx * my ** (n - 1)))
+    rows = [(integrate(f, mu), fx * my ** n, n * fy * mx * my ** (n - 1))
+            for n, mu in enumerate(_powers(hg, x, y, n_max, cap), start=1)]
     lhs, t1, t2 = (np.array(col) for col in zip(*rows))
     return _scan(*_residual(lhs, [t1, t2]), range(1, n_max + 1))
 

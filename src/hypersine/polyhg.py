@@ -42,16 +42,16 @@ class ThreeTermRecurrence:
 
     def _validate(self):
         top = 64 if self.max_order is None else self.max_order
-        if float(self.a(0)) <= 0:
+        if not float(self.a(0)) > 0:
             raise NotHypergroupError(f"a_0 = {self.a(0)} must be positive")
-        if abs(float(self.a(0)) + float(self.b(0)) - 1.0) > 1e-12:
+        if not abs(float(self.a(0)) + float(self.b(0)) - 1.0) <= 1e-12:
             raise NotHypergroupError("a_0 + b_0 must equal 1")
         for n in range(1, top + 1):
             an, bn, cn = float(self.a(n)), float(self.b(n)), float(self.c(n))
-            if an <= 0 or cn <= 0:
+            if not (an > 0 and cn > 0):
                 raise NotHypergroupError(
                     f"a_{n} and c_{n} must be positive, got {an}, {cn}")
-            if abs(an + bn + cn - 1.0) > 1e-12:
+            if not abs(an + bn + cn - 1.0) <= 1e-12:
                 raise NotHypergroupError(
                     f"a_{n} + b_{n} + c_{n} must equal 1, got {an + bn + cn}")
 

@@ -60,7 +60,10 @@ def _scaled(n, lam, scale=None):
     top = int(ns.max(initial=0))
     u, du = _p_and_dp(np.array([[0.5] * top, [0.0] * top, [0.5] * top]),
                       cmath.cosh(lam))
-    z = u[ns] if scale is None else _cmul(scale, du[ns])
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = u[ns] if scale is None else _cmul(scale, du[ns])
+    if not np.isfinite(z).all():
+        raise OverflowError(f"su2 table overflows at lambda = {lam!r}")
     out = np.empty(z.shape, dtype=complex)
     out.real, out.imag = z.real / (ns + 1), z.imag / (ns + 1)
     return complex(out[0]) if np.ndim(n) == 0 else out

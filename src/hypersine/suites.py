@@ -234,13 +234,11 @@ def run_polyone(cfg):
     for rec in ([recurrence_from_file(cfg.rec_file)] if cfg.rec_file
                 else [chebyshev_recurrence(), legendre_recurrence()]):
         name = rec.name or "custom"
-        ph = PolynomialHypergroup(rec)
-        ph.build_table(n_max)
         cases = [(f":lam={_fmt_lam(lam)}",
                   sine_fn(rec, 1.0, lam, n_max=2 * n_max),
                   exp_fn(rec, lam, n_max=2 * n_max)) for lam in lambdas]
-        checks += _equation_checks(ph, pairs, f"polyone:{name}", cases, 1e-9,
-                                   1e-9)
+        checks += _equation_checks(PolynomialHypergroup(rec), pairs,
+                                   f"polyone:{name}", cases, 1e-9, 1e-9)
         ok, worst, draws = True, None, 10
         for _ in range(draws):
             lam = complex(rng.uniform(-1.25, 1.25), rng.uniform(-0.5, 0.5))
@@ -271,9 +269,10 @@ def run_su2(cfg):
     hg = su2.Su2Hypergroup()
     upper = [(k, n) for k in range(101) for n in range(k, 101)]
     # one batch per k keeps the padding small (a row has k + 1 weights);
-    # sum() over the columns adds left to right, as over one measure
-    sums = np.concatenate([sum(hg.convolve_many(
-        np.full(101 - k, k), np.arange(k, 101))[1].T) for k in range(101)])
+    # cumsum adds left to right, as over one measure (copy: free the rest)
+    sums = np.concatenate([np.cumsum(hg.convolve_many(
+        np.full(101 - k, k), np.arange(k, 101))[1], axis=1)[:, -1].copy()
+        for k in range(101)])
     checks.append(_row("su2:weight-sums", _scan(*_residual(sums - 1.0, []),
                                                 upper), 1e-12, "abs"))
     mu = hg.convolve(1, 1)

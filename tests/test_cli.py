@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -115,6 +116,28 @@ def test_overflowing_lambda_prints_only_the_error_line(capsys):
     assert [str(w.message) for w in caught] == []
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: solution magnitude")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "su2", "--lambda", "9"],
+    ["tabulate", "--family", "su2", "--lambda", "9", "--n-max", "60"]])
+def test_su2_table_leaving_the_float_range_is_config_error(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: su2 table overflows at lambda")
+
+
+def test_rec_file_with_nan_coefficient_is_config_error(tmp_path, capsys):
+    a, b, c = [1.0] + [0.5] * 32, [0.0] * 33, [0.0] + [0.5] * 32
+    b[15] = math.nan
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({"name": "nan-b15", "a": a, "b": b, "c": c}))
+    assert run(["verify", "polyone", "--rec-file", str(path),
+                "--n-max", "5"]) == 2
+    assert "b_15" in capsys.readouterr().err
 
 
 def test_tabulate_chebyshev_sine_column(capsys):

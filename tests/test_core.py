@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hypersine.core import (EvaluationError, FiniteMeasure, Hypergroup,
-                            NotHypergroupError, SupportCapError,
-                            TabulatedFunction, _propagate,
-                            compact_vanishing_check, convolve_power,
-                            dump_finite_hypergroup, exp_residual,
-                            exponentials, integrate, load_finite_hypergroup,
-                            mix, power_identity_check,
-                            s3_conjugacy_hypergroup, sine_residual,
-                            sine_space, two_point_hypergroup)
+from hypersine.core import (DEFAULT_SUPPORT_CAP, EvaluationError,
+                            FiniteMeasure, Hypergroup, NotHypergroupError,
+                            SupportCapError, TabulatedFunction, _powers,
+                            _propagate, compact_vanishing_check,
+                            convolve_power, dump_finite_hypergroup,
+                            exp_residual, exponentials, integrate,
+                            load_finite_hypergroup, mix,
+                            power_identity_check, s3_conjugacy_hypergroup,
+                            sine_residual, sine_space, two_point_hypergroup)
+from hypersine.coset import CosetHypergroup
+from hypersine.polyhg import (PolynomialHypergroup, chebyshev_recurrence,
+                              legendre_recurrence)
 
 
 def test_point_mass_and_merge():
@@ -247,6 +250,34 @@ def test_convolution_powers_respect_support_cap():
         convolve_power(hg, 1, 2, cap=1)
     with pytest.raises(SupportCapError):
         power_identity_check(hg, zero, m, 0, 1, 2, cap=1)
+
+
+@pytest.mark.parametrize("hg, x, y", [
+    (CosetHypergroup(), (2.0, 1.5), (0.5, 3.0)),
+    (PolynomialHypergroup(legendre_recurrence()), 3, 2)])
+def test_power_chain_is_x_times_the_power_of_y(hg, x, y):
+    *_, chain = _powers(hg, x, y, 3, DEFAULT_SUPPORT_CAP)
+    cube = convolve_power(hg, y, 3)
+    assert chain.allclose(mix((w, hg.convolve(x, el)) for el, w in cube),
+                          tol=1e-12)
+    if not hg.commutative:   # x stays on the left: y^3 * x is another measure
+        right = mix((w, hg.convolve(el, x)) for el, w in cube)
+        assert integrate(lambda el: el[1], chain) != pytest.approx(
+            integrate(lambda el: el[1], right))
+
+
+@pytest.mark.parametrize("hg, x, y, calls", [
+    (two_point_hypergroup(0.25), 0, 1, 14),
+    (PolynomialHypergroup(chebyshev_recurrence()), 1, 2, 36)])
+def test_power_identity_convolves_each_power_once(hg, x, y, calls,
+                                                  monkeypatch):
+    # the compact suite's power rows: one convolution by y per element of
+    # the support of x * y^(n-1), n = 1..8, and no second pass against x
+    seen, convolve = [], hg.convolve
+    monkeypatch.setattr(hg, "convolve",
+                        lambda *args: seen.append(args) or convolve(*args))
+    power_identity_check(hg, lambda el: 0.0, lambda el: 1.0, x, y, 8)
+    assert len(seen) == calls
 
 
 def test_non_finite_residual_fails_with_first_witness():

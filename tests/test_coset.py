@@ -8,7 +8,8 @@ from hypersine.coset import (CosetHypergroup, conjugate_by,
                              falsify_dalembert_alpha, falsify_square_term,
                              group_inv, group_mul, group_sine_check,
                              square_norm_check)
-from hypersine.core import exp_residual, integrate, sine_residual
+from hypersine.core import (exp_residual, integrate, power_identity_check,
+                            sine_residual)
 
 # dyadic rationals make every group operation exact in floating point
 dyadic = st.integers(min_value=-64, max_value=64).map(lambda n: n / 8.0)
@@ -83,6 +84,13 @@ def test_exponential_and_sine_residuals():
         f = coset_sine(2.0, lam)
         assert exp_residual(hg, m, pairs).max_rel <= 1e-14
         assert sine_residual(hg, f, m, pairs).max_rel <= 1e-13
+
+
+def test_power_identity_holds_on_the_non_commutative_cosets():
+    rep = power_identity_check(CosetHypergroup(), coset_sine(1, 0.7),
+                               coset_exponential(0.7), (2.0, 1.5),
+                               (0.5, 3.0), 6)
+    assert rep.samples == 6 and rep.max_rel <= 1e-14
 
 
 def test_sine_values_are_c_m_log():

@@ -1,0 +1,35 @@
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_diff", Path(__file__).parents[1] / "tools" / "golden_diff.py")
+golden_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_diff)
+
+
+def _report(rows, wall_time=0.5, passed=True):
+    return {"checks": [dict(zip(("suite", "max_abs", "pass"), row))
+                       for row in rows],
+            "pass": passed, "suite": "compact", "wall_time": wall_time}
+
+
+def test_differences_ignore_wall_time_and_name_each_changed_field():
+    base = _report([("a", 0.0, True), ("b", 1e-16, True)])
+    assert golden_diff.differences(base, _report(
+        [("a", 0.0, True), ("b", 1e-16, True)], wall_time=9.0)) == []
+    head = _report([("a", -0.0, True), ("b", 2.0, False), ("c", 0.0, True)],
+                   passed=False)
+    assert golden_diff.differences(base, head) == [
+        "a max_abs 0.0 -> -0.0",
+        "b max_abs 1e-16 -> 2.0",
+        "b pass true -> false",
+        'c max_abs <missing> -> 0.0',
+        "c pass <missing> -> true",
+        'c suite <missing> -> "c"',
+        "report pass true -> false"]
+
+
+def test_differences_see_a_reordered_report():
+    rows = [("a", 0.0, True), ("b", 1.0, True)]
+    assert golden_diff.differences(_report(rows), _report(rows[::-1])) == [
+        "report row-order differs"]

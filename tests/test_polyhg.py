@@ -122,6 +122,15 @@ def test_recurrence_validation():
         recurrence_from_lists(a, b, c, name="bad-sum-at-70")
 
 
+@pytest.mark.parametrize("coeff, n", [("a", 0), ("b", 1), ("c", 60)])
+def test_recurrence_rejects_nan_coefficients(coeff, n):
+    lists = {"a": [1.0] + [0.5] * 80, "b": [0.0] * 81,
+             "c": [0.0] + [0.5] * 80}
+    lists[coeff][n] = math.nan
+    with pytest.raises(NotHypergroupError, match=f"_{n} "):
+        recurrence_from_lists(lists["a"], lists["b"], lists["c"])
+
+
 def test_recurrence_file_round_trip(tmp_path):
     path = tmp_path / "rec.json"
     path.write_text(

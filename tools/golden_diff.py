@@ -1,0 +1,103 @@
+"""Compare the ``hypersine verify`` reports of two source trees.
+
+Usage: python tools/golden_diff.py BASE_SRC HEAD_SRC
+
+BASE_SRC and HEAD_SRC are the ``src`` directories of two checkouts.  Each
+golden configuration runs once per tree in a fresh interpreter with
+PYTHONPATH set to that tree.  ``wall_time`` is dropped; every other field
+must match byte for byte.  For each configuration the tool prints
+``identical``, or one line per differing row field: ``name field base ->
+head``.  The exit status is 0 only if every configuration is identical.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REC_FILE = "ultraspherical-0.7.json"
+CONFIGS = (
+    ("all", "--seed", "11"),
+    ("all", "--seed", "11", "--n-max", "10", "--samples", "3", "--xmax",
+     "0.3", "--h", "2e-3"),
+    ("coset", "--samples", "4000", "--seed", "1"),
+    ("su2", "--seed", "4"),
+    ("sturm", "--seed", "4"),
+    ("su2", "--lambda", "0,3.141592653589793", "--n-max", "12"),
+    ("polyone", "--rec-file", REC_FILE, "--n-max", "32"),
+)
+
+
+def ultraspherical():
+    """Recurrence spec of the ultraspherical polynomials with alpha = 0.7,
+    degrees 0..64."""
+    alpha, ns = 0.7, range(65)
+    return {"name": "ultraspherical-0.7",
+            "a": [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1) for n in ns],
+            "b": [0.0] * len(ns),
+            "c": [n / (2 * n + 2 * alpha + 1) for n in ns]}
+
+
+def run_verify(src, argv, cwd):
+    """(exit code, parsed report) of ``hypersine verify argv`` on src."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypersine", "verify", *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(Path(src).resolve())),
+        capture_output=True, text=True, check=False)
+    return proc.returncode, json.loads(proc.stdout) if proc.stdout else {}
+
+
+def differences(base, head):
+    """Lines ``name field base -> head`` for each field that differs between
+    two reports: per row (keyed by its ``suite`` name), then the row order
+    and the top-level keys.  ``wall_time`` is ignored; values are compared
+    as their JSON text, so 0.0 and -0.0 differ and NaN equals NaN."""
+    def text(obj, key):
+        return json.dumps(obj[key]) if key in obj else "<missing>"
+
+    rows = [{row["suite"]: row for row in rep.get("checks", [])}
+            for rep in (base, head)]
+    names = list(rows[0]) + [n for n in rows[1] if n not in rows[0]]
+    lines = []
+    for name in names:
+        b, h = (r.get(name, {}) for r in rows)
+        lines += [f"{name} {field} {text(b, field)} -> {text(h, field)}"
+                  for field in sorted(set(b) | set(h))
+                  if text(b, field) != text(h, field)]
+    if not lines and list(rows[0]) != list(rows[1]):
+        lines.append("report row-order differs")
+    lines += [f"report {key} {text(base, key)} -> {text(head, key)}"
+              for key in sorted((set(base) | set(head)) - {"checks",
+                                                          "wall_time"})
+              if text(base, key) != text(head, key)]
+    return lines
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    same = True
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, REC_FILE).write_text(json.dumps(ultraspherical()))
+        for config in CONFIGS:
+            (b_code, b_rep), (h_code, h_rep) = (run_verify(src, config, tmp)
+                                                for src in argv)
+            lines = differences(b_rep, h_rep)
+            if b_code != h_code:
+                lines.insert(0, f"exit code {b_code} -> {h_code}")
+            print(f"verify {' '.join(config)}: "
+                  f"{'identical' if not lines else 'DIFFERS'}")
+            for line in lines:
+                print(f"  {line}")
+            same = same and not lines
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
