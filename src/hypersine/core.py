@@ -51,12 +51,12 @@ class FiniteMeasure:
         for el, w in pairs:
             acc[el] = acc.get(el, 0.0) + float(w)
         for el, w in acc.items():
-            if w < -tol:
+            if not w >= -tol:   # NaN fails too
                 raise NotHypergroupError(
-                    f"negative weight {w!r} at element {el!r}")
+                    f"weight {w!r} at element {el!r} is not >= {-tol!r}")
         if normalized:
             total = sum(acc.values())
-            if abs(total - 1.0) > max(tol, tol * len(acc)):
+            if not abs(total - 1.0) <= max(tol, tol * len(acc)):
                 raise NotHypergroupError(
                     f"weights sum to {total!r}, expected 1")
         self._elements = tuple(acc.keys())
@@ -136,11 +136,14 @@ class TabulatedFunction:
         self.values = np.asarray(values)
 
     def __call__(self, n):
-        idx = np.asarray(n).astype(int)
-        bad = (idx < 0) | (idx >= len(self.values))
+        el = np.asarray(n)
+        bad = (el < 0) | (el >= len(self.values))
+        if el.dtype.kind not in "iu":   # 1.5 and NaN are no elements either
+            bad |= np.floor(el) != el
         if bad.any():
-            el = n if idx.ndim == 0 else np.asarray(n)[bad].tolist()[0]
+            el = n if el.ndim == 0 else el[bad].tolist()[0]
             raise IndexError(f"element {el!r} outside tabulated range")
+        idx = el.astype(int)
         return complex(self.values[idx]) if idx.ndim == 0 else self.values[idx]
 
     def __len__(self):
@@ -427,10 +430,14 @@ def exp_residual(hg, m, pairs):
 
 
 def _powers(hg, x, y, n_max, cap):
-    """d_x * d_y^n for n = 1..n_max, each the one before convolved by y."""
+    """d_x * d_y^n for n = 1..n_max, one ``convolve_many`` call per power."""
     mu = FiniteMeasure.point(x)
     for n in range(1, n_max + 1):
-        mu = mix((w, hg.convolve(el, y)) for el, w in mu)
+        support, weights = hg.convolve_many(
+            *_pair_batch([(el, y) for el in mu.support]))
+        i, j = np.nonzero(weights)   # row by row; a NaN weight is kept
+        mu = FiniteMeasure(zip([_element(support, ij) for ij in zip(i, j)],
+                               np.array(mu.weights)[i] * weights[i, j]))
         if len(mu) > cap:
             raise SupportCapError(
                 f"support grew past cap {cap} while forming {x!r} * {y!r}^{n}")

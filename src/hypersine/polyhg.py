@@ -94,9 +94,10 @@ def legendre_recurrence():
 
 def recurrence_from_lists(a, b, c, name=""):
     """Recurrence from finite coefficient lists indexed by n."""
-    order = min(len(a), len(b), len(c)) - 1
-    if order < 1:
-        raise ValueError("coefficient lists must cover n = 0 and n = 1")
+    if not 2 <= len(a) == len(b) == len(c):
+        raise ValueError(f"coefficient lists must cover n = 0 and n = 1 and "
+                         f"be equally long, got {len(a)}, {len(b)}, {len(c)}")
+    order = len(a) - 1
     av, bv, cv = list(map(float, a)), list(map(float, b)), list(map(float, c))
     return ThreeTermRecurrence(
         a=lambda n: av[n], b=lambda n: bv[n], c=lambda n: cv[n],
@@ -191,7 +192,7 @@ def _linearize_step(cur, prev, m, a, b, c):
 
 def linearize(rec, n, k, exact=False):
     """Convolution measure of degrees n and k: the coefficients of
-    P_n * P_k = sum_l w_l P_l, read from a ``PolynomialHypergroup`` table.
+    P_n * P_k = sum_l w_l P_l, from ``PolynomialHypergroup.convolve``.
 
     With ``exact=True`` the reduction runs in rational arithmetic instead,
     as an oracle for n + k <= 32.  A coefficient below -1e-10 means the
@@ -234,51 +235,46 @@ def _linearize_exact(rec, n, k):
 
 
 class PolynomialHypergroup(Hypergroup):
-    """Hypergroup on degrees with convolution given by linearization: one
-    table G[m, k, l], the coefficient of P_l in P_m P_k (zero below
-    DROP_COEFF_TOL), stored for m <= k only and read at (min, max); it
-    grows to the largest row m and column k asked for."""
+    """Hypergroup on degrees with convolution given by linearization: the
+    weight of l in n * k is the coefficient of P_l in P_n P_k, zero below
+    DROP_COEFF_TOL.  Nothing is stored between calls."""
 
     def __init__(self, rec):
         self.rec = rec
         self.identity = 0
         self.commutative = True
-        self.table = np.zeros((0, 0, 0))
 
     def convolve_many(self, ns, ks):
+        """Rows read at (min, max) of each pair from one block reduction over
+        the columns k = k_min..k_max spanned by the larger degrees: at step m
+        the rows hold P_m * P_k for k >= max(m, k_min).  Needs the recurrence
+        up to degree max(min) + max(max); the first (m, k) with a weight
+        below -NEGATIVE_COEFF_TOL raises NotHypergroupError."""
         _reject((ns < 0) | (ks < 0), "degrees must be >= 0", ns, ks)
         lo, hi = np.minimum(ns, ks), np.maximum(ns, ks)
-        self.build_table(int(lo.max()), int(hi.max()))
-        return _compact(self.table[lo, hi])
-
-    def convolve(self, n, k):
-        return super().convolve(n, k, tol=NEGATIVE_COEFF_TOL)
-
-    def build_table(self, m_max, k_max=None):
-        """Grow the table to the rows m <= m_max and columns k <= k_max
-        (default m_max), at least as far as it reached, in one block
-        reduction: at step m the rows hold P_m * P_k for k = m..k_max.
-        Needs the recurrence up to degree m_max + k_max; the first (m, k)
-        with a weight below -NEGATIVE_COEFF_TOL raises NotHypergroupError."""
-        k_max = max(m_max if k_max is None else k_max,
-                    self.table.shape[1] - 1)
-        m_max = max(m_max, len(self.table) - 1)
-        if self.table.shape[:2] == (m_max + 1, k_max + 1):
-            return
+        m_max, k_min, k_max = int(lo.max()), int(hi.min()), int(hi.max())
         coeffs = self.rec._float_coeffs(m_max + k_max)
-        table = np.zeros((m_max + 1, k_max + 1, m_max + k_max + 1))
-        cur, prev = np.eye(k_max + 1), np.zeros((k_max + 1, k_max))
+        table = np.zeros((m_max + 1, k_max - k_min + 1, m_max + k_max + 1))
+        cur = np.eye(k_max - k_min + 1, k_max + 1, k_min)   # P_k, k >= k_min
+        prev = np.zeros((len(cur), k_max))
         for m in range(m_max + 1):
             if m:
-                cur, prev = _linearize_step(cur[1:], prev[1:], m - 1, *coeffs)
-            table[m, m:, :cur.shape[1]] = cur
+                drop = int(m > k_min)   # column m - 1 is no longer read
+                cur, prev = _linearize_step(cur[drop:], prev[drop:], m - 1,
+                                            *coeffs)
+            table[m, -len(cur):, :cur.shape[1]] = cur
         bad = np.argwhere(table.min(axis=-1) < -NEGATIVE_COEFF_TOL)
         if len(bad):
             m, k = bad[0]
             raise NotHypergroupError(f"negative linearization coefficient "
-                                     f"{table[m, k].min():g} at ({m}, {k})")
-        table[np.abs(table) <= DROP_COEFF_TOL] = 0.0
-        self.table = table
+                                     f"{table[m, k].min():g} at "
+                                     f"({m}, {k + k_min})")
+        rows = table[lo, hi - k_min]
+        rows[np.abs(rows) <= DROP_COEFF_TOL] = 0.0
+        return _compact(rows)
+
+    def convolve(self, n, k):
+        return super().convolve(n, k, tol=NEGATIVE_COEFF_TOL)
 
 
 def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):

@@ -41,7 +41,6 @@ def test_criterion_1_polynomial_sine_sufficiency():
     pairs = [(n, k) for n in range(65) for k in range(65)]
     for rec in (chebyshev_recurrence(), legendre_recurrence()):
         hg = PolynomialHypergroup(rec)
-        hg.build_table(64)
         for lam in LAMBDAS_POLY:
             m = exp_fn(rec, lam, n_max=130)
             f = sine_fn(rec, 1.0, lam, n_max=130)

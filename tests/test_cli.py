@@ -130,6 +130,16 @@ def test_su2_table_leaving_the_float_range_is_config_error(argv, capsys):
     assert err.startswith("error: su2 table overflows at lambda")
 
 
+def test_rec_file_with_a_short_list_is_config_error(tmp_path, capsys):
+    a, c = [1.0] + [0.5] * 32, [0.0] + [0.5] * 32
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({"name": "short-b", "a": a, "b": [0.0] * 20,
+                                "c": c}))
+    assert run(["verify", "polyone", "--rec-file", str(path),
+                "--n-max", "5"]) == 2
+    assert "got 33, 20, 33" in capsys.readouterr().err
+
+
 def test_rec_file_with_nan_coefficient_is_config_error(tmp_path, capsys):
     a, b, c = [1.0] + [0.5] * 32, [0.0] * 33, [0.0] + [0.5] * 32
     b[15] = math.nan

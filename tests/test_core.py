@@ -36,12 +36,47 @@ def test_measure_rejects_bad_weights():
     assert abs(mu.weight(1)) <= 1e-14
 
 
+@pytest.mark.parametrize("normalized", [True, False])
+def test_nan_weight_is_rejected(normalized):
+    for pairs in ([(0, math.nan), (1, 1.0)], [(0, math.nan)]):
+        with pytest.raises(NotHypergroupError, match="nan at element 0"):
+            FiniteMeasure(pairs, normalized=normalized)
+    with pytest.raises(NotHypergroupError, match="nan at element 0"):
+        mix([(math.nan, FiniteMeasure.point(0))], normalized=normalized)
+
+
+class _NanHypergroup(Hypergroup):
+    """x * y = d_(x+y) with weight NaN on every pair but (0, 0)."""
+
+    def convolve_many(self, xs, ys):
+        return ((xs + ys)[:, None],
+                np.where((xs + ys) == 0, 1.0, math.nan)[:, None])
+
+
+def test_nan_convolution_weight_is_rejected():
+    hg = _NanHypergroup()
+    with pytest.raises(NotHypergroupError, match="nan at element 2"):
+        hg.convolve(1, 1)
+    with pytest.raises(NotHypergroupError, match="nan at element 2"):
+        convolve_power(hg, 1, 2)
+
+
 def test_integrate_reports_offending_element():
     mu = FiniteMeasure([(0, 0.5), (5, 0.5)])
     f = TabulatedFunction([1.0, 2.0])
     with pytest.raises(EvaluationError) as err:
         integrate(f, mu)
     assert "5" in str(err.value)
+    # a non-integer element is not truncated to a tabulated one
+    g = TabulatedFunction([1.0, 2.0, 3.0])
+    for el, name in ((1.7, "1.7"), (-0.5, "-0.5"), (np.array([0.9, 2.2]),
+                                                    "0.9"),
+                     (math.nan, "nan"), (np.array([1.0, math.nan]), "nan")):
+        with pytest.raises(IndexError, match=f"element {name} outside"):
+            g(el)
+    assert g(np.array([0.0, 2.0])).tolist() == [1.0, 3.0] and g(1.0) == 2.0
+    with pytest.raises(EvaluationError, match="1.5"):
+        integrate(g, FiniteMeasure([(1.5, 1.0)]))
 
 
 def test_mix():
@@ -266,18 +301,21 @@ def test_power_chain_is_x_times_the_power_of_y(hg, x, y):
             integrate(lambda el: el[1], right))
 
 
-@pytest.mark.parametrize("hg, x, y, calls", [
-    (two_point_hypergroup(0.25), 0, 1, 14),
-    (PolynomialHypergroup(chebyshev_recurrence()), 1, 2, 36)])
-def test_power_identity_convolves_each_power_once(hg, x, y, calls,
+@pytest.mark.parametrize("hg, x, y, sizes", [
+    (two_point_hypergroup(0.25), 0, 1, [1, 1, 2, 2, 2, 2, 2, 2]),
+    (PolynomialHypergroup(chebyshev_recurrence()), 1, 2, list(range(1, 9)))])
+def test_power_identity_convolves_each_power_once(hg, x, y, sizes,
                                                   monkeypatch):
-    # the compact suite's power rows: one convolution by y per element of
-    # the support of x * y^(n-1), n = 1..8, and no second pass against x
-    seen, convolve = [], hg.convolve
-    monkeypatch.setattr(hg, "convolve",
-                        lambda *args: seen.append(args) or convolve(*args))
+    # the compact suite's power rows: one convolve_many call per power
+    # n = 1..8, over the support of x * y^(n-1), and no pair-at-a-time
+    # convolution; 14 and 36 pairs in all
+    seen, convolve_many = [], hg.convolve_many
+    monkeypatch.setattr(hg, "convolve_many", lambda xs, ys: seen.append(
+        len(xs)) or convolve_many(xs, ys))
+    monkeypatch.setattr(hg, "convolve", lambda *args: pytest.fail(
+        f"convolve{args} called"))
     power_identity_check(hg, lambda el: 0.0, lambda el: 1.0, x, y, 8)
-    assert len(seen) == calls
+    assert seen == sizes
 
 
 def test_non_finite_residual_fails_with_first_witness():

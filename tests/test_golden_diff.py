@@ -29,6 +29,20 @@ def test_differences_ignore_wall_time_and_name_each_changed_field():
         "report pass true -> false"]
 
 
+def test_first_difference_names_exit_code_or_first_changed_line():
+    table = b"element,m\n0,1.0\n1,-0.5\n"
+    assert golden_diff.first_difference((0, table), (0, table)) is None
+    assert golden_diff.first_difference((0, table), (2, b"")) == (
+        "exit code 0 -> 2")
+    assert golden_diff.first_difference(
+        (0, table), (0, table.replace(b"-0.5", b"-0.25"))) == (
+        "line 3: '1,-0.5\\n' -> '1,-0.25\\n'")
+    assert golden_diff.first_difference((0, table), (0, table[:-1])) == (
+        "line 3: '1,-0.5\\n' -> '1,-0.5'")
+    assert golden_diff.first_difference((0, table), (0, table + b"2,0\n")) == (
+        "line 4: '<missing>' -> '2,0\\n'")
+
+
 def test_differences_see_a_reordered_report():
     rows = [("a", 0.0, True), ("b", 1.0, True)]
     assert golden_diff.differences(_report(rows), _report(rows[::-1])) == [

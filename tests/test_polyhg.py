@@ -1,10 +1,11 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypersine.core import (NotHypergroupError, TheoremViolationError,
                             sine_residual)
@@ -122,6 +123,13 @@ def test_recurrence_validation():
         recurrence_from_lists(a, b, c, name="bad-sum-at-70")
 
 
+def test_recurrence_rejects_lists_of_unequal_length():
+    # not cut to the shortest list: that would drop 36 a's and 36 c's
+    with pytest.raises(ValueError, match="got 41, 5, 41"):
+        recurrence_from_lists([1.0] + [0.5] * 40, [0.0] * 5,
+                              [0.0] + [0.5] * 40)
+
+
 @pytest.mark.parametrize("coeff, n", [("a", 0), ("b", 1), ("c", 60)])
 def test_recurrence_rejects_nan_coefficients(coeff, n):
     lists = {"a": [1.0] + [0.5] * 80, "b": [0.0] * 81,
@@ -190,8 +198,6 @@ def _ultraspherical(alpha, top):
 def test_ultraspherical_table_and_sines(alpha, n_max, re, im):
     rec = _ultraspherical(alpha, 2 * n_max)
     hg = PolynomialHypergroup(rec)
-    hg.build_table(n_max)
-    assert hg.table.shape == (n_max + 1, n_max + 1, 2 * n_max + 1)
     for m, k in itertools.combinations_with_replacement(range(n_max + 1), 2):
         mu = hg.convolve(m, k)
         assert mu.items() == linearize(rec, m, k).items()
@@ -210,15 +216,66 @@ def test_lone_convolution_grows_only_the_rows_it_reads():
     # one row of degree 0 against degrees up to 160, not a 161 x 161 block
     rec = legendre_recurrence()
     hg = PolynomialHypergroup(rec)
+    state = dict(vars(hg))
     assert hg.convolve(0, 160).items() == ((160, 1.0),)
-    assert hg.table.nbytes <= 1_000_000
-    # growing the rows keeps the columns already built
     assert hg.convolve(5, 3).allclose(linearize(rec, 3, 5, exact=True),
                                       tol=1e-12)
-    assert hg.table.shape[:2] == (4, 161)
+    assert vars(hg) == state   # nothing is kept between calls
 
 
-def test_build_table_names_the_negative_pair():
+def test_lone_square_convolution_reduces_one_column():
+    # one column k = 120 over the rows m = 0..120; a 121 x 121 block of
+    # columns would take 60 MB
+    tracemalloc.start()
+    try:
+        mu = linearize(legendre_recurrence(), 120, 120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
+    assert mu.support == tuple(range(0, 241, 2))
+    assert abs(sum(mu.weights) - 1.0) <= 1e-12
+
+
+def _batch_recurrence(family):
+    """Ultraspherical(alpha) to degree 24 for a float alpha, else the
+    named built-in."""
+    if isinstance(family, float):
+        return _ultraspherical(family, 24)
+    return {"chebyshev": chebyshev_recurrence,
+            "legendre": legendre_recurrence}[family]()
+
+
+# k_min > 0 whenever every pair has both degrees positive; repeated pairs
+# and single pairs are drawn as well
+@given(family=st.one_of(st.floats(min_value=-0.5, max_value=2.0),
+                        st.sampled_from(["chebyshev", "legendre"])),
+       pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                      min_size=1, max_size=12).flatmap(
+           lambda ps: st.lists(st.sampled_from(ps), min_size=1,
+                               max_size=2 * len(ps))))
+@settings(max_examples=60, deadline=None)
+@example(family="legendre", pairs=[(3, 5), (5, 3), (2, 7), (3, 5)])
+@example(family=0.7, pairs=[(12, 9)])
+def test_batch_rows_match_lone_pairs(family, pairs):
+    rec = _batch_recurrence(family)
+    hg = PolynomialHypergroup(rec)
+    ns, ks = (np.array(col) for col in zip(*pairs))
+    support, weights = hg.convolve_many(ns, ks)
+    for i, (n, k) in enumerate(pairs):
+        one_s, one_w = hg.convolve_many(np.array([n]), np.array([k]))
+        width = one_w.shape[1]
+        assert weights[i, :width].tobytes() == one_w[0].tobytes()
+        assert not weights[i, width:].any()
+        assert support[i, :width].tolist() == one_s[0].tolist()
+        exact = linearize(rec, n, k, exact=True)
+        got = {l: w for l, w in zip(support[i].tolist(), weights[i].tolist())
+               if w != 0}
+        assert all(abs(got.get(l, 0.0) - w) <= 1e-12 for l, w in exact)
+        assert all(exact.weight(l) != 0 for l in got)
+
+
+def test_convolve_names_the_negative_pair():
     # valid coefficients, but b_1 < b_0 puts weight (b_1 - b_0) / a_0 = -1
     # on P_1 in P_1 * P_1
     rec = recurrence_from_lists([0.5, 0.5, 0.5], [0.5, 0.0, 0.0],
@@ -228,7 +285,7 @@ def test_build_table_names_the_negative_pair():
     with pytest.raises(NotHypergroupError, match=r"at \(1, 1\)"):
         linearize(rec, 1, 1, exact=True)
     with pytest.raises(NotHypergroupError, match=r"-1 at \(1, 1\)"):
-        PolynomialHypergroup(rec).build_table(1)
+        PolynomialHypergroup(rec).convolve(1, 1)
     with pytest.raises(NotHypergroupError, match=r"-1 at \(1, 1\)"):
         reconstruct_sine(rec, 0.5, 1.0, 2)
 

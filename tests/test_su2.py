@@ -220,9 +220,8 @@ def _rel(got, want):
 
 def test_su2_weights_are_the_linearization_of_u():
     # two independent codes: the closed-form stride-two weights against the
-    # linearization table of U_n / (n + 1)
+    # linearization of U_n / (n + 1)
     ph, hg = PolynomialHypergroup(_u_recurrence(80)), su2.Su2Hypergroup()
-    ph.build_table(40)
     for n in range(41):
         for k in range(41):
             assert ph.convolve(n, k).allclose(hg.convolve(n, k), tol=1e-15)

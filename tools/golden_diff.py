@@ -1,17 +1,21 @@
-"""Compare the ``hypersine verify`` reports of two source trees.
+"""Compare the ``hypersine verify`` reports and ``hypersine tabulate``
+tables of two source trees.
 
 Usage: python tools/golden_diff.py BASE_SRC HEAD_SRC
 
 BASE_SRC and HEAD_SRC are the ``src`` directories of two checkouts.  Each
 golden configuration runs once per tree in a fresh interpreter with
-PYTHONPATH set to that tree.  ``wall_time`` is dropped; every other field
-must match byte for byte.  For each configuration the tool prints
+PYTHONPATH set to that tree.  For ``verify``, ``wall_time`` is dropped and
+every other field must match byte for byte; the tool prints
 ``identical``, or one line per differing row field: ``name field base ->
-head``.  The exit status is 0 only if every configuration is identical.
+head``.  For ``tabulate``, the exit code and the stdout bytes must match;
+the tool prints ``identical``, or the first differing line.  The exit
+status is 0 only if every configuration is identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -30,6 +34,16 @@ CONFIGS = (
     ("su2", "--lambda", "0,3.141592653589793", "--n-max", "12"),
     ("polyone", "--rec-file", REC_FILE, "--n-max", "32"),
 )
+TABULATE_CONFIGS = tuple(
+    ("--family", family) for family in
+    ("chebyshev", "legendre", "su2", "product", "coset", "sturm")) + (
+    ("--family", "chebyshev", "--lambda", "1,0.5", "--n-max", "12"),
+    ("--family", "legendre", "--lambda", "1.3", "--n-max", "20", "--c",
+     "0.3,0.7"),
+    ("--family", "product", "--n-max", "6", "--lambda", "0.4", "--format",
+     "json"),
+    ("--family", "su2", "--lambda", "0,3.141592653589793", "--c", "2"),
+)
 
 
 def ultraspherical():
@@ -42,13 +56,34 @@ def ultraspherical():
             "c": [n / (2 * n + 2 * alpha + 1) for n in ns]}
 
 
+def run(src, argv, cwd):
+    """(exit code, stdout bytes) of ``hypersine argv`` on src."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypersine", *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(Path(src).resolve())),
+        capture_output=True, check=False)
+    return proc.returncode, proc.stdout
+
+
 def run_verify(src, argv, cwd):
     """(exit code, parsed report) of ``hypersine verify argv`` on src."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypersine", "verify", *argv], cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=str(Path(src).resolve())),
-        capture_output=True, text=True, check=False)
-    return proc.returncode, json.loads(proc.stdout) if proc.stdout else {}
+    code, out = run(src, ["verify", *argv], cwd)
+    return code, json.loads(out) if out else {}
+
+
+def first_difference(base, head):
+    """None if two (exit code, stdout bytes) outputs are the same, else a
+    line naming the exit codes or the first stdout line that differs."""
+    if base[0] != head[0]:
+        return f"exit code {base[0]} -> {head[0]}"
+    lines = itertools.zip_longest(base[1].splitlines(keepends=True),
+                                  head[1].splitlines(keepends=True),
+                                  fillvalue=b"<missing>")
+    for number, (b, h) in enumerate(lines, 1):
+        if b != h:
+            return (f"line {number}: {b.decode(errors='replace')!r} -> "
+                    f"{h.decode(errors='replace')!r}")
+    return None
 
 
 def differences(base, head):
@@ -96,6 +131,14 @@ def main(argv=None):
             for line in lines:
                 print(f"  {line}")
             same = same and not lines
+        for config in TABULATE_CONFIGS:
+            line = first_difference(*(run(src, ["tabulate", *config], tmp)
+                                      for src in argv))
+            print(f"tabulate {' '.join(config)}: "
+                  f"{'identical' if line is None else 'DIFFERS'}")
+            if line is not None:
+                print(f"  {line}")
+            same = same and line is None
     return 0 if same else 1
 
 
