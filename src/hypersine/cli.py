@@ -59,28 +59,32 @@ def build_parser():
                     "built-in hypergroup families.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_finite(float),
-                        default=SuiteConfig.tol,
-                        help="probability-weight verification tolerance")
-    common.add_argument("--seed", type=int, default=SuiteConfig.seed)
-    common.add_argument("--lambda", dest="lambdas",
-                        type=_finite(_parse_lambda), action="append",
-                        metavar="LAM",
-                        help="spectral parameter; repeatable; accepts "
-                             "re, re+imj, or re,im")
-    common.add_argument("--n-max", type=int, default=None)
-    common.add_argument("--xmax", type=_finite(float),
-                        default=SuiteConfig.x_max)
-    common.add_argument("--h", type=_finite(float), default=SuiteConfig.h)
-    common.add_argument("--out", default=None,
-                        help="write the report here instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="json for verify, csv for tables by default")
+    shared = {   # add_argument keywords; each subcommand names its own
+        "--tol": dict(type=_finite(float), default=SuiteConfig.tol,
+                      help="tolerance of the exponential equation in "
+                           "sine-space and the compact suite"),
+        "--seed": dict(type=int, default=SuiteConfig.seed),
+        "--lambda": dict(dest="lambdas", type=_finite(_parse_lambda),
+                         action="append", metavar="LAM",
+                         help="spectral parameter; repeatable; accepts "
+                              "re, re+imj, or re,im"),
+        "--n-max": dict(type=int, default=None),
+        "--xmax": dict(type=_finite(float), default=SuiteConfig.x_max),
+        "--h": dict(type=_finite(float), default=SuiteConfig.h),
+        "--out": dict(default=None,
+                      help="write the report here instead of stdout"),
+        "--format": dict(choices=("json", "csv"), default=None,
+                         help="json for verify, csv for tables by default"),
+    }
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common],
-        help="run a verification suite and emit its report")
+    def add_parser(name, flags, help):
+        parser = sub.add_parser(name, help=help)
+        for flag in flags:
+            parser.add_argument(flag, **shared[flag])
+        return parser
+
+    p_verify = add_parser("verify", shared,
+                          "run a verification suite and emit its report")
     p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p_verify.add_argument("--theta", type=_finite(float), action="append",
                           help="two-point family parameter; repeatable")
@@ -92,21 +96,21 @@ def build_parser():
                           help="JSON recurrence spec replacing the built-in "
                                "polynomial families")
 
-    p_tab = sub.add_parser(
-        "tabulate", parents=[common],
-        help="tabulate an exponential and a sine function for one family")
+    p_tab = add_parser(
+        "tabulate", ("--lambda", "--n-max", "--xmax", "--h", "--out",
+                     "--format"),
+        "tabulate an exponential and a sine function for one family")
     p_tab.add_argument("--family", choices=TABULATE_FAMILIES, required=True)
     p_tab.add_argument("--c", type=_finite(_parse_lambda),
                        default=complex(1.0),
                        help="sine normalization constant")
     p_tab.add_argument("--alpha", type=_finite(float), default=None,
-                       help="power-weight parameter (sturm family)")
-    p_tab.add_argument("--a-const", action="store_true",
-                       help="use the constant weight (sturm family)")
+                       help="power-weight parameter (sturm family); "
+                            "without it, the constant weight")
 
-    p_space = sub.add_parser(
-        "sine-space", parents=[common],
-        help="solve the sine equation on a finite hypergroup spec file")
+    p_space = add_parser(
+        "sine-space", ("--tol", "--out", "--format"),
+        "solve the sine equation on a finite hypergroup spec file")
     p_space.add_argument("spec", help="JSON file with size, tensor, name")
     p_space.add_argument("--m", action="append", metavar="V1,V2,...",
                          help="exponential values; repeatable; default "
@@ -213,12 +217,8 @@ def _tabulate_coset(args):
 
 def _tabulate_sturm(args):
     lam = (args.lambdas or [1.0])[0]
-    if args.a_const and args.alpha is not None:
-        raise ValueError("choose either --a-const or --alpha, not both")
-    if args.a_const or args.alpha is None:
-        family = sturm_mod.constant_family()
-    else:
-        family = sturm_mod.power_family(args.alpha)
+    family = (sturm_mod.constant_family() if args.alpha is None
+              else sturm_mod.power_family(args.alpha))
     sol = sturm_mod.solve_sine(family, lam, args.c, x_max=args.xmax, h=args.h)
     phi, f = sol.forcing, sol.values
     res = np.pad(sturm_mod.ode_defect(sol.grid, f, family.ratio, sol.lam,
@@ -230,6 +230,10 @@ def _tabulate_sturm(args):
 def cmd_tabulate(args):
     if args.n_max is not None and args.n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
+    most = 2 if args.family == "product" else 1   # the values a table reads
+    if len(args.lambdas or ()) > most:
+        raise ValueError(f"--family {args.family} takes at most {most} "
+                         f"--lambda, got {len(args.lambdas)}")
     header = ["element", "m", "sine", "residual"]
     if args.family in ("chebyshev", "legendre"):
         rows = _tabulate_poly(args, BUILTIN_RECURRENCES[args.family]())

@@ -229,10 +229,14 @@ class FiniteHypergroup(Hypergroup):
         if tensor.ndim != 3 or len(set(tensor.shape)) != 1:
             raise NotHypergroupError(f"tensor shape {tensor.shape} is not (N, N, N)")
         n = tensor.shape[0]
-        if (tensor < -tol).any():
-            raise NotHypergroupError("negative convolution weight in tensor")
+        bad = np.argwhere(~(tensor >= -tol))   # NaN fails too
+        if len(bad):
+            i, j, l = bad[0]
+            raise NotHypergroupError(
+                f"convolution weight {float(tensor[i, j, l])!r} at "
+                f"[{i}][{j}][{l}] is not >= {-tol!r}")
         sums = tensor.sum(axis=2)
-        if np.abs(sums - 1.0).max() > max(tol, tol * n):
+        if not np.abs(sums - 1.0).max() <= max(tol, tol * n):
             raise NotHypergroupError("convolution rows do not sum to 1")
         eye = np.eye(n)
         if not (np.array_equal(tensor[0], eye) and np.array_equal(tensor[:, 0], eye)):
@@ -370,9 +374,12 @@ def _certify(got, want, rtol, witnesses, what):
 
 def _integrate_many(f, support, weights):
     """sum_K weights * f(support) per row, added in column order as
-    ``integrate`` adds; zero-weight slots add nothing, whatever f is there."""
+    ``integrate`` adds; zero-weight slots add nothing, whatever f is there.
+    An OverflowError (a table leaving the float range) passes unwrapped."""
     try:
         values = np.broadcast_to(f(support), weights.shape)
+    except OverflowError:
+        raise
     except Exception as exc:
         raise EvaluationError(
             f"integrand undefined at a support element: {exc}") from exc

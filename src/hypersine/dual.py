@@ -2,8 +2,10 @@
 
 Evaluating a parameterized formula with ``DualScalar(lam, 1.0)`` in place of
 ``lam`` yields the value together with the first derivative in ``lam``; apart
-from rounding there is no truncation error.  ``central_difference`` stays
-available as an independent cross-check and is never the primary path.
+from rounding there is no truncation error.  They are kept for user
+formulas: no family in this package computes with them.  The package's
+own derivatives are cross-checked against ``central_difference`` by
+``suites.dual_vs_fd_report``.
 """
 
 from __future__ import annotations

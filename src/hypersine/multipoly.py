@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from .core import Hypergroup, TheoremViolationError, _certify, _cmul
-from .polyhg import PolynomialHypergroup, _p_and_dp
+from .polyhg import PolynomialHypergroup, _finite_p_and_dp
 
 
 class DegenerateParameterError(ValueError):
@@ -55,7 +55,9 @@ class ProductPolyHypergroup(Hypergroup):
         return support, weights
 
     def _factor_values(self, x, lam):
-        """Per factor, (P, P') at its coordinate of x (an element or a batch)."""
+        """Per factor, (P, P') at its coordinate of x (an element or a batch);
+        OverflowError naming the factor's lambda where they leave the float
+        range."""
         self._check_element(x)
         if len(lam) != self.dimension:
             raise ValueError(
@@ -66,7 +68,7 @@ class ProductPolyHypergroup(Hypergroup):
             xj = np.asarray(xj)
             if xj.min() < 0:
                 raise ValueError(f"degree must be >= 0, got {xj.min()}")
-            p, dp = _p_and_dp(rec._float_coeffs(int(xj.max())), lj)
+            p, dp = _finite_p_and_dp(rec, int(xj.max()), lj)
             out.append((p[xj], dp[xj]))
         return out
 

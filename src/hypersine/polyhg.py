@@ -154,14 +154,24 @@ def eval_P_with_derivative(rec, n, lam):
     return complex(p[n]), complex(dp[n])
 
 
+def _finite_p_and_dp(rec, n_max, lam):
+    """P_0..P_n_max and P'_0..P'_n_max at lam; OverflowError naming lam
+    where either leaves the float range."""
+    p, dp = _p_and_dp(rec._float_coeffs(n_max), lam)
+    if not (np.isfinite(p).all() and np.isfinite(dp).all()):
+        raise OverflowError(f"{rec.name or 'recurrence'} table overflows at "
+                            f"lambda = {lam!r}")
+    return p, dp
+
+
 def exp_values(rec, n_max, lam):
     """Array of P_n(lam) for n = 0..n_max."""
-    return _p_and_dp(rec._float_coeffs(n_max), lam)[0]
+    return _finite_p_and_dp(rec, n_max, lam)[0]
 
 
 def sine_values(rec, n_max, lam, c=1.0):
     """Array of c * P_n'(lam) for n = 0..n_max."""
-    dp = _p_and_dp(rec._float_coeffs(n_max), lam)[1]
+    dp = _finite_p_and_dp(rec, n_max, lam)[1]
     # Python complex products: numpy's fused multiply-add rounds differently
     return np.array([0j] + [c * d for d in dp[1:].tolist()], dtype=complex)
 

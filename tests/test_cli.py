@@ -130,6 +130,22 @@ def test_su2_table_leaving_the_float_range_is_config_error(argv, capsys):
     assert err.startswith("error: su2 table overflows at lambda")
 
 
+@pytest.mark.parametrize("argv", [
+    ["tabulate", "--family", "chebyshev", "--lambda", "1e200", "--n-max", "3"],
+    ["tabulate", "--family", "product", "--lambda", "1e200", "--n-max", "2"],
+    ["verify", "polyone", "--lambda", "3e3"]])
+def test_polynomial_table_leaving_the_float_range_is_config_error(argv,
+                                                                  capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    lam = argv[argv.index("--lambda") + 1]
+    assert captured.out == "" and captured.err == (
+        f"error: chebyshev table overflows at lambda = {complex(lam)!r}\n")
+
+
 def test_rec_file_with_a_short_list_is_config_error(tmp_path, capsys):
     a, c = [1.0] + [0.5] * 32, [0.0] + [0.5] * 32
     path = tmp_path / "rec.json"
@@ -209,9 +225,40 @@ def test_tabulate_sturm_power_weight_sine_column(capsys):
         (v.real, v.imag) for v in sol.values.tolist()]
 
 
-def test_tabulate_sturm_rejects_conflicting_weights(capsys):
-    assert run(["tabulate", "--family", "sturm", "--alpha", "0.5",
-                "--a-const"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["tabulate", "--family", "chebyshev", "--tol", "5"],
+    ["tabulate", "--family", "chebyshev", "--seed", "9"],
+    ["tabulate", "--family", "sturm", "--a-const"],
+    ["sine-space", "spec.json", "--tol", "1e-9", "--seed", "9"],
+    ["sine-space", "spec.json", "--lambda", "7"],
+    ["sine-space", "spec.json", "--n-max", "3"],
+    ["sine-space", "spec.json", "--xmax", "1"]])
+def test_options_the_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sine_space_h_is_the_help_flag(capsys):
+    # sine-space has no --h, so argparse reads it as a prefix of --help
+    with pytest.raises(SystemExit) as err:
+        run(["sine-space", "spec.json", "--h", "9"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hypersine sine-space")
+
+
+def test_tabulate_rejects_lambda_values_the_family_does_not_read(capsys):
+    assert run(["tabulate", "--family", "chebyshev", "--lambda", "0.3",
+                "--lambda", "0.9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: --family chebyshev takes at most 1 --lambda, got 2\n")
+    assert run(["tabulate", "--family", "product", "--n-max", "1"]
+               + ["--lambda=0.5"] * 3) == 2
+    assert "product takes at most 2 --lambda, got 3" in capsys.readouterr().err
+    assert run(["tabulate", "--family", "product", "--n-max", "1",
+                "--lambda", "0.5", "--lambda", "0.7"]) == 0
 
 
 def test_tabulate_product_json(capsys):
@@ -268,6 +315,16 @@ def test_sine_space_malformed_spec(tmp_path):
     assert run(["sine-space", str(spec)]) == 2
 
 
+def test_sine_space_names_a_nan_weight(tmp_path, capsys):
+    tensor = two_point_hypergroup(0.5).tensor.tolist()
+    tensor[1][1][0] = math.nan
+    spec = tmp_path / "nan.json"
+    spec.write_text(json.dumps({"size": 2, "tensor": tensor}))
+    assert run(["sine-space", str(spec)]) == 2
+    assert capsys.readouterr().err == (
+        "error: convolution weight nan at [1][1][0] is not >= -1e-12\n")
+
+
 def test_sine_space_rejects_non_associative_table(tmp_path, capsys):
     # 1*1 = (d0 + d2)/2, 2*2 = (d0 + d1)/2, 1*2 = 2*1 = d1:
     # (1*1)*2 charges d1, 1*(1*2) does not
@@ -321,3 +378,14 @@ def test_coset_falsify_square_reports_the_pairs_it_checked(tmp_path):
     rows = {row["suite"]: row for row in json.loads(out.read_text())["checks"]}
     assert rows["coset:falsify-square:random"]["samples"] == 3
     assert rows["coset:associativity-float"]["samples"] == 3
+
+
+@pytest.mark.parametrize("suite", ["compact", "coset"])
+def test_no_row_that_cannot_fail_on_its_own(suite, tmp_path):
+    # a vanishing row ran over the basis its sine-dim row required to be
+    # empty; square-norm compared two float expansions of one polynomial
+    out = tmp_path / "report.json"
+    assert run(["verify", suite, "--samples", "20", "--out", str(out)]) == 0
+    names = [row["suite"] for row in json.loads(out.read_text())["checks"]]
+    assert names and not [n for n in names
+                          if "vanishing" in n or "square-norm" in n]

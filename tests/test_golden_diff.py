@@ -1,5 +1,10 @@
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
+
+from hypersine.core import s3_conjugacy_hypergroup, two_point_hypergroup
 
 _spec = importlib.util.spec_from_file_location(
     "golden_diff", Path(__file__).parents[1] / "tools" / "golden_diff.py")
@@ -47,3 +52,37 @@ def test_differences_see_a_reordered_report():
     rows = [("a", 0.0, True), ("b", 1.0, True)]
     assert golden_diff.differences(_report(rows), _report(rows[::-1])) == [
         "report row-order differs"]
+
+
+def test_sine_space_specs_are_the_built_in_hypergroups():
+    specs = golden_diff.SPECS
+    for name, hg in (("two-point-0.5.json", two_point_hypergroup(0.5)),
+                     ("s3.json", s3_conjugacy_hypergroup())):
+        # the JSON text round-trips every weight exactly
+        spec = json.loads(json.dumps(specs[name]))
+        assert (spec["name"], spec["size"]) == (hg.name, hg.size)
+        assert np.array_equal(spec["tensor"], hg.tensor)
+
+
+def test_main_compares_every_sine_space_table(monkeypatch, capsys):
+    calls = []
+
+    def fake_run(src, argv, cwd):
+        calls.append((src, tuple(argv)))
+        assert all((Path(cwd) / name).exists() for name in golden_diff.SPECS)
+        if argv[0] == "verify":
+            return 0, b"{}"
+        changed = src == "head" and tuple(argv) == (
+            "sine-space", "s3.json", "--format", "json")
+        return 0, b"table\n" + (b"changed\n" if changed else b"")
+
+    monkeypatch.setattr(golden_diff, "run", fake_run)
+    assert golden_diff.main(["base", "head"]) == 1
+    spaces = [argv for src, argv in calls
+              if src == "head" and argv[0] == "sine-space"]
+    assert spaces == [("sine-space", spec, "--format", fmt)
+                      for spec in ("two-point-0.5.json", "s3.json")
+                      for fmt in ("csv", "json")]
+    out = capsys.readouterr().out.splitlines()
+    assert out.count("sine-space s3.json --format json: DIFFERS") == 1
+    assert sum(line.endswith("DIFFERS") for line in out) == 1

@@ -302,10 +302,13 @@ def test_reconstruct_sine_raises_when_tolerance_is_impossible():
     rec = legendre_recurrence()
     with pytest.raises(TheoremViolationError):
         reconstruct_sine(rec, 0.6, 1.0, 40, rtol=1e-18)
-    # at lam = 1e200 the propagation overflows to NaN, which must not pass
+    # at lam = 1e200 the table of P leaves the float range before any
+    # propagation; a NaN value of f(1) propagates and must not pass
+    with pytest.raises(OverflowError, match="lambda = 1e\\+200"):
+        reconstruct_sine(chebyshev_recurrence(), 1e200, 1.0, 8)
     with np.errstate(all="ignore"), pytest.raises(TheoremViolationError,
                                                   match="nan"):
-        reconstruct_sine(chebyshev_recurrence(), 1e200, 1.0, 8)
+        reconstruct_sine(chebyshev_recurrence(), 0.6, math.nan, 8)
 
 
 def test_convolution_is_commutative_and_normalized():

@@ -63,6 +63,16 @@ def test_compact_suite_reports_zero_dimensions():
     assert all(c.witness == 0 for c in dims)
 
 
+def test_compact_sine_dim_rows_fail_on_a_non_trivial_basis(monkeypatch):
+    from hypersine import suites
+    monkeypatch.setattr(suites, "sine_space",
+                        lambda hg, m, exp_tol: [TabulatedFunction([0.0, 1.0])])
+    rep = run_suite("compact", SuiteConfig(thetas=(0.25,)))
+    dims = [c for c in rep.checks if ":sine-dim-" in c.name]
+    assert len(dims) == 5 and not rep.passed
+    assert all(not c.passed and c.witness == 1 for c in dims)
+
+
 @pytest.mark.parametrize("value, passes", [
     (1e-3, {"abs": True, "rel": True, "above": False}),
     (2e-3, {"abs": False, "rel": False, "above": True}),

@@ -1,5 +1,5 @@
-"""Compare the ``hypersine verify`` reports and ``hypersine tabulate``
-tables of two source trees.
+"""Compare the ``hypersine verify`` reports and the ``hypersine tabulate``
+and ``hypersine sine-space`` tables of two source trees.
 
 Usage: python tools/golden_diff.py BASE_SRC HEAD_SRC
 
@@ -8,9 +8,9 @@ golden configuration runs once per tree in a fresh interpreter with
 PYTHONPATH set to that tree.  For ``verify``, ``wall_time`` is dropped and
 every other field must match byte for byte; the tool prints
 ``identical``, or one line per differing row field: ``name field base ->
-head``.  For ``tabulate``, the exit code and the stdout bytes must match;
-the tool prints ``identical``, or the first differing line.  The exit
-status is 0 only if every configuration is identical.
+head``.  For ``tabulate`` and ``sine-space``, the exit code and the stdout
+bytes must match; the tool prints ``identical``, or the first differing
+line.  The exit status is 0 only if every configuration is identical.
 """
 
 from __future__ import annotations
@@ -44,6 +44,21 @@ TABULATE_CONFIGS = tuple(
      "json"),
     ("--family", "su2", "--lambda", "0,3.141592653589793", "--c", "2"),
 )
+
+THIRD = 1.0 / 3.0
+SPECS = {   # finite hypergroup spec files, as core.dump_finite_hypergroup
+    "two-point-0.5.json": {
+        "name": "two-point(theta=0.5)", "size": 2,
+        "tensor": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.5, 0.5]]]},
+    "s3.json": {
+        "name": "s3-conjugacy", "size": 3,
+        "tensor": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                   [[0.0, 1.0, 0.0], [THIRD, 0.0, 2 * THIRD],
+                    [0.0, 1.0, 0.0]],
+                   [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]]},
+}
+SINE_SPACE_CONFIGS = tuple((spec, "--format", fmt)
+                           for spec in SPECS for fmt in ("csv", "json"))
 
 
 def ultraspherical():
@@ -115,11 +130,14 @@ def differences(base, head):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print(next(line for line in __doc__.splitlines()
+                   if line.startswith("Usage:")), file=sys.stderr)
         return 2
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, REC_FILE).write_text(json.dumps(ultraspherical()))
+        for name, spec in SPECS.items():
+            Path(tmp, name).write_text(json.dumps(spec))
         for config in CONFIGS:
             (b_code, b_rep), (h_code, h_rep) = (run_verify(src, config, tmp)
                                                 for src in argv)
@@ -131,10 +149,10 @@ def main(argv=None):
             for line in lines:
                 print(f"  {line}")
             same = same and not lines
-        for config in TABULATE_CONFIGS:
-            line = first_difference(*(run(src, ["tabulate", *config], tmp)
-                                      for src in argv))
-            print(f"tabulate {' '.join(config)}: "
+        for config in ([("tabulate", *c) for c in TABULATE_CONFIGS]
+                       + [("sine-space", *c) for c in SINE_SPACE_CONFIGS]):
+            line = first_difference(*(run(src, config, tmp) for src in argv))
+            print(f"{' '.join(config)}: "
                   f"{'identical' if line is None else 'DIFFERS'}")
             if line is not None:
                 print(f"  {line}")
