@@ -382,8 +382,9 @@ def test_coset_falsify_square_reports_the_pairs_it_checked(tmp_path):
 
 @pytest.mark.parametrize("suite", ["compact", "coset"])
 def test_no_row_that_cannot_fail_on_its_own(suite, tmp_path):
-    # a vanishing row ran over the basis its sine-dim row required to be
-    # empty; square-norm compared two float expansions of one polynomial
+    # neither can fail alone: a vanishing row checks the basis that its
+    # sine-dim row requires to be empty, and square-norm calls no
+    # hypergroup code
     out = tmp_path / "report.json"
     assert run(["verify", suite, "--samples", "20", "--out", str(out)]) == 0
     names = [row["suite"] for row in json.loads(out.read_text())["checks"]]
