@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +174,13 @@ def _reject(bad, message, xs, ys):
         i = int(np.argmax(bad))
         raise ValueError(
             f"{message}, got {_element(xs, i)!r}, {_element(ys, i)!r}")
+
+
+def _finite(values, what, lam):
+    """values, or OverflowError naming lam where they leave the float range."""
+    if not np.isfinite(values).all():
+        raise OverflowError(f"{what} overflows at lambda = {lam!r}")
+    return values
 
 
 def _compact(rows):
@@ -527,6 +535,12 @@ def compact_vanishing_check(hg, m, basis, tol=1e-10):
     return all(np.all(_cabs(_cmul(f(ys), m_fn(ys))) <= tol) for f in basis)
 
 
+def _uniforms(rng, count, low, high):
+    """count draws low + (high - low) * rng.random() as an array; the
+    random() stream of a seeded random.Random is the same in every Python."""
+    return low + (high - low) * np.array([rng.random() for _ in range(count)])
+
+
 def exponentials(hg, tol=VERIFY_WEIGHT_TOL):
     """Validated exponentials of a finite hypergroup.
 
@@ -539,7 +553,7 @@ def exponentials(hg, tol=VERIFY_WEIGHT_TOL):
     """
     if hg.size == 1:
         return [np.ones(1)]
-    r = np.random.default_rng(0).uniform(1.0, 2.0, size=hg.size)
+    r = _uniforms(random.Random(0), hg.size, 1.0, 2.0)
     _, eigvecs = np.linalg.eig(np.einsum("i,ijl->jl", r, hg.tensor))
     ms = [vec / vec[0] for vec in eigvecs.T
           if not abs(vec[0]) < 1e-12 * np.linalg.norm(vec)]

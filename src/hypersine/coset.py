@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (Hypergroup, _cmul, _pair_batch, _reject, _residual, _scan,
-                   sine_residual)
+from .core import (Hypergroup, _cmul, _finite, _pair_batch, _reject,
+                   _residual, _scan, sine_residual)
 
 
 def group_mul(p, q):
@@ -74,7 +74,9 @@ def coset_exponential(lam):
     def m(p):
         ax, _ = p
         # the complex exp, as cmath's: numpy's real exp rounds differently
-        return np.exp(lam * np.log(ax) + 0j)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(np.exp(lam * np.log(ax) + 0j),
+                           "coset closed form", lam)
     return m
 
 
@@ -83,7 +85,9 @@ def coset_sine(c, lam):
     def f(p):
         ax, _ = p
         lg = np.log(ax)
-        return _cmul(c, np.exp(complex(lam) * lg)) * lg
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite(_cmul(c, np.exp(complex(lam) * lg)) * lg,
+                           "coset closed form", lam)
     return f
 
 

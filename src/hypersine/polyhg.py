@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (FiniteMeasure, Hypergroup, NotHypergroupError,
-                   TabulatedFunction, _certify, _compact, _propagate,
-                   _reject)
+                   TabulatedFunction, _certify, _compact, _finite,
+                   _propagate, _reject)
 
 NEGATIVE_COEFF_TOL = 1e-10   # below this a linearization weight is an error
 DROP_COEFF_TOL = 1e-13       # floating-point zeros created by cancellation
@@ -158,10 +158,8 @@ def _finite_p_and_dp(rec, n_max, lam):
     """P_0..P_n_max and P'_0..P'_n_max at lam; OverflowError naming lam
     where either leaves the float range."""
     p, dp = _p_and_dp(rec._float_coeffs(n_max), lam)
-    if not (np.isfinite(p).all() and np.isfinite(dp).all()):
-        raise OverflowError(f"{rec.name or 'recurrence'} table overflows at "
-                            f"lambda = {lam!r}")
-    return p, dp
+    what = f"{rec.name or 'recurrence'} table"
+    return _finite(p, what, lam), _finite(dp, what, lam)
 
 
 def exp_values(rec, n_max, lam):

@@ -22,7 +22,8 @@ import cmath
 
 import numpy as np
 
-from .core import Hypergroup, TabulatedFunction, _cmul, _propagate, _reject
+from .core import (Hypergroup, TabulatedFunction, _cmul, _finite, _propagate,
+                   _reject)
 from .polyhg import _p_and_dp
 
 # below this |sinh lam| (lam near i k pi) dphi is close to 0, so sine_fn
@@ -61,9 +62,8 @@ def _scaled(n, lam, scale=None):
     u, du = _p_and_dp(np.array([[0.5] * top, [0.0] * top, [0.5] * top]),
                       cmath.cosh(lam))
     with np.errstate(over="ignore", invalid="ignore"):
-        z = u[ns] if scale is None else _cmul(scale, du[ns])
-    if not np.isfinite(z).all():
-        raise OverflowError(f"su2 table overflows at lambda = {lam!r}")
+        z = _finite(u[ns] if scale is None else _cmul(scale, du[ns]),
+                    "su2 table", lam)
     out = np.empty(z.shape, dtype=complex)
     out.real, out.imag = z.real / (ns + 1), z.imag / (ns + 1)
     return complex(out[0]) if np.ndim(n) == 0 else out

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import random
 import time
 from dataclasses import dataclass, field
 
@@ -22,9 +23,9 @@ import numpy as np
 
 from . import coset, su2
 from .core import (ResidualReport, TabulatedFunction, TheoremViolationError,
-                   _errors, _residual, _scan, exp_residual, exponentials,
-                   integrate, power_identity_check, s3_conjugacy_hypergroup,
-                   sine_space, two_point_hypergroup)
+                   _errors, _residual, _scan, _uniforms, exp_residual,
+                   exponentials, integrate, power_identity_check,
+                   s3_conjugacy_hypergroup, sine_space, two_point_hypergroup)
 from .dual import central_difference
 from .multipoly import ProductPolyHypergroup
 from .polyhg import (PolynomialHypergroup, chebyshev_recurrence, eval_P,
@@ -53,6 +54,8 @@ class SuiteConfig:
         for name in ("tol", "lambdas", "x_max", "h", "thetas", "alpha"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
+        if self.seed < 0:   # random.Random(-s) would draw seed s's samples
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_max < 0:   # 0 is the per-suite default
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
         if self.tol <= 0:
@@ -225,7 +228,7 @@ def run_polyone(cfg):
     checks = []
     lambdas = cfg.lambdas or (0.3, 0.7, 1.0, 1.5, 0.5 + 0.5j)
     n_max = cfg.n_max or 64
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     pairs = _pairs_grid(n_max)
     for rec in ([recurrence_from_file(cfg.rec_file)] if cfg.rec_file
                 else [chebyshev_recurrence(), legendre_recurrence()]):
@@ -276,7 +279,7 @@ def run_su2(cfg):
     checks.append(_row("su2:unit-square", _fact(ok, witness=mu.items()), 0.0,
                        "abs"))
     pairs = _pairs_grid(n_max)
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     cases = [(f":lam={_fmt_lam(lam)}", su2.sine_fn(2 * n_max, lam),
               su2.phi_fn(2 * n_max, lam)) for lam in lambdas]
     rows = iter(_equation_checks(hg, pairs, "su2", cases, 1e-9, 1e-9, [
@@ -296,7 +299,7 @@ def run_su2(cfg):
 
 def run_sinsev(cfg):
     checks = []
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     n_pairs = min(cfg.samples, 200)
     cheb, leg = chebyshev_recurrence(), legendre_recurrence()
     for tag, hg, lam, coeff in [
@@ -305,10 +308,8 @@ def run_sinsev(cfg):
             ("d=3", ProductPolyHypergroup([cheb, cheb, leg]), (0.6, 1.1, 0.8),
              (1.0, 0.5, -0.75))]:
         d = hg.dimension
-        pairs = [
-            (tuple(int(v) for v in rng.integers(0, 13, size=d)),
-             tuple(int(v) for v in rng.integers(0, 13, size=d)))
-            for _ in range(n_pairs)]
+        pairs = [tuple(tuple(int(13 * rng.random()) for _ in range(d))
+                       for _ in range(2)) for _ in range(n_pairs)]
         f = hg.multi_sine(coeff, lam)
         checks += _equation_checks(hg, pairs, f"sinsev:{tag}",
                                    [("", f, hg.exp_fn(lam))], 1e-9, 1e-9)
@@ -374,8 +375,7 @@ def run_sturm(cfg):
     worst_res = max(residuals)
     rep = ResidualReport(worst_res, worst_res / res_bound, None, len(residuals))
     checks.append(_row("sturm:ode-residual-bound", rep, res_bound, "abs"))
-    rng = np.random.default_rng(cfg.seed)
-    pts = rng.uniform(0.05, 2.5, size=(40, 2))
+    pts = _uniforms(random.Random(cfg.seed), 80, 0.05, 2.5).reshape(40, 2)
     for lam in (0.8, 1.0, 2.0):
         rep = sturm_mod.cosh_hypergroup_check(lam, [tuple(p) for p in pts])
         checks.append(_row(f"sturm:cosh-check:lam={_fmt_lam(lam)}", rep,
@@ -386,15 +386,16 @@ def run_sturm(cfg):
 # ---------------------------------------------------------------- coset
 
 def _coset_samples(rng, count):
-    xs = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=count))
-    us = rng.uniform(-10.0, 10.0, size=count)
-    return xs, us
+    """count elements (x, u): x log-uniform on [0.1, 10], u uniform on
+    [-10, 10]."""
+    xs = np.exp(_uniforms(rng, count, math.log(0.1), math.log(10.0)))
+    return xs, _uniforms(rng, count, -10.0, 10.0)
 
 
 def run_coset(cfg):
     checks = []
     lambdas = cfg.lambdas or (0.0, 1.0, 2.0, 0.5 + 0.5j)
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     count = cfg.samples
     xs, us = _coset_samples(rng, count)
     ys, vs = _coset_samples(rng, count)

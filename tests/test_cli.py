@@ -2,13 +2,16 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from hypersine import cli
 from hypersine.core import (ResidualReport, dump_finite_hypergroup,
-                            two_point_hypergroup)
+                            s3_conjugacy_hypergroup, two_point_hypergroup)
 from hypersine.sturm import power_family, solve_sine
 from hypersine.suites import SuiteReport, _row
 
@@ -144,6 +147,49 @@ def test_polynomial_table_leaving_the_float_range_is_config_error(argv,
     lam = argv[argv.index("--lambda") + 1]
     assert captured.out == "" and captured.err == (
         f"error: chebyshev table overflows at lambda = {complex(lam)!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "coset", "--lambda", "800", "--samples", "20"],
+    ["tabulate", "--family", "coset", "--lambda", "800"]])
+def test_coset_closed_form_leaving_the_float_range_is_config_error(argv,
+                                                                   capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: coset closed form overflows at lambda = (800+0j)\n")
+
+
+@pytest.mark.parametrize("suite", ["compact", "coset"])
+def test_negative_seed_is_config_error(suite, capsys):
+    # random.Random(-1) would silently draw the samples of seed 1
+    assert run(["verify", suite, "--seed=-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: seed must be >= 0, got -1\n")
+
+
+def test_a_cold_run_does_not_import_numpy_random(tmp_path):
+    # the seeded samples come from random.Random: importing numpy.random
+    # (its Cython modules, secrets, hashlib) was most of a cold verify
+    spec = tmp_path / "s3.json"
+    dump_finite_hypergroup(s3_conjugacy_hypergroup(), spec)
+    runs = [["verify", "all", "--n-max", "10", "--samples", "3", "--xmax",
+             "0.3", "--h", "2e-3", "--out", str(tmp_path / "all.json")],
+            ["sine-space", str(spec), "--out", str(tmp_path / "s3.csv")]]
+    script = ("import json, sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "from hypersine import cli\n"
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]\n"
+              "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-I", "-c", script, src,
+                           json.dumps(runs)], capture_output=True, text=True,
+                          check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
 
 
 def test_rec_file_with_a_short_list_is_config_error(tmp_path, capsys):

@@ -218,13 +218,21 @@ def _rel(got, want):
     return np.max(np.abs(got - want) / (1.0 + np.abs(want)))
 
 
+def _dense(support, weights, width):
+    """Each row of a convolve_many batch as weights on 0..width - 1."""
+    out = np.zeros((len(weights), width))
+    np.add.at(out, (np.arange(len(weights))[:, None], support), weights)
+    return out
+
+
 def test_su2_weights_are_the_linearization_of_u():
     # two independent codes: the closed-form stride-two weights against the
-    # linearization of U_n / (n + 1)
+    # linearization of U_n / (n + 1), one batch of all (n, k) each
     ph, hg = PolynomialHypergroup(_u_recurrence(80)), su2.Su2Hypergroup()
-    for n in range(41):
-        for k in range(41):
-            assert ph.convolve(n, k).allclose(hg.convolve(n, k), tol=1e-15)
+    ns, ks = np.divmod(np.arange(41 * 41), 41)
+    got, want = (_dense(*g.convolve_many(ns, ks), 81) for g in (ph, hg))
+    bad = np.argwhere(np.abs(got - want) > 1e-15)
+    assert not len(bad), (ns[bad[0, 0]], ks[bad[0, 0]], bad[0, 1])
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.5 + 0.2j, 1.0, 1j * math.pi,
