@@ -19,8 +19,7 @@ from . import coset, su2
 from .core import (NotHypergroupError, _cmul, _errors, _sine_space,
                    exponentials, load_finite_hypergroup)
 from .multipoly import ProductPolyHypergroup
-from .polyhg import (BUILTIN_RECURRENCES, PolynomialHypergroup, exp_fn,
-                     sine_fn)
+from .polyhg import BUILTIN_RECURRENCES, PolynomialHypergroup, _sine_and_exp
 from . import sturm as sturm_mod
 from .suites import SUITE_NAMES, SuiteConfig, jsonable, run_suite
 
@@ -182,10 +181,8 @@ def _sine_rows(hg, f, m, elements, y, labels=None):
 def _tabulate_poly(args, rec):
     n_max = 8 if args.n_max is None else args.n_max
     lam = (args.lambdas or [0.7])[0]
-    m = exp_fn(rec, lam, n_max=max(2 * n_max + 2, 4))
-    f = sine_fn(rec, args.c, lam, n_max=max(2 * n_max + 2, 4))
-    return _sine_rows(PolynomialHypergroup(rec), f, m, list(range(n_max + 1)),
-                      1)
+    f, m = _sine_and_exp(rec, max(2 * n_max + 2, 4), lam, args.c)
+    return _sine_rows(PolynomialHypergroup(rec), f, m, range(n_max + 1), 1)
 
 
 def _tabulate_su2(args):

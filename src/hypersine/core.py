@@ -19,6 +19,7 @@ import numpy as np
 WEIGHT_TOL = 1e-12          # construction tolerance for probability weights
 VERIFY_WEIGHT_TOL = 1e-9    # tolerance used by verification suites
 DEFAULT_SUPPORT_CAP = 100_000
+_BLOCK_BYTES = 1 << 16      # largest row block of _integrate_many, bytes
 
 
 class EvaluationError(Exception):
@@ -144,7 +145,7 @@ class TabulatedFunction:
         if bad.any():
             el = n if el.ndim == 0 else el[bad].tolist()[0]
             raise IndexError(f"element {el!r} outside tabulated range")
-        idx = el.astype(int)
+        idx = el.astype(int, copy=False)
         return complex(self.values[idx]) if idx.ndim == 0 else self.values[idx]
 
     def __len__(self):
@@ -369,21 +370,22 @@ def _residual(lhs, terms):
 
 
 def _certify(got, want, rtol, witnesses, what):
-    """Raise TheoremViolationError unless got = want within relative error
-    rtol (``_residual``) at every sample.  The error names the witness of
-    the largest relative error, or of the first non-finite one: NaN fails."""
+    """None if got = want within relative error rtol (``_residual``) at every
+    sample, else a TheoremViolationError naming the witness of the largest
+    relative error, or of the first non-finite one: NaN fails."""
     rel = _residual(got, [want])[1]
     i = int(np.argmax(np.where(np.isfinite(rel), rel, np.inf)))
     if not rel[i] <= rtol:
-        raise TheoremViolationError(
+        return TheoremViolationError(
             f"{what} at {witnesses[i]!r}: {got[i]} is not {want[i]} "
             f"(relative error {rel[i]:g})")
 
 
 def _integrate_many(f, support, weights):
-    """sum_K weights * f(support) per row, added in column order as
-    ``integrate`` adds; zero-weight slots add nothing, whatever f is there.
-    An OverflowError (a table leaving the float range) passes unwrapped."""
+    """sum_K weights * f(support) per row, added left to right from 0.0 as
+    ``integrate`` adds, in row blocks of at most _BLOCK_BYTES in one buffer;
+    a zero weight adds nothing, whatever f is there.  An OverflowError (a
+    table leaving the float range) passes unwrapped."""
     try:
         values = np.broadcast_to(f(support), weights.shape)
     except OverflowError:
@@ -391,7 +393,17 @@ def _integrate_many(f, support, weights):
     except Exception as exc:
         raise EvaluationError(
             f"integrand undefined at a support element: {exc}") from exc
-    return np.cumsum(np.where(weights != 0, weights * values, 0), axis=1)[:, -1]
+    out = np.empty(len(weights), np.result_type(weights, values))
+    step = max(_BLOCK_BYTES // (weights.shape[1] * out.itemsize), 1)
+    buf = np.empty((min(step, len(out)), weights.shape[1]), out.dtype)
+    for lo in range(0, len(out), step):
+        w, b = weights[lo:lo + step], buf[:len(out) - lo]
+        np.multiply(w, values[lo:lo + step], out=b)
+        if not np.isfinite(b).all():   # 0 * inf is NaN: clear zero weights
+            b[w == 0] = 0
+        # with 0.0 added last, a +-0 term adds nothing, as a skipped one
+        np.add(np.cumsum(b, axis=1, out=b)[:, -1], 0.0, out=out[lo:lo + step])
+    return out
 
 
 @np.errstate(all="ignore")
@@ -408,16 +420,15 @@ def _errors(hg, equations, pairs):
             for f, m in equations]
 
 
-def _propagate(hg, m, f1, n_max):
-    """The m-sine f on 0..n_max with f(0) = 0, f(1) = f1: f(n*1) =
-    f(n) m(1) + f1 m(n) solved for f(n+1), n = 1..n_max-1, on a hypergroup
-    on the nonnegative integers whose n*1 charges n+1 and nothing beyond.
-    One ``convolve_many`` call (none at n_max = 1); m is called once, on
-    the array 0..n_max."""
+def _propagate(hg, ms, f1s, n_max):
+    """Row d: the ms[d]-sine f on 0..n_max with f(0) = 0, f(1) = f1s[d], by
+    f(n*1) = f(n) m(1) + f1 m(n) solved for f(n+1) on a hypergroup on the
+    nonnegative integers whose n*1 charges n+1 and nothing beyond.  One
+    ``convolve_many`` call for all rows (none at n_max = 1)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    f = np.zeros(n_max + 1, dtype=complex)
-    f[1] = f1
+    f = np.zeros((len(ms), n_max + 1), dtype=complex)
+    f[:, 1] = f1s
     if n_max == 1:
         return f
     ns = np.arange(1, n_max)
@@ -425,10 +436,10 @@ def _propagate(hg, m, f1, n_max):
     rows = np.zeros((n_max - 1, n_max + 1))
     # add, not assign: a zero-weight padding slot may repeat a real element
     np.add.at(rows, (ns[:, None] - 1, support), weights)
-    mv = m(np.arange(n_max + 1))
-    for n, row in enumerate(rows, 1):
-        f[n + 1] = (f[n] * mv[1] + f1 * mv[n]
-                    - row[:n + 1] @ f[:n + 1]) / row[n + 1]
+    for fd, mv, f1 in zip(f, [m(np.arange(n_max + 1)) for m in ms], f1s):
+        for n, row in enumerate(rows, 1):
+            fd[n + 1] = (fd[n] * mv[1] + f1 * mv[n]
+                         - row[:n + 1] @ fd[:n + 1]) / row[n + 1]
     return f
 
 

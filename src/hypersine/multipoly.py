@@ -130,9 +130,10 @@ class ProductPolyHypergroup(Hypergroup):
         if n_max is not None and n_max >= 0:   # no element below degree 0
             elements = list(elements_of_total_degree(self.dimension, n_max))
             batch = tuple(np.array(elements).T)
-            _certify(self.multi_sine(tuple(c), lam)(batch),
-                     np.broadcast_to(f(batch), len(elements)), rtol,
-                     elements, "fit mismatch")
+            if error := _certify(self.multi_sine(tuple(c), lam)(batch),
+                                 np.broadcast_to(f(batch), len(elements)),
+                                 rtol, elements, "fit mismatch"):
+                raise error
         elif not np.isfinite(vec).all():   # nothing certified the values
             i = int(np.argmax(~np.isfinite(vec)))
             raise TheoremViolationError(

@@ -169,9 +169,15 @@ def exp_values(rec, n_max, lam):
 
 def sine_values(rec, n_max, lam, c=1.0):
     """Array of c * P_n'(lam) for n = 0..n_max."""
-    dp = _finite_p_and_dp(rec, n_max, lam)[1]
+    return _sine_and_exp(rec, n_max, lam, c)[0].values
+
+
+def _sine_and_exp(rec, n_max, lam, c=1.0):
+    """``sine_fn`` and ``exp_fn`` on 0..n_max from one recurrence run."""
+    p, dp = _finite_p_and_dp(rec, n_max, lam)
     # Python complex products: numpy's fused multiply-add rounds differently
-    return np.array([0j] + [c * d for d in dp[1:].tolist()], dtype=complex)
+    return (TabulatedFunction([0j] + [c * d for d in dp[1:].tolist()]),
+            TabulatedFunction(p))
 
 
 def exp_fn(rec, lam, n_max=256):
@@ -181,7 +187,7 @@ def exp_fn(rec, lam, n_max=256):
 
 def sine_fn(rec, c, lam, n_max=256):
     """Sine function n -> c * P_n'(lam) as a tabulated function."""
-    return TabulatedFunction(sine_values(rec, n_max, lam, c))
+    return _sine_and_exp(rec, n_max, lam, c)[0]
 
 
 def _linearize_step(cur, prev, m, a, b, c):
@@ -255,14 +261,15 @@ class PolynomialHypergroup(Hypergroup):
     def convolve_many(self, ns, ks):
         """Rows read at (min, max) of each pair from one block reduction over
         the columns k = k_min..k_max spanned by the larger degrees: at step m
-        the rows hold P_m * P_k for k >= max(m, k_min).  Needs the recurrence
-        up to degree max(min) + max(max); the first (m, k) with a weight
-        below -NEGATIVE_COEFF_TOL raises NotHypergroupError."""
+        it holds P_m * P_k, k >= max(m, k_min), for the pairs with min m.
+        Needs the recurrence up to degree max(min) + max(max); the first (m, k)
+        with a weight below -NEGATIVE_COEFF_TOL raises NotHypergroupError."""
         _reject((ns < 0) | (ks < 0), "degrees must be >= 0", ns, ks)
         lo, hi = np.minimum(ns, ks), np.maximum(ns, ks)
         m_max, k_min, k_max = int(lo.max()), int(hi.min()), int(hi.max())
         coeffs = self.rec._float_coeffs(m_max + k_max)
-        table = np.zeros((m_max + 1, k_max - k_min + 1, m_max + k_max + 1))
+        rows = np.zeros((len(lo), m_max + k_max + 1))
+        low = np.zeros((m_max + 1, k_max - k_min + 1))   # each row's minimum
         cur = np.eye(k_max - k_min + 1, k_max + 1, k_min)   # P_k, k >= k_min
         prev = np.zeros((len(cur), k_max))
         for m in range(m_max + 1):
@@ -270,28 +277,34 @@ class PolynomialHypergroup(Hypergroup):
                 drop = int(m > k_min)   # column m - 1 is no longer read
                 cur, prev = _linearize_step(cur[drop:], prev[drop:], m - 1,
                                             *coeffs)
-            table[m, -len(cur):, :cur.shape[1]] = cur
-        bad = np.argwhere(table.min(axis=-1) < -NEGATIVE_COEFF_TOL)
-        if len(bad):
-            m, k = bad[0]
+            low[m, -len(cur):], at = cur.min(axis=1), lo == m
+            rows[at, :cur.shape[1]] = cur[hi[at] - (k_max + 1 - len(cur))]
+        for m, k in np.argwhere(low < -NEGATIVE_COEFF_TOL)[:1]:   # the first
             raise NotHypergroupError(f"negative linearization coefficient "
-                                     f"{table[m, k].min():g} at "
-                                     f"({m}, {k + k_min})")
-        rows = table[lo, hi - k_min]
-        rows[np.abs(rows) <= DROP_COEFF_TOL] = 0.0
+                                     f"{low[m, k]:g} at ({m}, {k + k_min})")
+        rows[(rows >= -DROP_COEFF_TOL) & (rows <= DROP_COEFF_TOL)] = 0.0
         return _compact(rows)
 
     def convolve(self, n, k):
         return super().convolve(n, k, tol=NEGATIVE_COEFF_TOL)
 
 
+def _reconstruct(rec, lams, f1s, n_max, rtol=1e-9):
+    """``reconstruct_sine`` at each lams[d], f1s[d], all propagated by one
+    ``core._propagate``: its result, or the error it would raise."""
+    sines, exps = zip(*(_sine_and_exp(rec, n_max, lam, float(rec.a(0)))
+                        for lam in lams))
+    fs = _propagate(PolynomialHypergroup(rec), exps, f1s, n_max)
+    return [_certify(f, sine.values * f1, rtol, range(n_max + 1),
+                     "reconstructed value") or TabulatedFunction(f)
+            for f, sine, f1 in zip(fs, sines, f1s)]
+
+
 def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):
-    """The sine function propagated from f(0) = 0, f(1) = f1
-    (``core._propagate``), certified against f1 * a_0 * P_n'(lam), the
-    unique sine function with that value at 1: ``core._certify`` raises
-    TheoremViolationError beyond rtol."""
-    f = _propagate(PolynomialHypergroup(rec), exp_fn(rec, lam, n_max), f1,
-                   n_max)
-    expected = sine_values(rec, n_max, lam, float(rec.a(0))) * f1
-    _certify(f, expected, rtol, range(n_max + 1), "reconstructed value")
-    return TabulatedFunction(f)
+    """The sine function propagated from f(0) = 0, f(1) = f1, certified
+    against f1 * a_0 * P_n'(lam), the unique sine function with that value
+    at 1: TheoremViolationError beyond rtol (``core._certify``)."""
+    [f] = _reconstruct(rec, [lam], [f1], n_max, rtol)
+    if isinstance(f, Exception):
+        raise f
+    return f

@@ -109,4 +109,5 @@ def propagate_sine(lam, f1, n_max):
     since the derivative of phi(1, .) is sinh; this propagation is the
     independent route used to certify that claim.
     """
-    return _propagate(Su2Hypergroup(), phi_fn(n_max, lam), f1, n_max)
+    return _propagate(Su2Hypergroup(), [phi_fn(n_max, lam)], [f1],
+                      n_max)[0]

@@ -28,10 +28,9 @@ from .core import (ResidualReport, TabulatedFunction, TheoremViolationError,
                    s3_conjugacy_hypergroup, sine_space, two_point_hypergroup)
 from .dual import central_difference
 from .multipoly import ProductPolyHypergroup
-from .polyhg import (PolynomialHypergroup, chebyshev_recurrence, eval_P,
-                     eval_P_with_derivative, exp_fn, exp_values,
-                     legendre_recurrence, reconstruct_sine,
-                     recurrence_from_file, sine_fn, sine_values)
+from .polyhg import (PolynomialHypergroup, _reconstruct, _sine_and_exp,
+                     chebyshev_recurrence, eval_P, eval_P_with_derivative,
+                     legendre_recurrence, recurrence_from_file, sine_values)
 from . import sturm as sturm_mod
 
 SUITE_NAMES = ("compact", "polyone", "su2", "sinsev", "sturm", "coset")
@@ -206,11 +205,8 @@ def run_compact(cfg):
                                    1, 8)
         checks.append(_row(f"{tag}:power-refutation", rep, 0.5, "above"))
     rec = chebyshev_recurrence()
-    ph = PolynomialHypergroup(rec)
-    lam = 0.9
-    f = sine_fn(rec, 1.0, lam, n_max=64)
-    m = exp_fn(rec, lam, n_max=64)
-    rep = power_identity_check(ph, f, m, 1, 2, 8)
+    f, m = _sine_and_exp(rec, 64, 0.9)
+    rep = power_identity_check(PolynomialHypergroup(rec), f, m, 1, 2, 8)
     checks.append(_row("compact:chebyshev:power-identity", rep, 1e-10, "abs"))
     s3 = s3_conjugacy_hypergroup()
     exps = exponentials(s3, tol=cfg.tol)
@@ -233,24 +229,20 @@ def run_polyone(cfg):
     for rec in ([recurrence_from_file(cfg.rec_file)] if cfg.rec_file
                 else [chebyshev_recurrence(), legendre_recurrence()]):
         name = rec.name or "custom"
-        cases = [(f":lam={_fmt_lam(lam)}",
-                  sine_fn(rec, 1.0, lam, n_max=2 * n_max),
-                  exp_fn(rec, lam, n_max=2 * n_max)) for lam in lambdas]
+        cases = [(f":lam={_fmt_lam(lam)}", *_sine_and_exp(rec, 2 * n_max, lam))
+                 for lam in lambdas]
         checks += _equation_checks(PolynomialHypergroup(rec), pairs,
                                    f"polyone:{name}", cases, 1e-9, 1e-9)
-        ok, worst, draws = True, None, 10
-        for _ in range(draws):
-            lam = complex(rng.uniform(-1.25, 1.25), rng.uniform(-0.5, 0.5))
-            f1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            try:
-                reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9)
-            except TheoremViolationError as exc:
-                ok, worst = False, str(exc)
-        checks.append(_row(f"polyone:{name}:reconstruct",
-                           _fact(ok, draws, worst), 0.0, "abs"))
-        sines = sine_values(rec, 5, 0.3)
-        prods = sine_values(rec, 5, 1.0) * exp_values(rec, 5, 0.3)
-        sv = np.linalg.svd(np.column_stack([sines, prods]),
+        draws = [(complex(rng.uniform(-1.25, 1.25), rng.uniform(-0.5, 0.5)),
+                  complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+                 for _ in range(10)]
+        fails = [str(f) for f in _reconstruct(rec, *zip(*draws), n_max, 1e-9)
+                 if isinstance(f, Exception)]
+        checks.append(_row(f"polyone:{name}:reconstruct", _fact(
+            not fails, len(draws), fails[-1] if fails else None), 0.0, "abs"))
+        sines, exps = _sine_and_exp(rec, 5, 0.3)
+        prods = sine_values(rec, 5, 1.0) * exps.values
+        sv = np.linalg.svd(np.column_stack([sines.values, prods]),
                            compute_uv=False)
         ratio = float(sv[1] / sv[0])
         checks.append(_row(f"polyone:{name}:derivative-not-multiplicative",

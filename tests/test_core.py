@@ -358,5 +358,6 @@ def test_propagation_from_f1_alone_makes_no_convolution_call():
     class NoConvolution(Hypergroup):
         def convolve_many(self, xs, ys):
             raise AssertionError("convolve_many called")
-    f = _propagate(NoConvolution(), lambda n: np.ones(len(n)), 2.5 - 1j, 1)
-    assert f.tolist() == [0j, 2.5 - 1j]
+    f = _propagate(NoConvolution(), [lambda n: np.ones(len(n))], [2.5 - 1j],
+                   1)
+    assert f.tolist() == [[0j, 2.5 - 1j]]

@@ -8,15 +8,17 @@ integrate(f, hg.convolve(x, y)).
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersine import su2
-from hypersine.core import (EvaluationError, FiniteHypergroup,
-                            TabulatedFunction, _residual, exp_residual,
-                            integrate, sine_residual, two_point_hypergroup)
+from hypersine.core import (_BLOCK_BYTES, EvaluationError, FiniteHypergroup,
+                            TabulatedFunction, _integrate_many, _pair_batch,
+                            _residual, exp_residual, integrate, sine_residual,
+                            two_point_hypergroup)
 from hypersine.coset import CosetHypergroup
 from hypersine.multipoly import ProductPolyHypergroup
 from hypersine.polyhg import (PolynomialHypergroup, chebyshev_recurrence,
@@ -230,3 +232,74 @@ def _out_of_range():
                               "non-finite-padding", "out-of-range"])
 def test_kernel_edge_cases(case):
     case()
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, signed zeros included; NaNs match any NaN."""
+    for a, b in ((np.real(got), np.real(want)), (np.imag(got), np.imag(want))):
+        nan = np.isnan(a)
+        assert (nan == np.isnan(b)).all()
+        assert (a[~nan].view(np.int64) == b[~nan].view(np.int64)).all()
+
+
+@given(width=st.integers(min_value=1, max_value=64),
+       is_complex=st.booleans(), blocks=st.floats(min_value=0.0,
+                                                  max_value=2.5),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_integrate_many_adds_each_row_as_integrate(width, is_complex, blocks,
+                                                   seed):
+    # up to 2.5 blocks; special values everywhere, and NaN or inf at zero
+    # weights, which must add nothing
+    rng = np.random.default_rng(seed)
+    itemsize = 16 if is_complex else 8
+    count = 1 + int(blocks * max(_BLOCK_BYTES // (width * itemsize), 1))
+    weights = rng.uniform(-1.0, 2.0, (count, width))
+    weights[rng.random(weights.shape) < 0.3] = 0.0
+    weights[rng.random(weights.shape) < 0.05] = -0.0
+    values = rng.normal(size=(count, width)) * 10.0 ** rng.integers(
+        -300, 300, (count, width))
+    if is_complex:
+        values = values + 1j * rng.normal(size=(count, width))
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan])
+    spots = rng.random(values.shape) < 0.1
+    values[spots] = rng.choice(special, int(spots.sum()))
+    values[(weights == 0) & (rng.random(values.shape) < 0.5)] = math.nan
+    values[(weights == 0) & (rng.random(values.shape) < 0.2)] = -math.inf
+    flat = values.ravel()
+    support = np.arange(flat.size).reshape(count, width)
+
+    def f(el):
+        return flat[el]
+
+    with np.errstate(all="ignore"):
+        got = _integrate_many(f, support, weights)
+        want = [integrate(f, [(el, w) for el, w in zip(row_s.tolist(),
+                                                       row_w.tolist())
+                              if w != 0])
+                for row_s, row_w in zip(support, weights)]
+    assert got.shape == (count,) and got.dtype == values.dtype
+    _same_bits(got, np.array(want, dtype=values.dtype))
+
+
+def test_integrate_many_keeps_no_batch_sized_temporary():
+    # the poly-deep batch: ultraspherical alpha = 0.7, n, k <= 32; f's own
+    # values (1089 x 33 complex) take 0.55 MB of the peak, a buffer of
+    # 64 KiB the rest
+    top, alpha = 64, 0.7
+    rec = recurrence_from_lists(
+        [1.0] + [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1)
+                 for n in range(1, top + 1)], [0.0] * (top + 1),
+        [0.0] + [n / (2 * n + 2 * alpha + 1) for n in range(1, top + 1)])
+    pairs = [(n, k) for n in range(33) for k in range(33)]
+    support, weights = PolynomialHypergroup(rec).convolve_many(
+        *_pair_batch(pairs))
+    assert weights.shape == (1089, 33)
+    f = sine_fn(rec, 1.0, 0.5 + 0.2j, n_max=top)
+    tracemalloc.start()
+    try:
+        _integrate_many(f, support, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.8e6, peak

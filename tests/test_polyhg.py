@@ -290,6 +290,28 @@ def test_convolve_names_the_negative_pair():
         reconstruct_sine(rec, 0.5, 1.0, 2)
 
 
+def test_first_negative_weight_is_named_in_reduction_order():
+    # P_1 P_k >= 0 since b_k >= b_0, so the first negative weight is at m = 2
+    # (one, at k = 4); for k <= 7 the rows m = 3, 4, 5 hold 5, 4 and 3 more.
+    # The error names the first (m, k) in the order m, then k, of the rows
+    # the batch reduces (k >= k_min)
+    a = [1.0, 0.66, 0.17, 0.1, 0.2, 0.5, 0.21, 0.34, 0.15, 0.38, 0.21, 0.28]
+    b = [0.0, 0.18, 0.02, 0.52, 0.28, 0.43, 0.53, 0.43, 0.55, 0.24, 0.48, 0.27]
+    c = [0.0] + [1.0 - bn - an for an, bn in zip(a[1:], b[1:])]
+    hg = PolynomialHypergroup(recurrence_from_lists(a, b, c))
+    for ns, ks, want in [
+            (range(6), range(6), "-0.1 at (2, 4)"),
+            (range(4), range(3, 6), "-0.1 at (2, 4)"),   # k_min = 3
+            ([5, 1], [1, 5], "-0.1 at (2, 4)"),
+            ([2], [4], "-0.1 at (2, 4)"),
+            ([3], [3], "-1.38856 at (3, 3)"),
+            (range(5), range(5, 8), "-0.74459 at (3, 5)")]:   # k_min = 5
+        pairs = np.array([(n, k) for n in ns for k in ks]).T
+        with pytest.raises(NotHypergroupError) as exc:
+            hg.convolve_many(*pairs)
+        assert str(exc.value) == f"negative linearization coefficient {want}"
+
+
 def test_reconstruct_sine_additive_case():
     # lam = 1 makes m identically one and sines additive
     rec = chebyshev_recurrence()

@@ -8,8 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hypersine import su2
 from hypersine.core import _propagate, exp_residual, sine_residual
-from hypersine.polyhg import (PolynomialHypergroup, exp_fn, exp_values,
-                              recurrence_from_lists, sine_values)
+from hypersine.polyhg import (PolynomialHypergroup, _reconstruct, exp_fn,
+                              exp_values, legendre_recurrence,
+                              reconstruct_sine, recurrence_from_lists,
+                              sine_values)
 from hypersine.suites import SuiteConfig, run_suite
 
 
@@ -125,10 +127,30 @@ def test_propagation_matches_derivative_route():
     assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
 
 
+def test_batched_propagation_rows_equal_lone_calls():
+    # one convolution serves every draw; each row is still the lone result,
+    # bit for bit
+    n_max, lams = 30, [0.3, 0.5 + 0.2j, 1.0, -0.7 + 0.1j, 0.0]
+    f1s = [1.5 - 0.5j, 2.0, -0.25 + 1j, 0.75 + 0.3j, 1j]
+    rows = _propagate(su2.Su2Hypergroup(),
+                      [su2.phi_fn(n_max, lam) for lam in lams], f1s, n_max)
+    assert rows.shape == (len(lams), n_max + 1)
+    for row, lam, f1 in zip(rows, lams, f1s):
+        assert row.tobytes() == su2.propagate_sine(lam, f1, n_max).tobytes()
+    rec = legendre_recurrence()
+    rows = _propagate(PolynomialHypergroup(rec),
+                      [exp_fn(rec, lam, n_max) for lam in lams], f1s, n_max)
+    for row, f, lam, f1 in zip(rows, _reconstruct(rec, lams, f1s, n_max),
+                               lams, f1s):
+        lone = reconstruct_sine(rec, lam, f1, n_max).values.tobytes()
+        assert row.tobytes() == f.values.tobytes() == lone
+
+
 def test_propagation_needs_enough_terms():
     for n_max in (0, -2):
         with pytest.raises(ValueError, match="n_max must be >= 1"):
-            _propagate(su2.Su2Hypergroup(), su2.phi_fn(4, 0.5), 1.0, n_max)
+            _propagate(su2.Su2Hypergroup(), [su2.phi_fn(4, 0.5)], [1.0],
+                       n_max)
         with pytest.raises(ValueError, match="n_max must be >= 1"):
             su2.propagate_sine(0.5, 1.0, n_max)
 
@@ -247,7 +269,7 @@ def test_su2_functions_are_u_at_cosh(lam):
     assert _rel(cmath.sinh(lam) * sine_values(rec, n_max, x),
                 su2.dphi(ns, lam)) <= 1e-12
     f1 = 1.3 - 0.4j
-    got = _propagate(PolynomialHypergroup(rec), exp_fn(rec, x, n_max), f1,
-                     n_max)
-    want = _propagate(su2.Su2Hypergroup(), su2.phi_fn(n_max, lam), f1, n_max)
+    got = _propagate(PolynomialHypergroup(rec), [exp_fn(rec, x, n_max)], [f1],
+                     n_max)[0]
+    want = su2.propagate_sine(lam, f1, n_max)
     assert _rel(got, want) <= 1e-12

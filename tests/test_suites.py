@@ -6,9 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from hypersine import coset, su2
+from hypersine import coset, polyhg, su2
 from hypersine.core import (ResidualReport, TabulatedFunction,
-                            power_identity_check, two_point_hypergroup)
+                            TheoremViolationError, power_identity_check,
+                            two_point_hypergroup)
 from hypersine.suites import (SuiteConfig, SUITE_NAMES, _coset_samples, _row,
                               dual_vs_fd_report, jsonable, run_suite)
 
@@ -198,8 +199,8 @@ def test_each_equation_pair_set_is_convolved_once(monkeypatch):
     poly = _convolution_batches(monkeypatch, PolynomialHypergroup)
     run_suite("polyone", SuiteConfig(n_max=6, lambdas=(0.3, 0.7, 0.5 + 0.5j)))
     # per recurrence: one batch for all lambdas and equations, then one for
-    # each of the 10 reconstruct draws (the rows n * 1, n = 1..5)
-    assert poly == [49] + [5] * 10 + [49] + [5] * 10
+    # all 10 reconstruct draws (the rows n * 1, n = 1..5)
+    assert poly == [49, 5, 49, 5]
     pairs = _convolution_batches(monkeypatch, coset.CosetHypergroup)
     run_suite("coset", SuiteConfig(samples=300))
     assert pairs.count(300) == 1
@@ -207,3 +208,42 @@ def test_each_equation_pair_set_is_convolved_once(monkeypatch):
     grid = _convolution_batches(monkeypatch, su2.Su2Hypergroup)
     run_suite("su2", SuiteConfig(n_max=10))
     assert grid.count(121) == 1
+
+
+def test_reconstruct_row_names_the_last_failing_draw(monkeypatch):
+    # rtol -1 fails every draw; the row keeps the last draw's message
+    real = polyhg._reconstruct
+    monkeypatch.setattr("hypersine.suites._reconstruct",
+                        lambda rec, lams, f1s, n_max, rtol: real(
+                            rec, lams, f1s, n_max, -1.0))
+    rows = {c.name: c for c in run_suite(
+        "polyone", SuiteConfig(seed=3, n_max=6, lambdas=(0.3,))).checks}
+    rng = random.Random(3)
+    for rec in (polyhg.chebyshev_recurrence(), polyhg.legendre_recurrence()):
+        messages = []
+        for _ in range(10):   # the suite's draws, in the suite's order
+            lam = complex(rng.uniform(-1.25, 1.25), rng.uniform(-0.5, 0.5))
+            f1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            with pytest.raises(TheoremViolationError) as exc:
+                polyhg.reconstruct_sine(rec, lam, f1, 6, rtol=-1.0)
+            messages.append(str(exc.value))
+        row = rows[f"polyone:{rec.name}:reconstruct"]
+        assert not row.passed and row.samples == 10
+        assert row.witness == messages[-1] != messages[-2]
+
+
+def test_su2_propagation_rows_keep_their_values():
+    # each lambda's propagation solves its own recurrence, summed as a lone
+    # 1-D dot product; a product over several draws at once (row @ F) sums
+    # in another order and moves these values
+    want = {
+        "su2:propagation:lam=0.3": (9.599853366654507e-10,
+                                    1.1903050412435208e-15),
+        "su2:propagation:lam=0.5+0.2j": (1.0990553447357282e-06,
+                                         1.7077106535870844e-15),
+        "su2:propagation:lam=1": (28.844410203711913, 9.603235365285722e-16),
+    }
+    got = {c.name: (c.max_abs, c.max_rel, c.witness, c.samples)
+           for c in run_suite("su2", SuiteConfig(seed=4)).checks
+           if c.name.startswith("su2:propagation")}
+    assert got == {name: (*vals, 40, 41) for name, vals in want.items()}
