@@ -152,11 +152,31 @@ class TabulatedFunction:
         return len(self.values)
 
 
+class PairBatch:
+    """The pairs (xs[i], ys[i]) of two element batches (see ``_pair_batch``),
+    usable wherever a list of pairs is: pair i is built on demand as the
+    tuple of plain Python numbers the list would hold (``_element``)."""
+
+    __slots__ = ("xs", "ys")
+
+    def __init__(self, xs, ys):
+        self.xs, self.ys = xs, ys
+
+    def __len__(self):
+        return len(self.xs[0] if isinstance(self.xs, tuple) else self.xs)
+
+    def __getitem__(self, i):
+        return _element(self.xs, i), _element(self.ys, i)
+
+
 def _pair_batch(pairs):
     """xs and ys of the pairs as batches: arrays, or tuples of coordinate
-    arrays for tuple elements (``a, b = x`` unpacks an element or a batch)."""
+    arrays for tuple elements (``a, b = x`` unpacks an element or a batch).
+    A PairBatch hands over its batches unchanged."""
     if len(pairs) == 0:
         raise ValueError("empty sample set")
+    if isinstance(pairs, PairBatch):
+        return pairs.xs, pairs.ys
     if isinstance(pairs[0][0], tuple):
         return tuple(tuple(map(np.array, zip(*els))) for els in zip(*pairs))
     return tuple(np.array(els) for els in zip(*pairs))
@@ -188,10 +208,13 @@ def _compact(rows):
     """(column, weight) arrays holding each row's non-zero entries first, in
     column order; padding slots have weight 0 and point at column 0."""
     mask = rows != 0
-    width = max(int(mask.sum(axis=1).max(initial=0)), 1)
-    cols = np.argsort(~mask, axis=1, kind="stable")[:, :width]
-    weights = np.take_along_axis(rows, cols, axis=1)
-    return np.where(weights != 0, cols, 0), weights
+    counts = np.count_nonzero(mask, axis=1)
+    # each row's first counts slots; a mask scatters row by row, in order
+    slots = np.arange(max(int(counts.max(initial=0)), 1)) < counts[:, None]
+    cols = np.zeros(slots.shape, np.intp)
+    weights = np.zeros(slots.shape, rows.dtype)
+    cols[slots], weights[slots] = np.nonzero(mask)[1], rows[mask]
+    return cols, weights
 
 
 class Hypergroup:
@@ -411,13 +434,20 @@ def _errors(hg, equations, pairs):
     """Per-pair errors (``_residual``) of each (f, m) in ``equations`` over
     the pairs: of f(x*y) = f(x)m(y) + f(y)m(x), or of m(x*y) = m(x)m(y) when
     f is None.  The pairs are batched (``_pair_batch``) and convolved once,
-    for every equation; this is the only place an equation check does so."""
+    for every equation; this is the only place an equation check does so.
+    Each equation integrates first; consecutive equations with the same m
+    share m(xs) and m(ys), and only the current m's values are held."""
     xs, ys = _pair_batch(pairs)
     support, weights = hg.convolve_many(xs, ys)
-    return [_residual(_integrate_many(m if f is None else f, support, weights),
-                      [_cmul(m(xs), m(ys))] if f is None
-                      else [_cmul(f(xs), m(ys)), _cmul(f(ys), m(xs))])
-            for f, m in equations]
+    errors, last = [], None
+    for f, m in equations:
+        if m is not last:   # m_at(0) is m(xs), m_at(1) m(ys), each once met
+            last, m_at = m, functools.cache(lambda i, m=m: m((xs, ys)[i]))
+        lhs = _integrate_many(m if f is None else f, support, weights)
+        errors.append(_residual(lhs, [_cmul(m_at(0), m_at(1))] if f is None
+                                else [_cmul(f(xs), m_at(1)),
+                                      _cmul(f(ys), m_at(0))]))
+    return errors
 
 
 def _propagate(hg, ms, f1s, n_max):
@@ -548,8 +578,14 @@ def compact_vanishing_check(hg, m, basis, tol=1e-10):
 
 def _uniforms(rng, count, low, high):
     """count draws low + (high - low) * rng.random() as an array; the
-    random() stream of a seeded random.Random is the same in every Python."""
-    return low + (high - low) * np.array([rng.random() for _ in range(count)])
+    random() stream of a seeded random.Random is the same in every Python.
+    random() makes a double of two 32-bit outputs as ((a >> 5) 2^26 +
+    (b >> 6)) 2^-53; one getrandbits(64 count) holds the same outputs as
+    little-endian words, and float64 floors do the shifts exactly."""
+    words = np.frombuffer(
+        rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u4")
+    a, b = np.floor(words.reshape(-1, 2) * np.array([2.0 ** -5, 2.0 ** -6])).T
+    return low + (high - low) * ((a * 2.0 ** 26 + b) * 2.0 ** -53)
 
 
 def exponentials(hg, tol=VERIFY_WEIGHT_TOL):

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coset, su2
-from .core import (ResidualReport, TabulatedFunction, TheoremViolationError,
-                   _errors, _residual, _scan, _uniforms, exp_residual,
-                   exponentials, integrate, power_identity_check,
-                   s3_conjugacy_hypergroup, sine_space, two_point_hypergroup)
+from .core import (PairBatch, ResidualReport, TabulatedFunction,
+                   TheoremViolationError, _errors, _residual, _scan,
+                   _uniforms, exp_residual, exponentials, integrate,
+                   power_identity_check, s3_conjugacy_hypergroup,
+                   sine_space, two_point_hypergroup)
 from .dual import central_difference
 from .multipoly import ProductPolyHypergroup
 from .polyhg import (PolynomialHypergroup, _reconstruct, _sine_and_exp,
@@ -258,12 +259,15 @@ def run_su2(cfg):
     lambdas = cfg.lambdas or (0.3, 0.5 + 0.2j, 1.0)
     n_max = cfg.n_max or 40
     hg = su2.Su2Hypergroup()
-    upper = [(k, n) for k in range(101) for n in range(k, 101)]
-    # one batch per k keeps the padding small (a row has k + 1 weights);
+    upper = PairBatch(*np.triu_indices(101))   # (k, n), k <= n <= 100
+    # bands of 13 consecutive k keep the padding small (a row has k + 1
+    # weights; a padding weight 0 adds +0.0 to the positive sum); bands of
+    # 6 k raised the peak RSS of a cold `verify all` by about 0.1 MB.
     # cumsum adds left to right, as over one measure (copy: free the rest)
+    edges = [*np.searchsorted(upper.xs, range(0, 101, 13)), len(upper)]
     sums = np.concatenate([np.cumsum(hg.convolve_many(
-        np.full(101 - k, k), np.arange(k, 101))[1], axis=1)[:, -1].copy()
-        for k in range(101)])
+        upper.xs[lo:hi], upper.ys[lo:hi])[1], axis=1)[:, -1].copy()
+        for lo, hi in zip(edges, edges[1:])])
     checks.append(_row("su2:weight-sums", _scan(*_residual(sums - 1.0, []),
                                                 upper), 1e-12, "abs"))
     mu = hg.convolve(1, 1)
@@ -392,8 +396,8 @@ def run_coset(cfg):
     xs, us = _coset_samples(rng, count)
     ys, vs = _coset_samples(rng, count)
     hg = coset.CosetHypergroup()
-    pairs = list(zip(zip(xs.tolist(), np.abs(us).tolist()),
-                     zip(ys.tolist(), np.abs(vs).tolist())))
+    aus, avs = np.abs(us), np.abs(vs)
+    pairs = PairBatch((xs, aus), (ys, avs))
     cases = [(f":lam={_fmt_lam(lam)}", coset.coset_sine(1.0, lam),
               coset.coset_exponential(lam)) for lam in lambdas]
     checks += _equation_checks(hg, pairs, "coset", cases, 1e-12, 1e-10)
@@ -410,7 +414,8 @@ def run_coset(cfg):
         coset.falsify_square_term(1.0, 1.0, [((2.0, 1.0), (3.0, 1.0))]), 0.5,
         "above"))
     checks.append(_row("coset:falsify-square:random",
-                       coset.falsify_square_term(1.0, 0.25, pairs[:200]),
+                       coset.falsify_square_term(1.0, 0.25, PairBatch(
+                           (xs[:200], aus[:200]), (ys[:200], avs[:200]))),
                        1e-3, "above"))
     gpairs = [((x, u), (y, v))
               for x, u, y, v in zip(xs[:200], us[:200], ys[:200], vs[:200])]

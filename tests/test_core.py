@@ -1,14 +1,15 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hypersine.core import (DEFAULT_SUPPORT_CAP, EvaluationError,
                             FiniteMeasure, Hypergroup, NotHypergroupError,
                             SupportCapError, TabulatedFunction, _powers,
-                            _propagate, compact_vanishing_check,
+                            _propagate, _uniforms, compact_vanishing_check,
                             convolve_power, dump_finite_hypergroup,
                             exp_residual, exponentials, integrate,
                             load_finite_hypergroup, mix,
@@ -361,3 +362,15 @@ def test_propagation_from_f1_alone_makes_no_convolution_call():
     f = _propagate(NoConvolution(), [lambda n: np.ones(len(n))], [2.5 - 1j],
                    1)
     assert f.tolist() == [[0j, 2.5 - 1j]]
+
+
+@given(seed=st.integers(0, 2 ** 64), count=st.integers(1, 4000),
+       low=st.floats(-10.0, 10.0), width=st.floats(0.0, 20.0))
+@settings(max_examples=40)
+def test_uniforms_are_the_random_stream(seed, count, low, width):
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = _uniforms(rng, count, low, low + width)
+    want = low + (low + width - low) * np.array(
+        [ref.random() for _ in range(count)])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.getstate() == ref.getstate()

@@ -16,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from hypersine import su2
 from hypersine.core import (_BLOCK_BYTES, EvaluationError, FiniteHypergroup,
-                            TabulatedFunction, _integrate_many, _pair_batch,
-                            _residual, exp_residual, integrate, sine_residual,
+                            PairBatch, TabulatedFunction, _compact, _errors,
+                            _integrate_many, _pair_batch, _residual,
+                            exp_residual, integrate, sine_residual,
                             two_point_hypergroup)
-from hypersine.coset import CosetHypergroup
+from hypersine.coset import (CosetHypergroup, coset_exponential, coset_sine)
 from hypersine.multipoly import ProductPolyHypergroup
 from hypersine.polyhg import (PolynomialHypergroup, chebyshev_recurrence,
                               legendre_recurrence, recurrence_from_lists,
@@ -303,3 +304,110 @@ def test_integrate_many_keeps_no_batch_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak <= 0.8e6, peak
+
+
+def _coset_batch(seed, count):
+    """count canonical coset pairs as a PairBatch and as a tuple list."""
+    rng = np.random.default_rng(seed)
+    xs, ys = np.exp(rng.uniform(-2.0, 2.0, (2, count)))
+    us, vs = rng.uniform(0.0, 5.0, (2, count))
+    return PairBatch((xs, us), (ys, vs)), list(zip(
+        zip(xs.tolist(), us.tolist()), zip(ys.tolist(), vs.tolist())))
+
+
+def _grid_batch(n_max):
+    """The pairs (n, k), n, k <= n_max, as a PairBatch and as a list."""
+    ns, ks = np.divmod(np.arange((n_max + 1) ** 2), n_max + 1)
+    return PairBatch(ns, ks), list(itertools.product(range(n_max + 1),
+                                                     repeat=2))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 40),
+       lam=st.sampled_from([0.0, -0.8, 1.5, complex(1.28, -0.57)]))
+@settings(max_examples=30)
+def test_pair_batch_reports_equal_tuple_list_reports(seed, count, lam):
+    batch, pairs = _coset_batch(seed, count)
+    assert len(batch) == count
+    assert [batch[i] for i in range(count)] == pairs
+    hg, f, m = CosetHypergroup(), coset_sine(1.0, lam), coset_exponential(lam)
+    for check in (lambda p: exp_residual(hg, m, p),
+                  lambda p: sine_residual(hg, f, m, p)):
+        got = check(batch)
+        assert got == check(pairs)
+        assert {type(c) for el in got.witness for c in el} == {float}
+
+
+@pytest.mark.parametrize("n_max", [0, 3, 10])
+def test_integer_pair_batch_reports_equal_tuple_list_reports(n_max):
+    batch, pairs = _grid_batch(n_max)
+    hg = su2.Su2Hypergroup()
+    f, m = su2.sine_fn(2 * n_max, 0.4 + 0.3j), su2.phi_fn(2 * n_max, 0.7)
+    for got, want in ((exp_residual(hg, m, batch), exp_residual(hg, m, pairs)),
+                      (sine_residual(hg, f, m, batch),
+                       sine_residual(hg, f, m, pairs))):
+        assert got == want and {type(el) for el in got.witness} == {int}
+
+
+def test_errors_evaluate_each_exponential_once_per_run_of_equations():
+    batch, pairs = _grid_batch(6)
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(n):
+            if n is batch.xs or n is batch.ys:   # the points, not a support
+                calls.append((name, "xs" if n is batch.xs else "ys"))
+            return fn(n)
+        return wrapped
+
+    m1, m2 = (counting(name, su2.phi_fn(12, lam))
+              for name, lam in (("m1", 0.3), ("m2", 0.5 + 0.2j)))
+    f1, f2 = (su2.sine_fn(12, lam) for lam in (0.3, 0.5 + 0.2j))
+    equations = [(None, m1), (f1, m1), (None, m2), (f2, m2), (f2, m2),
+                 (f1, m1)]
+    hg = su2.Su2Hypergroup()
+    got = _errors(hg, equations, batch)
+    # an exp row and its sine rows share m; m1 comes back after m2, and
+    # only the current m's values are held
+    assert calls == [("m1", "xs"), ("m1", "ys"), ("m2", "xs"), ("m2", "ys"),
+                     ("m1", "ys"), ("m1", "xs")]
+    for (err, rel), eq in zip(got, equations):
+        [(want_err, want_rel)] = _errors(hg, [eq], pairs)
+        assert np.array_equal(err, want_err) and np.array_equal(rel, want_rel)
+
+
+def test_function_undefined_on_the_support_raises_evaluation_error():
+    batch, _ = _grid_batch(3)
+    hg, m = su2.Su2Hypergroup(), su2.phi_fn(6, 0.3)
+    short = TabulatedFunction(np.ones(4))   # the points 0..3, no support
+    with pytest.raises(EvaluationError, match="undefined"):
+        exp_residual(hg, short, batch)
+    with pytest.raises(EvaluationError, match="undefined"):
+        _errors(hg, [(None, m), (short, m)], batch)
+    # the integral comes first: undefined on the points too, it still
+    # names the support
+    with pytest.raises(EvaluationError, match="undefined"):
+        sine_residual(hg, TabulatedFunction([0.0]), m, batch)
+
+
+def test_empty_pair_batch_is_rejected():
+    with pytest.raises(ValueError, match="empty sample set"):
+        exp_residual(su2.Su2Hypergroup(), su2.phi_fn(2, 0.3),
+                     PairBatch(np.arange(0), np.arange(0)))
+
+
+@given(rows=st.integers(1, 12).flatmap(lambda width: st.lists(
+    st.lists(st.sampled_from([0.0, -0.0, 0.25, -1.5, 2.0, math.nan]),
+             min_size=width, max_size=width), min_size=1, max_size=8)))
+def test_compact_lists_each_rows_entries_in_column_order(rows):
+    rows = np.array(rows)
+    cols, weights = _compact(rows)
+    width = max(max(np.count_nonzero(rows, axis=1)), 1)
+    assert cols.shape == weights.shape == (len(rows), width)
+    assert cols.dtype == np.intp
+    for row, c, w in zip(rows, cols, weights):
+        [nonzero] = np.nonzero(row)
+        pad = width - len(nonzero)
+        assert c.tolist() == nonzero.tolist() + [0] * pad
+        np.testing.assert_array_equal(w, np.concatenate([row[nonzero],
+                                                         np.zeros(pad)]))
+        assert not np.signbit(w[len(nonzero):]).any()

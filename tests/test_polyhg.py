@@ -348,3 +348,18 @@ def test_max_order_guard():
         name="trunc", max_order=5)
     with pytest.raises(ValueError):
         eval_P(rec, 9, 0.3)
+
+
+def test_cancelled_weights_leave_the_support():
+    # a_n, b_n, c_n = 1/2, 1/5, 3/10 for n >= 1 and b_0 = 0: P_2 P_2 has no
+    # P_2 term, but the float reduction leaves -1.1e-16 there; weights
+    # within DROP_COEFF_TOL of 0 are zero, so every support is the exact one
+    rec = recurrence_from_lists([1.0] + [0.5] * 12, [0.0] + [0.2] * 12,
+                                [0.0] + [0.3] * 12)
+    assert 2 not in linearize(rec, 2, 2, exact=True).support
+    pairs = list(itertools.product(range(7), repeat=2))
+    support, weights = PolynomialHypergroup(rec).convolve_many(
+        *(np.array(c) for c in zip(*pairs)))
+    for (n, k), row_s, row_w in zip(pairs, support, weights):
+        exact = linearize(rec, n, k, exact=True)
+        assert row_s[row_w != 0].tolist() == list(exact.support), (n, k)

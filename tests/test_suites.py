@@ -204,10 +204,43 @@ def test_each_equation_pair_set_is_convolved_once(monkeypatch):
     pairs = _convolution_batches(monkeypatch, coset.CosetHypergroup)
     run_suite("coset", SuiteConfig(samples=300))
     assert pairs.count(300) == 1
-    # the weight-sums batches have 1..101 pairs; the grid at n_max 10 has 121
+    # the weight-sums bands of 13 k have 55 to 1,235 pairs; the grid at
+    # n_max 10 has 121
     grid = _convolution_batches(monkeypatch, su2.Su2Hypergroup)
     run_suite("su2", SuiteConfig(n_max=10))
     assert grid.count(121) == 1
+    assert len(grid) < 20   # not one weight-sums batch per k
+
+
+def test_su2_weight_sums_row_adds_each_measure_as_a_lone_batch():
+    # a zero-weight padding slot adds +0.0 to a positive sum, so banding
+    # the k keeps every sum of the one-batch-per-k reference
+    hg = su2.Su2Hypergroup()
+    upper = [(k, n) for k in range(101) for n in range(k, 101)]
+    sums = np.concatenate([np.cumsum(hg.convolve_many(
+        np.full(101 - k, k), np.arange(k, 101))[1], axis=1)[:, -1]
+        for k in range(101)])
+    err = np.abs(sums - 1.0)
+    row = next(c for c in run_suite("su2", SuiteConfig(n_max=2)).checks
+               if c.name == "su2:weight-sums")
+    assert (row.max_abs, row.witness, row.samples) == (
+        err.max(), upper[int(np.argmax(err))], len(upper))
+    assert type(row.witness[0]) is int
+
+
+def test_coset_suite_hands_no_long_tuple_list_to_the_batcher(monkeypatch):
+    from hypersine import core
+    lists, batches, real = [], [], core._pair_batch
+
+    def recording(pairs):
+        (batches if isinstance(pairs, core.PairBatch) else lists).append(
+            len(pairs))
+        return real(pairs)
+    monkeypatch.setattr(core, "_pair_batch", recording)
+    monkeypatch.setattr(coset, "_pair_batch", recording)
+    run_suite("coset", SuiteConfig(samples=4000))
+    assert max(lists) <= 200
+    assert batches.count(4000) == 1   # every equation row, one convolution
 
 
 def test_reconstruct_row_names_the_last_failing_draw(monkeypatch):

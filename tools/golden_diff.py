@@ -29,6 +29,8 @@ CONFIGS = (
     ("all", "--seed", "11", "--n-max", "10", "--samples", "3", "--xmax",
      "0.3", "--h", "2e-3"),
     ("coset", "--samples", "4000", "--seed", "1"),
+    ("coset", "--samples", "4000", "--seed", "7", "--lambda=-0.8",
+     "--lambda=1.28,-0.57", "--lambda=-1.5,0.4"),
     ("su2", "--seed", "4"),
     ("sturm", "--seed", "4"),
     ("su2", "--lambda", "0,3.141592653589793", "--n-max", "12"),
