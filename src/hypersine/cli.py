@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import io
 import json
 import sys
@@ -131,6 +130,8 @@ def _rows_to_text(rows, header, fmt):
     if fmt == "json":
         return json.dumps([dict(zip(header, r)) for r in rows],
                           sort_keys=True, indent=2) + "\n"
+    import csv   # only CSV output needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

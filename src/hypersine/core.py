@@ -12,7 +12,7 @@ import functools
 import json
 import operator
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -332,8 +332,7 @@ def s3_conjugacy_hypergroup():
     return FiniteHypergroup(tensor, name="s3-conjugacy")
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Worst-case residual over a sample set.  At each sample an identity
     lhs = t_1 + .. + t_k has the error |lhs - t_1 - .. - t_k| and the
     relative error err / (1 + |t_1| + .. + |t_k|) (``_residual``).  max_abs

@@ -30,8 +30,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,8 +39,7 @@ from .core import Hypergroup, _errors, _reject, _residual, _scan
 OVERFLOW_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class SturmLiouvilleFunction:
+class SturmLiouvilleFunction(NamedTuple):
     """Weight data: the logarithmic derivative A'/A and the coefficient s of
     its s/x singularity at the origin (0 for a weight smooth and positive
     at 0).
@@ -74,8 +72,7 @@ def constant_family():
         ratio=lambda x: 0.0, origin_exponent=0.0, name="constant")
 
 
-@dataclass(frozen=True)
-class OdeSolution:
+class OdeSolution(NamedTuple):
     """Solution tabulated on a uniform grid.
 
     ``ode_residual`` is the worst relative central-difference error of the
@@ -92,6 +89,9 @@ class OdeSolution:
     forcing: Optional[np.ndarray] = None
 
 
+# a huge real lam makes inf * 0 here; the overflow guard of _integrate
+# reports the non-finite table
+@np.errstate(all="ignore")
 def _series(s, lam, c, x):
     """Series launch near 0, valid for A'/A = s/x (exact for the power
     weights): 1 + b2 x^2 + b4 x^4 for the exponential, g2 x^2 + g4 x^4 for
@@ -152,8 +152,13 @@ def _integrate(family, lam, c, x_max, h):
     no interpolation is needed at half steps.  The step matrices of the
     whole grid are built first (``_step_columns``), then one loop applies
     them in order; with c == 0 only (phi, phi') runs and f is exactly 0.
-    Returns the grid and the four tabulated components."""
+    When lam and c are both real the pass runs in floats: a complex
+    operation on zero imaginary parts rounds its real part exactly as the
+    float operation does, so only the sign of a zero can differ.
+    Returns the grid and the four tabulated components, complex."""
     lam, c = complex(lam), complex(c)
+    if lam.imag == 0 and c.imag == 0:
+        lam, c = lam.real, c.real
     grid, steps = _grid(x_max, h)
     k0 = _launch_index(x_max, h, steps)
     width = 2 if c == 0 else 4
@@ -161,19 +166,19 @@ def _integrate(family, lam, c, x_max, h):
     xs = grid[k0] + np.arange(steps - k0) * h
     entries = zip(*(e.tolist() for e in _step_columns(family.ratio, lam, c,
                                                        xs, h)))
-    state, out = [complex(t[-1]) for t in launch], []
+    state, out = [t[-1].item() for t in launch], []
     if c == 0:
         u, v = state
         for a, p, b, q in entries:
             u, v = u + (a * u + b * v), v + (p * u + q * v)
-            out.append((u, v))
+            out.extend((u, v))
     else:
         u, v, fu, fv = state
         for a, p, ga, gp, b, q, gb, gq in entries:
             u, v, fu, fv = (u + (a * u + b * v), v + (p * u + q * v),
                             fu + (a * fu + b * fv + ga * u + gb * v),
                             fv + (p * fu + q * fv + gp * u + gq * v))
-            out.append((u, v, fu, fv))
+            out.extend((u, v, fu, fv))
     rest = np.array(out, dtype=complex).reshape(-1, width).T
     tables = [np.concatenate(pair) for pair in zip(launch, rest)]
     tables += [np.zeros(steps + 1, dtype=complex) for _ in range(4 - width)]

@@ -11,13 +11,12 @@ apart from the wall_time field.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,20 +36,28 @@ from . import sturm as sturm_mod
 SUITE_NAMES = ("compact", "polyone", "su2", "sinsev", "sturm", "coset")
 
 
-@dataclass
 class SuiteConfig:
-    seed: int = 0
-    tol: float = 1e-9            # exponential-equation tolerance (compact)
-    lambdas: tuple = ()          # per-suite defaults when empty
-    n_max: int = 0               # per-suite default when 0
-    x_max: float = 5.0
-    h: float = 1e-3
-    thetas: tuple = (0.1, 0.25, 0.5, 0.9)
-    alpha: float = 0.5
-    samples: int = 1000
-    rec_file: str = ""
+    """Suite parameters; each argument defaults to the class attribute of
+    the same name."""
 
-    def __post_init__(self):
+    seed = 0
+    tol = 1e-9            # exponential-equation tolerance (compact)
+    lambdas = ()          # per-suite defaults when empty
+    n_max = 0             # per-suite default when 0
+    x_max = 5.0
+    h = 1e-3
+    thetas = (0.1, 0.25, 0.5, 0.9)
+    alpha = 0.5
+    samples = 1000
+    rec_file = ""
+
+    def __init__(self, seed=seed, tol=tol, lambdas=lambdas, n_max=n_max,
+                 x_max=x_max, h=h, thetas=thetas, alpha=alpha,
+                 samples=samples, rec_file=rec_file):
+        self.seed, self.tol, self.lambdas = seed, tol, lambdas
+        self.n_max, self.x_max, self.h = n_max, x_max, h
+        self.thetas, self.alpha = thetas, alpha
+        self.samples, self.rec_file = samples, rec_file
         for name in ("tol", "lambdas", "x_max", "h", "thetas", "alpha"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -66,8 +73,7 @@ class SuiteConfig:
             raise ValueError("x_max and h must be positive")
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     max_abs: float
     max_rel: float
@@ -88,10 +94,9 @@ class CheckResult:
         }
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
-    checks: list = field(default_factory=list)
+    checks: Sequence[CheckResult] = ()
     wall_time: float = 0.0
 
     @property
@@ -108,6 +113,8 @@ class SuiteReport:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self):
+        import csv   # only CSV output needs it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["suite", "max_abs", "max_rel", "witness",

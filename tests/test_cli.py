@@ -172,24 +172,41 @@ def test_negative_seed_is_config_error(suite, capsys):
         "error: seed must be >= 0, got -1\n")
 
 
+def _cold_run(runs, modules):
+    """Exit codes of ``cli.main`` on each argv of ``runs`` in a fresh
+    interpreter, and which of ``modules`` it has imported after them."""
+    script = ("import json, sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "from hypersine import cli\n"
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]\n"
+              "print(json.dumps([codes, [m for m in json.loads(sys.argv[3])\n"
+              "                          if m in sys.modules]]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-I", "-c", script, src,
+                           json.dumps(runs), json.dumps(modules)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+SUITE_ALL = ["verify", "all", "--n-max", "10", "--samples", "3", "--xmax",
+             "0.3", "--h", "2e-3"]
+
+
 def test_a_cold_run_does_not_import_numpy_random(tmp_path):
     # the seeded samples come from random.Random: importing numpy.random
     # (its Cython modules, secrets, hashlib) was most of a cold verify
     spec = tmp_path / "s3.json"
     dump_finite_hypergroup(s3_conjugacy_hypergroup(), spec)
-    runs = [["verify", "all", "--n-max", "10", "--samples", "3", "--xmax",
-             "0.3", "--h", "2e-3", "--out", str(tmp_path / "all.json")],
+    runs = [SUITE_ALL + ["--out", str(tmp_path / "all.json")],
             ["sine-space", str(spec), "--out", str(tmp_path / "s3.csv")]]
-    script = ("import json, sys\n"
-              "sys.path.insert(0, sys.argv[1])\n"
-              "from hypersine import cli\n"
-              "codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]\n"
-              "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-I", "-c", script, src,
-                           json.dumps(runs)], capture_output=True, text=True,
-                          check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], False]
+    assert _cold_run(runs, ["numpy.random"]) == [[0, 0], []]
+
+
+def test_a_cold_json_verify_imports_neither_dataclasses_nor_csv(tmp_path):
+    # the report records are NamedTuples and only CSV output imports csv:
+    # building a dataclass at import costs more than a millisecond
+    runs = [SUITE_ALL + ["--out", str(tmp_path / "all.json")]]
+    assert _cold_run(runs, ["dataclasses", "csv"]) == [[0], []]
 
 
 def test_rec_file_with_a_short_list_is_config_error(tmp_path, capsys):

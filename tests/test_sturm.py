@@ -145,6 +145,56 @@ def test_step_matrices_match_scalar_rk4(alpha, lam, c, grid, constant):
         assert not sine.values.any() and not sine.derivatives.any()
 
 
+def _complex_pass(family, lam, c, x_max, h):
+    """``sturm._integrate`` with lam and c taken as complex whatever their
+    value: the same series launch, step columns and loop, every state a
+    complex number.  The oracle for the pass a real problem runs in
+    floats."""
+    lam, c = complex(lam), complex(c)
+    grid, steps = sturm._grid(x_max, h)
+    k0 = sturm._launch_index(x_max, h, steps)
+    width = 2 if c == 0 else 4
+    launch = list(sturm._series(family.origin_exponent, lam, c,
+                                grid[:k0 + 1])[:width])
+    xs = grid[k0] + np.arange(steps - k0) * h
+    columns = [e.tolist() for e in sturm._step_columns(family.ratio, lam, c,
+                                                       xs, h)]
+    u, v, fu, fv = [complex(t[-1]) for t in launch] + [0j] * (4 - width)
+    rows = []
+    for entries in zip(*columns):
+        if width == 2:
+            a, p, b, q = entries
+            u, v = u + (a * u + b * v), v + (p * u + q * v)
+        else:
+            a, p, ga, gp, b, q, gb, gq = entries
+            u, v, fu, fv = (u + (a * u + b * v), v + (p * u + q * v),
+                            fu + (a * fu + b * fv + ga * u + gb * v),
+                            fv + (p * fu + q * fv + gp * u + gq * v))
+        rows.append((u, v, fu, fv))
+    launch += [np.zeros(k0 + 1, dtype=complex)] * (4 - width)
+    rest = np.array(rows, dtype=complex).reshape(-1, 4).T
+    return grid, *(np.concatenate(pair) for pair in zip(launch, rest))
+
+
+@settings(max_examples=40)
+@given(alpha=st.floats(-0.5, 2.0), lam=st.floats(-3.0, 3.0),
+       c=st.one_of(st.just(0.0), st.just(1.0), st.floats(-3.0, 3.0)),
+       grid=st.sampled_from([(0.5, 1e-2), (1.0, 2e-3), (2.0, 1e-2),
+                             (0.35, 5e-4)]),
+       constant=st.booleans())
+def test_real_problem_pass_is_the_complex_pass(alpha, lam, c, grid, constant):
+    # real lam and c run the pass in floats; the tables it returns are the
+    # complex pass's, bit for bit up to the sign of a zero
+    family = constant_family() if constant else power_family(alpha)
+    got = sturm._integrate(family, lam, c, *grid)
+    ref = _complex_pass(family, lam, c, *grid)
+    assert np.array_equal(got[0], ref[0])
+    for table, want in zip(got[1:], ref[1:]):
+        assert table.dtype == np.complex128
+        assert not table.imag.any() and not want.imag.any()
+        assert np.array_equal(table.real, want.real)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_guard_covers_the_forced_pass_and_non_finite_tables():
     with pytest.raises(OverflowError, match="solution magnitude exceeded"):

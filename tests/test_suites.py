@@ -10,6 +10,7 @@ from hypersine import coset, polyhg, su2
 from hypersine.core import (ResidualReport, TabulatedFunction,
                             TheoremViolationError, power_identity_check,
                             two_point_hypergroup)
+from hypersine.sturm import constant_family, solve_phi
 from hypersine.suites import (SuiteConfig, SUITE_NAMES, _coset_samples, _row,
                               dual_vs_fd_report, jsonable, run_suite)
 
@@ -25,6 +26,17 @@ def test_config_validation():
         SuiteConfig(h=-1.0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         SuiteConfig(seed=-1)
+    with pytest.raises(TypeError, match="bogus"):
+        SuiteConfig(bogus=1)
+
+
+def test_report_records_are_immutable_tuples():
+    rep = ResidualReport(0.5, 0.25, ("x", 1), 3)
+    sol = solve_phi(constant_family(), 1.0, x_max=0.5, h=1e-2)
+    for record, name in ((rep, "max_abs"), (sol, "lam")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+    assert rep == (0.5, 0.25, ("x", 1), 3) and len(sol) == 7
 
 
 @pytest.mark.parametrize("name, value", [
@@ -150,6 +162,10 @@ def test_jsonable_handles_composites():
 def test_dual_vs_fd_cross_check():
     rep = dual_vs_fd_report()
     assert rep.max_rel <= 1e-6
+    # pinned bit for bit: its sturm rows run real-lambda solves, whose
+    # float pass must give the complex pass's values exactly
+    assert rep == (5.503798661266046e-08, 2.031627247154816e-09,
+                   ("su2", 9, "0.4"), 24)
 
 
 def test_su2_propagation_row_reports_the_largest_absolute_error():

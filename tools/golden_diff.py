@@ -33,6 +33,8 @@ CONFIGS = (
      "--lambda=1.28,-0.57", "--lambda=-1.5,0.4"),
     ("su2", "--seed", "4"),
     ("sturm", "--seed", "4"),
+    ("sturm", "--h", "5e-4", "--xmax", "0.35", "--alpha", "1.3", "--seed", "2",
+     "--lambda=0.7", "--lambda=1.9", "--lambda=1.2,0.4"),
     ("su2", "--lambda", "0,3.141592653589793", "--n-max", "12"),
     ("polyone", "--rec-file", REC_FILE, "--n-max", "32"),
 )
@@ -45,6 +47,8 @@ TABULATE_CONFIGS = tuple(
     ("--family", "product", "--n-max", "6", "--lambda", "0.4", "--format",
      "json"),
     ("--family", "su2", "--lambda", "0,3.141592653589793", "--c", "2"),
+    ("--family", "sturm", "--alpha", "1.3", "--lambda", "0.8"),
+    ("--family", "sturm", "--lambda", "-0.7", "--c", "-1.5"),
 )
 
 THIRD = 1.0 / 3.0
