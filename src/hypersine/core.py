@@ -288,6 +288,8 @@ class FiniteHypergroup(Hypergroup):
         if (inverse[inverse] != np.arange(n)).any():
             raise NotHypergroupError("inverse map is not an involution")
         self.tensor = tensor
+        # row x n + y holds x * y, padded to the widest row of the tensor
+        self._cols, self._weights = _compact(tensor.reshape(n * n, n))
         self.size = n
         self.name = name
         self.identity = 0
@@ -296,7 +298,8 @@ class FiniteHypergroup(Hypergroup):
     def convolve_many(self, xs, ys):
         _reject((xs < 0) | (xs >= self.size) | (ys < 0) | (ys >= self.size),
                 f"elements outside range 0..{self.size - 1}", xs, ys)
-        return _compact(self.tensor[xs, ys])
+        rows = xs * self.size + ys
+        return self._cols[rows], self._weights[rows]
 
     def elements(self):
         return range(self.size)
@@ -354,11 +357,15 @@ def _cmul(a, b):
     """a * b elementwise, rounded as Python's complex product (two real
     products, then their sum); numpy's complex multiply may fuse them."""
     a, b = np.asarray(a), np.asarray(b)
-    if not (np.iscomplexobj(a) and np.iscomplexobj(b)):
+    if a.dtype.kind != "c" or b.dtype.kind != "c":
         return a * b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    re = ar * br
+    re -= ai * bi
+    im = ar * bi
+    im += ai * br
+    out = np.empty(np.shape(re), complex)
+    out.real, out.imag = re, im
     return out[()]
 
 
@@ -374,11 +381,11 @@ def _scan(errs, rels, witnesses):
     count = len(witnesses)
     if count == 0:
         raise ValueError("empty sample set")
-    errs = np.broadcast_to(np.asarray(errs, dtype=float), (count,))
-    rels = np.broadcast_to(np.asarray(rels, dtype=float), (count,))
-    bad = ~np.isfinite(errs)
-    i = int(np.argmax(bad)) if bad.any() else int(np.argmax(errs))
-    max_rel = rels[i] if bad.any() else rels.max()
+    errs, rels = (v if v.shape == (count,) else np.broadcast_to(v, (count,))
+                  for v in (np.asarray(errs, float), np.asarray(rels, float)))
+    finite = np.isfinite(errs)
+    i = int(errs.argmax() if finite.all() else finite.argmin())
+    max_rel = rels.max() if finite[i] else rels[i]
     return ResidualReport(float(errs[i]), float(max_rel), witnesses[i], count)
 
 
@@ -409,7 +416,9 @@ def _integrate_many(f, support, weights):
     a zero weight adds nothing, whatever f is there.  An OverflowError (a
     table leaving the float range) passes unwrapped."""
     try:
-        values = np.broadcast_to(f(support), weights.shape)
+        values = np.asarray(f(support))
+        if values.shape != weights.shape:
+            values = np.broadcast_to(values, weights.shape)
     except OverflowError:
         raise
     except Exception as exc:

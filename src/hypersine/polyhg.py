@@ -37,23 +37,28 @@ class ThreeTermRecurrence:
         self.c = c
         self.name = name
         self.max_order = max_order
-        self._floats = np.empty((3, 0))
         self._validate()
 
     def _validate(self):
+        """Checks degrees 0..64 (0..max_order), each coefficient converted
+        once, into the table ``_float_coeffs`` reads."""
         top = 64 if self.max_order is None else self.max_order
-        if not float(self.a(0)) > 0:
+        self._floats = self._convert(top + 1)
+        a, b, c = self._floats
+        if not a[0] > 0:
             raise NotHypergroupError(f"a_0 = {self.a(0)} must be positive")
-        if not abs(float(self.a(0)) + float(self.b(0)) - 1.0) <= 1e-12:
+        if not abs(a[0] + b[0] - 1.0) <= 1e-12:
             raise NotHypergroupError("a_0 + b_0 must equal 1")
-        for n in range(1, top + 1):
-            an, bn, cn = float(self.a(n)), float(self.b(n)), float(self.c(n))
+        with np.errstate(invalid="ignore"):   # inf - inf is NaN, and fails
+            ok = (a > 0) & (c > 0) & (np.abs(a + b + c - 1.0) <= 1e-12)
+        bad = np.flatnonzero(~ok[1:]) + 1   # NaN fails too
+        if len(bad):
+            n, (an, bn, cn) = bad[0], self._floats[:, bad[0]].tolist()
             if not (an > 0 and cn > 0):
                 raise NotHypergroupError(
                     f"a_{n} and c_{n} must be positive, got {an}, {cn}")
-            if not abs(an + bn + cn - 1.0) <= 1e-12:
-                raise NotHypergroupError(
-                    f"a_{n} + b_{n} + c_{n} must equal 1, got {an + bn + cn}")
+            raise NotHypergroupError(
+                f"a_{n} + b_{n} + c_{n} must equal 1, got {an + bn + cn}")
 
     def check_order(self, n):
         if self.max_order is not None and n > self.max_order:
@@ -65,9 +70,12 @@ class ThreeTermRecurrence:
         """Float rows (a, b, c) for degrees 0..n-1, converted once."""
         self.check_order(n)
         if self._floats.shape[1] < n:
-            self._floats = np.array([[float(f(i)) for i in range(n)]
-                                     for f in (self.a, self.b, self.c)])
+            self._floats = self._convert(n)
         return self._floats[:, :n]
+
+    def _convert(self, n):
+        return np.array([[float(f(i)) for i in range(n)]
+                         for f in (self.a, self.b, self.c)])
 
     def __repr__(self):
         return f"<ThreeTermRecurrence {self.name!r}>"

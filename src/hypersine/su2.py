@@ -45,9 +45,13 @@ class Su2Hypergroup(Hypergroup):
         _reject((ks < 0) | (ns < 0), "elements must be >= 0", ks, ns)
         low = np.minimum(ks, ns)[:, None]
         j = np.arange(int(low.max()) + 1)
-        support = np.abs(ks - ns)[:, None] + 2 * j * (j <= low)
-        return support, np.where(j <= low, (support + 1) / (
-            (ks + 1) * (ns + 1))[:, None], 0.0)
+        inside = j <= low
+        support = np.abs(ks - ns)[:, None] + 2 * j * inside
+        # in place; positive weights times 1 or 0 are the weight or +0.0
+        weights = support + 1.0
+        weights /= ((ks + 1) * (ns + 1))[:, None]
+        weights *= inside
+        return support, weights
 
 
 def _scaled(n, lam, scale=None):

@@ -268,9 +268,10 @@ def run_su2(cfg):
     hg = su2.Su2Hypergroup()
     upper = PairBatch(*np.triu_indices(101))   # (k, n), k <= n <= 100
     # bands of 13 consecutive k keep the padding small (a row has k + 1
-    # weights; a padding weight 0 adds +0.0 to the positive sum); bands of
-    # 6 k raised the peak RSS of a cold `verify all` by about 0.1 MB.
-    # cumsum adds left to right, as over one measure (copy: free the rest)
+    # weights; a padding weight 0 adds +0.0 to the positive sum).  Bands of
+    # 6 k or of 64 KiB, or a cumsum in place with no copy, each raised the
+    # peak RSS of a cold `verify all` by 0.04-0.1 MB.  cumsum adds left to
+    # right, as over one measure (the copy frees the rest of the band)
     edges = [*np.searchsorted(upper.xs, range(0, 101, 13)), len(upper)]
     sums = np.concatenate([np.cumsum(hg.convolve_many(
         upper.xs[lo:hi], upper.ys[lo:hi])[1], axis=1)[:, -1].copy()

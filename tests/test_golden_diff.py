@@ -64,6 +64,16 @@ def test_sine_space_specs_are_the_built_in_hypergroups():
         assert np.array_equal(spec["tensor"], hg.tensor)
 
 
+def test_product_spec_is_the_product_of_two_point_hypergroups():
+    spec = json.loads(json.dumps(golden_diff.SPECS["two-point-product.json"]))
+    tensor = np.einsum("abc,def->adbecf", two_point_hypergroup(0.5).tensor,
+                       two_point_hypergroup(0.25).tensor).reshape(4, 4, 4)
+    assert spec["size"] == 4
+    assert np.array_equal(spec["tensor"], tensor)
+    # rows of 1, 2 and 4 weights: a narrow batch is padded tensor-wide
+    assert sorted(set(np.count_nonzero(tensor, axis=2).ravel())) == [1, 2, 4]
+
+
 def test_main_compares_every_sine_space_table(monkeypatch, capsys):
     calls = []
 
@@ -81,7 +91,8 @@ def test_main_compares_every_sine_space_table(monkeypatch, capsys):
     spaces = [argv for src, argv in calls
               if src == "head" and argv[0] == "sine-space"]
     assert spaces == [("sine-space", spec, "--format", fmt)
-                      for spec in ("two-point-0.5.json", "s3.json")
+                      for spec in ("two-point-0.5.json", "s3.json",
+                                   "two-point-product.json")
                       for fmt in ("csv", "json")]
     out = capsys.readouterr().out.splitlines()
     assert out.count("sine-space s3.json --format json: DIFFERS") == 1

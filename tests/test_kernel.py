@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersine import su2
+from hypersine import core, su2
 from hypersine.core import (_BLOCK_BYTES, EvaluationError, FiniteHypergroup,
-                            PairBatch, TabulatedFunction, _compact, _errors,
-                            _integrate_many, _pair_batch, _residual,
-                            exp_residual, integrate, sine_residual,
-                            two_point_hypergroup)
+                            FiniteMeasure, PairBatch, TabulatedFunction,
+                            _cmul, _compact, _errors, _integrate_many,
+                            _pair_batch, _residual, _scan, exp_residual,
+                            integrate, s3_conjugacy_hypergroup,
+                            sine_residual, two_point_hypergroup)
 from hypersine.coset import (CosetHypergroup, coset_exponential, coset_sine)
 from hypersine.multipoly import ProductPolyHypergroup
 from hypersine.polyhg import (PolynomialHypergroup, chebyshev_recurrence,
@@ -411,3 +412,120 @@ def test_compact_lists_each_rows_entries_in_column_order(rows):
         np.testing.assert_array_equal(w, np.concatenate([row[nonzero],
                                                          np.zeros(pad)]))
         assert not np.signbit(w[len(nonzero):]).any()
+
+
+def _scan_reference(errs, rels, witnesses):
+    """A two-pass scan, the reference for ``core._scan``'s single
+    isfinite pass."""
+    count = len(witnesses)
+    if count == 0:
+        raise ValueError("empty sample set")
+    errs = np.broadcast_to(np.asarray(errs, dtype=float), (count,))
+    rels = np.broadcast_to(np.asarray(rels, dtype=float), (count,))
+    bad = ~np.isfinite(errs)
+    i = int(np.argmax(bad)) if bad.any() else int(np.argmax(errs))
+    max_rel = rels[i] if bad.any() else rels.max()
+    return float(errs[i]), float(max_rel), witnesses[i], count
+
+
+special_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, -math.inf, math.nan]),
+    st.floats())
+
+
+@given(count=st.integers(1, 8), data=st.data())
+@settings(max_examples=300)
+def test_scan_matches_the_two_pass_scan(count, data):
+    # ties and repeats come from the sampled values; the witness is the
+    # first maximum, or the first non-finite error with its own rel
+    errs = data.draw(st.one_of(special_floats, st.lists(
+        special_floats, min_size=count, max_size=count)))
+    rels = data.draw(st.one_of(special_floats, st.lists(
+        special_floats, min_size=count, max_size=count)))
+    witnesses = [(i, -i) for i in range(count)]
+    got = _scan(errs, rels, witnesses)
+    want = _scan_reference(errs, rels, witnesses)
+    _same_bits(np.array(got[:2]), np.array(want[:2]))
+    assert got[2:] == want[2:]
+
+
+def test_scan_rejects_an_empty_sample_set():
+    with pytest.raises(ValueError, match="empty sample set"):
+        _scan([], [], [])
+
+
+@given(a=st.lists(st.builds(complex, special_floats, special_floats),
+                  min_size=1, max_size=4),
+       b=st.lists(st.builds(complex, special_floats, special_floats),
+                  min_size=1, max_size=4))
+@settings(max_examples=300)
+def test_cmul_rounds_as_python_complex_products(a, b):
+    # an [len(a), 1] by [len(b)] batch broadcasts to every pair once
+    with np.errstate(all="ignore"):
+        got = _cmul(np.array(a)[:, None], np.array(b))
+        zero_d = _cmul(np.array(a[0]), np.complex128(b[0]))
+        row = _cmul(np.array(a[0]), np.array(b))
+    assert isinstance(zero_d, np.complex128)
+    _same_bits(np.atleast_1d(zero_d), np.array([a[0] * b[0]]))
+    _same_bits(row, np.array([a[0] * y for y in b]))
+    _same_bits(got, np.array([[x * y for y in b] for x in a]))
+
+
+def test_cmul_of_a_real_factor_is_numpys_product():
+    a, b = np.array([1.5, -0.0]), np.array([2 - 1j, 3 + 0j])
+    np.testing.assert_array_equal(_cmul(a, b), a * b)
+    assert _cmul(np.float64(2.0), np.array(3.0)) == 6.0
+
+
+class _PerBatchRows:
+    """A finite hypergroup whose convolve_many compacts each batch's own
+    rows, padded to that batch's widest row."""
+
+    def __init__(self, hg):
+        self.hg = hg
+
+    def convolve_many(self, xs, ys):
+        return _compact(self.hg.tensor[xs, ys])
+
+
+def _product_of_two_points(s, t):
+    return FiniteHypergroup(np.einsum(
+        "abc,def->adbecf", two_point_hypergroup(s).tensor,
+        two_point_hypergroup(t).tensor).reshape(4, 4, 4))
+
+
+value_parts = st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0, math.inf,
+                               -math.inf, math.nan])
+
+
+@given(hg=st.sampled_from([two_point_hypergroup(1.0), s3_conjugacy_hypergroup(),
+                           _product_of_two_points(0.5, 0.25)]),
+       data=st.data())
+@settings(max_examples=60)
+def test_finite_rows_padded_tensor_wide_give_the_same_errors(hg, data):
+    # the product's rows hold 1, 2 and 4 weights, so a batch of narrow rows
+    # gets padding slots that a per-batch compaction leaves out; f and m
+    # may be non-finite at element 0, where every padding slot points
+    values = st.lists(st.builds(complex, value_parts, value_parts),
+                      min_size=hg.size, max_size=hg.size)
+    f, m = (TabulatedFunction(np.array(data.draw(values))) for _ in "fm")
+    pairs = data.draw(st.lists(st.sampled_from(hg.all_pairs()), min_size=1))
+    equations = [(None, m), (f, m), (m, f)]
+    for got, want in zip(_errors(hg, equations, pairs),
+                         _errors(_PerBatchRows(hg), equations, pairs)):
+        for g, w in zip(got, want):
+            _same_bits(g, w)
+
+
+def test_finite_convolve_many_compacts_no_rows_after_construction(
+        monkeypatch):
+    hg = _product_of_two_points(0.5, 0.25)
+
+    def refuse(rows):
+        raise AssertionError("_compact called")
+
+    monkeypatch.setattr(core, "_compact", refuse)
+    support, weights = hg.convolve_many(*_pair_batch(hg.all_pairs()))
+    assert weights.shape == (16, 4)
+    assert hg.convolve(3, 3).allclose(FiniteMeasure(
+        [(0, 0.125), (1, 0.375), (2, 0.125), (3, 0.375)]))

@@ -123,6 +123,26 @@ def test_recurrence_validation():
         recurrence_from_lists(a, b, c, name="bad-sum-at-70")
 
 
+def test_built_in_recurrence_converts_each_coefficient_once():
+    calls = []
+    base = legendre_recurrence()
+
+    def counted(name, f):
+        def g(n):
+            calls.append((name, n))
+            return f(n)
+        return g
+
+    rec = ThreeTermRecurrence(*(counted(k, getattr(base, k)) for k in "abc"),
+                              name="legendre")
+    assert sorted(calls) == [(k, n) for k in "abc" for n in range(65)]
+    calls.clear()
+    table = rec._float_coeffs(20)
+    assert calls == []
+    np.testing.assert_array_equal(table, [[float(f(n)) for n in range(20)]
+                                          for f in (base.a, base.b, base.c)])
+
+
 def test_recurrence_rejects_lists_of_unequal_length():
     # not cut to the shortest list: that would drop 36 a's and 36 c's
     with pytest.raises(ValueError, match="got 41, 5, 41"):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -255,6 +256,44 @@ def test_su2_weights_are_the_linearization_of_u():
     got, want = (_dense(*g.convolve_many(ns, ks), 81) for g in (ph, hg))
     bad = np.argwhere(np.abs(got - want) > 1e-15)
     assert not len(bad), (ns[bad[0, 0]], ks[bad[0, 0]], bad[0, 1])
+
+
+def _su2_reference(ks, ns):
+    """The stride-two weights as np.where once wrote them: a division of
+    the integer support + 1, then 0.0 in the padding slots."""
+    low = np.minimum(ks, ns)[:, None]
+    j = np.arange(int(low.max()) + 1)
+    support = np.abs(ks - ns)[:, None] + 2 * j * (j <= low)
+    return support, np.where(j <= low, (support + 1) / (
+        (ks + 1) * (ns + 1))[:, None], 0.0)
+
+
+def test_su2_kernel_equals_the_where_formula_with_a_smaller_peak():
+    # the su2:weight-sums bands: 13 consecutive k, k <= n <= 100
+    hg = su2.Su2Hypergroup()
+    ks, ns = np.triu_indices(101)
+    edges = [*np.searchsorted(ks, range(0, 101, 13)), len(ks)]
+    for lo, hi in zip(edges, edges[1:]):
+        tracemalloc.start()
+        try:
+            support, weights = hg.convolve_many(ks[lo:hi], ns[lo:hi])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want_support, want_weights = _su2_reference(ks[lo:hi], ns[lo:hi])
+        assert support.dtype == want_support.dtype
+        np.testing.assert_array_equal(support, want_support)
+        assert weights.dtype == want_weights.dtype
+        # bit for bit: a -0.0 padding weight would differ here
+        np.testing.assert_array_equal(weights.view(np.int64),
+                                      want_weights.view(np.int64))
+        assert peak <= 1.75 * (support.nbytes + weights.nbytes), (lo, peak)
+
+
+def test_su2_convolution_of_float_elements():
+    mu = su2.Su2Hypergroup().convolve(1.0, 2.0)
+    assert mu.support == (1.0, 3.0)
+    assert mu.weights == (2 / 6, 4 / 6)
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.5 + 0.2j, 1.0, 1j * math.pi,

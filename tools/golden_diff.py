@@ -32,6 +32,7 @@ CONFIGS = (
     ("coset", "--samples", "4000", "--seed", "7", "--lambda=-0.8",
      "--lambda=1.28,-0.57", "--lambda=-1.5,0.4"),
     ("su2", "--seed", "4"),
+    ("compact", "--theta", "1", "--theta", "0.3"),
     ("sturm", "--seed", "4"),
     ("sturm", "--h", "5e-4", "--xmax", "0.35", "--alpha", "1.3", "--seed", "2",
      "--lambda=0.7", "--lambda=1.9", "--lambda=1.2,0.4"),
@@ -51,17 +52,34 @@ TABULATE_CONFIGS = tuple(
     ("--family", "sturm", "--lambda", "-0.7", "--c", "-1.5"),
 )
 
+
+def two_point(theta):
+    """Tensor of the two-point hypergroup, as core.two_point_hypergroup."""
+    return [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [theta, 1.0 - theta]]]
+
+
+def product(s, t):
+    """Tensor of the product of two two-element hypergroups: element
+    2 i + j is the pair (i, j)."""
+    bits = (0, 1)
+    return [[[s[i][k][l] * t[j][m][q] for l in bits for q in bits]
+             for k in bits for m in bits] for i in bits for j in bits]
+
+
 THIRD = 1.0 / 3.0
 SPECS = {   # finite hypergroup spec files, as core.dump_finite_hypergroup
     "two-point-0.5.json": {
-        "name": "two-point(theta=0.5)", "size": 2,
-        "tensor": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.5, 0.5]]]},
+        "name": "two-point(theta=0.5)", "size": 2, "tensor": two_point(0.5)},
     "s3.json": {
         "name": "s3-conjugacy", "size": 3,
         "tensor": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                    [[0.0, 1.0, 0.0], [THIRD, 0.0, 2 * THIRD],
                     [0.0, 1.0, 0.0]],
                    [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]]},
+    # rows with 1, 2 and 4 non-zero weights
+    "two-point-product.json": {
+        "name": "two-point(theta=0.5) x two-point(theta=0.25)", "size": 4,
+        "tensor": product(two_point(0.5), two_point(0.25))},
 }
 SINE_SPACE_CONFIGS = tuple((spec, "--format", fmt)
                            for spec in SPECS for fmt in ("csv", "json"))
