@@ -14,16 +14,14 @@ import sys
 
 import numpy as np
 
-from . import coset, su2
-from .core import (NotHypergroupError, _cmul, _errors, _sine_space,
-                   exponentials, load_finite_hypergroup)
-from .multipoly import ProductPolyHypergroup
-from .polyhg import BUILTIN_RECURRENCES, PolynomialHypergroup, _sine_and_exp
+from .core import (NotHypergroupError, _errors, _sine_space, exponentials,
+                   load_finite_hypergroup)
+from .polyhg import BUILTIN_RECURRENCES
 from . import sturm as sturm_mod
-from .suites import SUITE_NAMES, SuiteConfig, jsonable, run_suite
+from .suites import (_FAMILIES, SUITE_NAMES, SuiteConfig, jsonable,
+                     run_suite)
 
-TABULATE_FAMILIES = ("chebyshev", "legendre", "su2", "product", "coset",
-                     "sturm")
+TABULATE_FAMILIES = (*_FAMILIES, "sturm")
 
 
 def _parse_lambda(text):
@@ -171,48 +169,6 @@ def cmd_verify(args):
     return 0 if report.passed else 1
 
 
-def _sine_rows(hg, f, m, elements, y, labels=None):
-    """Rows (element, m, sine, residual): the residual of the sine equation
-    at (x, y) for each element x."""
-    [(errs, _)] = _errors(hg, [(f, m)], [(x, y) for x in elements])
-    return [(label, _c(m(x)), _c(f(x)), repr(float(err)))
-            for label, x, err in zip(labels or elements, elements, errs)]
-
-
-def _tabulate_poly(args, rec):
-    n_max = 8 if args.n_max is None else args.n_max
-    lam = (args.lambdas or [0.7])[0]
-    f, m = _sine_and_exp(rec, max(2 * n_max + 2, 4), lam, args.c)
-    return _sine_rows(PolynomialHypergroup(rec), f, m, range(n_max + 1), 1)
-
-
-def _tabulate_su2(args):
-    n_max = 8 if args.n_max is None else args.n_max
-    lam = (args.lambdas or [0.3])[0]
-    m, base = su2.phi_fn(2 * n_max + 2, lam), su2.sine_fn(2 * n_max + 2, lam)
-    return _sine_rows(su2.Su2Hypergroup(), lambda n: _cmul(args.c, base(n)),
-                      m, list(range(n_max + 1)), 1)
-
-
-def _tabulate_product(args):
-    n_max = 4 if args.n_max is None else args.n_max
-    lam = tuple((args.lambdas or [0.6, 0.8]) * 2)[:2]   # one value: both
-    hg = ProductPolyHypergroup([BUILTIN_RECURRENCES["chebyshev"](),
-                                BUILTIN_RECURRENCES["legendre"]()])
-    xs = [(i, j) for i in range(n_max + 1) for j in range(n_max + 1)]
-    return _sine_rows(hg, hg.multi_sine((args.c, args.c), lam),
-                      hg.exp_fn(lam), xs, (1, 1), [f"{i},{j}" for i, j in xs])
-
-
-def _tabulate_coset(args):
-    n_max = 8 if args.n_max is None else args.n_max
-    lam = (args.lambdas or [1.0])[0]
-    xs = [(float(np.exp(t / 4.0)), float(t)) for t in range(n_max + 1)]
-    return _sine_rows(coset.CosetHypergroup(), coset.coset_sine(args.c, lam),
-                      coset.coset_exponential(lam), xs, (2.0, 1.0),
-                      [f"{x!r},{u!r}" for x, u in xs])
-
-
 def _tabulate_sturm(args):
     lam = (args.lambdas or [1.0])[0]
     family = (sturm_mod.constant_family() if args.alpha is None
@@ -226,24 +182,30 @@ def _tabulate_sturm(args):
 
 
 def cmd_tabulate(args):
+    """Per element x of a family of the table (``suites._FAMILIES``), a pair
+    labelled "x,y": m(x), the sine function f(x) and the residual of its
+    equation at (x, unit); for sturm, the ODE solution on its grid."""
     if args.n_max is not None and args.n_max < 0:
         raise ValueError(f"--n-max must be >= 0, got {args.n_max}")
-    most = 2 if args.family == "product" else 1   # the values a table reads
+    fam = _FAMILIES[args.family]() if args.family in _FAMILIES else None
+    most = 1 if fam is None else len(fam.lams)   # the values a table reads
     if len(args.lambdas or ()) > most:
         raise ValueError(f"--family {args.family} takes at most {most} "
                          f"--lambda, got {len(args.lambdas)}")
-    header = ["element", "m", "sine", "residual"]
-    if args.family in ("chebyshev", "legendre"):
-        rows = _tabulate_poly(args, BUILTIN_RECURRENCES[args.family]())
-    elif args.family == "su2":
-        rows = _tabulate_su2(args)
-    elif args.family == "product":
-        rows = _tabulate_product(args)
-    elif args.family == "coset":
-        rows = _tabulate_coset(args)
-    else:
+    if fam is None:
         rows = _tabulate_sturm(args)
         header = ["x", "re_phi", "im_phi", "re_f", "im_f", "residual"]
+    else:
+        n_max = fam.n_max if args.n_max is None else args.n_max
+        lam = ((args.lambdas or list(fam.lams)) * most)[:most]   # one: all
+        f, m = fam.pair(args.c, lam[0] if most == 1 else tuple(lam),
+                        max(2 * n_max + 2, fam.min_degree))
+        xs = fam.elements(n_max)
+        [(errs, _)] = _errors(fam.hg, [(f, m)], [(x, fam.unit) for x in xs])
+        rows = [(",".join(map(repr, x)) if isinstance(x, tuple) else x,
+                 _c(m(x)), _c(f(x)), repr(float(err)))
+                for x, err in zip(xs, errs)]
+        header = ["element", "m", "sine", "residual"]
     _emit(_rows_to_text(rows, header, args.format or "csv"), args.out)
     return 0
 

@@ -257,7 +257,7 @@ class FiniteHypergroup(Hypergroup):
     """
 
     def __init__(self, tensor, name="", tol=WEIGHT_TOL):
-        tensor = np.asarray(tensor, dtype=float)
+        tensor = np.array(tensor, dtype=float)   # a copy, made read-only
         if tensor.ndim != 3 or len(set(tensor.shape)) != 1:
             raise NotHypergroupError(f"tensor shape {tensor.shape} is not (N, N, N)")
         n = tensor.shape[0]
@@ -287,6 +287,7 @@ class FiniteHypergroup(Hypergroup):
         inverse = np.argmax(tensor[:, :, 0] > tol, axis=1)
         if (inverse[inverse] != np.arange(n)).any():
             raise NotHypergroupError("inverse map is not an involution")
+        tensor.flags.writeable = False
         self.tensor = tensor
         # row x n + y holds x * y, padded to the widest row of the tensor
         self._cols, self._weights = _compact(tensor.reshape(n * n, n))

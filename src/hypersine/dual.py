@@ -4,8 +4,8 @@ Evaluating a parameterized formula with ``DualScalar(lam, 1.0)`` in place of
 ``lam`` yields the value together with the first derivative in ``lam``; apart
 from rounding there is no truncation error.  They are kept for user
 formulas: no family in this package computes with them.  The package's
-own derivatives are cross-checked against ``central_difference`` by
-``suites.dual_vs_fd_report``.
+own derivatives are cross-checked against ``central_difference`` over
+the family table ``suites._FAMILIES`` by ``suites.dual_vs_fd_report``.
 """
 
 from __future__ import annotations

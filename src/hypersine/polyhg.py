@@ -203,7 +203,7 @@ def _linearize_step(cur, prev, m, a, b, c):
     P_m P_k).  A row holds P-basis coefficients; ``cur`` has width w and
     ``prev`` width w - 1.  x P_l = a_l P_(l+1) + b_l P_l + c_l P_(l-1)."""
     w = cur.shape[1]
-    out = np.zeros((len(cur), w + 1))
+    out = np.zeros((len(cur), w + 1), dtype=cur.dtype)
     out[:, 1:] += a[:w] * cur
     out[:, :w] += b[:w] * cur
     out[:, :w - 1] += c[1:w] * cur[:, 1:]
@@ -212,13 +212,40 @@ def _linearize_step(cur, prev, m, a, b, c):
     return out / a[m], cur
 
 
+def _linearize_block(coeffs, lo, hi):
+    """Row i: the P-basis coefficients of P_lo[i] P_hi[i], lo <= hi, in the
+    dtype of the coefficient rows (a, b, c) of degrees below max(lo) +
+    max(hi): floats, or Fractions in an object array.  One reduction over
+    the columns k = k_min..k_max of hi holds P_m P_k, k >= max(m, k_min), at
+    step m; the first (m, k) with a weight below -NEGATIVE_COEFF_TOL raises
+    NotHypergroupError."""
+    m_max, k_min, k_max = int(lo.max()), int(hi.min()), int(hi.max())
+    dtype = coeffs.dtype
+    rows = np.zeros((len(lo), m_max + k_max + 1), dtype)
+    low = np.zeros((m_max + 1, k_max - k_min + 1), dtype)   # row minima
+    cur = np.eye(k_max - k_min + 1, k_max + 1, k_min, dtype)   # P_k
+    prev = np.zeros((len(cur), k_max), dtype)
+    for m in range(m_max + 1):
+        if m:
+            drop = int(m > k_min)   # column m - 1 is no longer read
+            cur, prev = _linearize_step(cur[drop:], prev[drop:], m - 1,
+                                        *coeffs)
+        low[m, -len(cur):], at = cur.min(axis=1), lo == m
+        rows[at, :cur.shape[1]] = cur[hi[at] - (k_max + 1 - len(cur))]
+    for m, k in np.argwhere(low < -NEGATIVE_COEFF_TOL)[:1]:   # the first
+        raise NotHypergroupError(f"negative linearization coefficient "
+                                 f"{float(low[m, k]):g} at ({m}, {k + k_min})")
+    return rows
+
+
 def linearize(rec, n, k, exact=False):
     """Convolution measure of degrees n and k: the coefficients of
     P_n * P_k = sum_l w_l P_l, from ``PolynomialHypergroup.convolve``.
 
-    With ``exact=True`` the reduction runs in rational arithmetic instead,
-    as an oracle for n + k <= 32.  A coefficient below -1e-10 means the
-    recurrence does not define a hypergroup and raises NotHypergroupError.
+    With ``exact=True`` the same block reduction (``_linearize_block``)
+    runs on ``Fraction`` coefficients, as an oracle for n + k <= 32: any
+    negative weight, or an intermediate P_m * P_k weight below -1e-10,
+    raises NotHypergroupError, as a weight below -1e-10 does in floats.
     """
     n, k = int(n), int(k)
     if n < 0 or k < 0:
@@ -227,33 +254,15 @@ def linearize(rec, n, k, exact=False):
         n, k = k, n
     rec.check_order(n + k)
     if exact:
-        coeffs = _linearize_exact(rec, n, k)
-        pairs = [(l, float(w)) for l, w in enumerate(coeffs) if w != 0]
-        if any(w < 0 for _, w in pairs):
+        coeffs = np.array([[Fraction(f(i)) for i in range(n + k)]
+                           for f in (rec.a, rec.b, rec.c)], dtype=object)
+        [row] = _linearize_block(coeffs, np.array([n]), np.array([k]))
+        if any(w < 0 for w in row):
             raise NotHypergroupError(
                 f"negative linearization coefficient at ({n}, {k})")
-        return FiniteMeasure(pairs, tol=NEGATIVE_COEFF_TOL)
+        return FiniteMeasure([(l, float(w)) for l, w in enumerate(row) if w],
+                             tol=NEGATIVE_COEFF_TOL)
     return PolynomialHypergroup(rec).convolve(n, k)
-
-
-def _linearize_exact(rec, n, k):
-    """P-basis coefficients of P_n P_k in rational arithmetic, by the step
-    P_(m+1) = ((x - b_m) P_m - c_m P_(m-1)) / a_m applied n times to P_k."""
-    a, b, c = ([Fraction(f(i)) for i in range(n + k + 1)]
-               for f in (rec.a, rec.b, rec.c))
-    prev, cur = [Fraction(0)] * k, [Fraction(0)] * k + [Fraction(1)]
-    for m in range(n):
-        # x P_l = a_l P_(l+1) + b_l P_l + c_l P_(l-1)
-        nxt = [Fraction(0)] * (len(cur) + 1)
-        for l, v in enumerate(cur):
-            nxt[l + 1] += a[l] * v
-            nxt[l] += (b[l] - b[m]) * v
-            if l:
-                nxt[l - 1] += c[l] * v
-        for l, v in enumerate(prev):
-            nxt[l] -= c[m] * v
-        prev, cur = cur, [w / a[m] for w in nxt]
-    return cur
 
 
 class PolynomialHypergroup(Hypergroup):
@@ -267,29 +276,12 @@ class PolynomialHypergroup(Hypergroup):
         self.commutative = True
 
     def convolve_many(self, ns, ks):
-        """Rows read at (min, max) of each pair from one block reduction over
-        the columns k = k_min..k_max spanned by the larger degrees: at step m
-        it holds P_m * P_k, k >= max(m, k_min), for the pairs with min m.
-        Needs the recurrence up to degree max(min) + max(max); the first (m, k)
-        with a weight below -NEGATIVE_COEFF_TOL raises NotHypergroupError."""
+        """Rows of (min, max) of each pair from one float reduction
+        (``_linearize_block``), zero within DROP_COEFF_TOL."""
         _reject((ns < 0) | (ks < 0), "degrees must be >= 0", ns, ks)
         lo, hi = np.minimum(ns, ks), np.maximum(ns, ks)
-        m_max, k_min, k_max = int(lo.max()), int(hi.min()), int(hi.max())
-        coeffs = self.rec._float_coeffs(m_max + k_max)
-        rows = np.zeros((len(lo), m_max + k_max + 1))
-        low = np.zeros((m_max + 1, k_max - k_min + 1))   # each row's minimum
-        cur = np.eye(k_max - k_min + 1, k_max + 1, k_min)   # P_k, k >= k_min
-        prev = np.zeros((len(cur), k_max))
-        for m in range(m_max + 1):
-            if m:
-                drop = int(m > k_min)   # column m - 1 is no longer read
-                cur, prev = _linearize_step(cur[drop:], prev[drop:], m - 1,
-                                            *coeffs)
-            low[m, -len(cur):], at = cur.min(axis=1), lo == m
-            rows[at, :cur.shape[1]] = cur[hi[at] - (k_max + 1 - len(cur))]
-        for m, k in np.argwhere(low < -NEGATIVE_COEFF_TOL)[:1]:   # the first
-            raise NotHypergroupError(f"negative linearization coefficient "
-                                     f"{low[m, k]:g} at ({m}, {k + k_min})")
+        rows = _linearize_block(
+            self.rec._float_coeffs(int(lo.max()) + int(hi.max())), lo, hi)
         rows[(rows >= -DROP_COEFF_TOL) & (rows <= DROP_COEFF_TOL)] = 0.0
         return _compact(rows)
 

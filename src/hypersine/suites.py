@@ -12,25 +12,27 @@ apart from the wall_time field.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import random
 import time
+from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import coset, su2
 from .core import (PairBatch, ResidualReport, TabulatedFunction,
-                   TheoremViolationError, _errors, _residual, _scan,
+                   TheoremViolationError, _cmul, _errors, _residual, _scan,
                    _uniforms, exp_residual, exponentials, integrate,
                    power_identity_check, s3_conjugacy_hypergroup,
                    sine_space, two_point_hypergroup)
 from .dual import central_difference
 from .multipoly import ProductPolyHypergroup
 from .polyhg import (PolynomialHypergroup, _reconstruct, _sine_and_exp,
-                     chebyshev_recurrence, eval_P, eval_P_with_derivative,
-                     legendre_recurrence, recurrence_from_file, sine_values)
+                     chebyshev_recurrence, legendre_recurrence,
+                     recurrence_from_file, sine_values)
 from . import sturm as sturm_mod
 
 SUITE_NAMES = ("compact", "polyone", "su2", "sinsev", "sturm", "coset")
@@ -147,11 +149,16 @@ def jsonable(obj):
     return repr(obj)
 
 
+def _fmt(x, sign=""):
+    """x in the format g where that reads back as x, else as repr writes it:
+    two parameters a check tells apart get two row names."""
+    text = format(x, sign + "g")
+    return text if float(text) == x else format(x, sign)
+
+
 def _fmt_lam(lam):
     lam = complex(lam)
-    if lam.imag == 0:
-        return f"{lam.real:g}"
-    return f"{lam.real:g}{lam.imag:+g}j"
+    return _fmt(lam.real) + (f"{_fmt(lam.imag, '+')}j" if lam.imag else "")
 
 
 def _row(name, report, tol, rule):
@@ -196,12 +203,53 @@ def _pairs_grid(n_max):
     return [(n, k) for n in range(n_max + 1) for k in range(n_max + 1)]
 
 
+# ---------------------------------------------------------------- families
+
+# A family of the table: its hypergroup hg and pair(c, lam, n) -> (f, m),
+# the c-sine function and the exponential at lam on the degrees 0..n (closed
+# forms take any n); the lambdas, n_max, elements(n_max) and unit element of
+# its default ``hypersine tabulate`` table, whose functions reach at least
+# degree min_degree; the points and lambdas where ``dual_vs_fd_report``
+# compares f at c = 1 with central differences of m (none: no such check).
+_Family = namedtuple("_Family", "hg pair lams n_max elements unit min_degree "
+                                "fd_points fd_lams", defaults=(0, (), ()))
+
+
+def _poly_family(rec):
+    return _Family(PolynomialHypergroup(rec),
+                   lambda c, lam, n: _sine_and_exp(rec, n, lam, c), (0.7,),
+                   8, lambda n: range(n + 1), 1, 4, (3, 7), (0.6, 0.3 + 0.4j))
+
+
+def _product_family():
+    hg = ProductPolyHypergroup([chebyshev_recurrence(), legendre_recurrence()])
+    return _Family(hg, lambda c, lam, n: (hg.multi_sine((c, c), lam),
+                                          hg.exp_fn(lam)), (0.6, 0.8), 4,
+                   lambda n: list(itertools.product(range(n + 1), repeat=2)),
+                   (1, 1))
+
+
+_FAMILIES = {   # name -> the builder of its _Family, in `hypersine list` order
+    "chebyshev": lambda: _poly_family(chebyshev_recurrence()),
+    "legendre": lambda: _poly_family(legendre_recurrence()),
+    "su2": lambda: _Family(su2.Su2Hypergroup(), lambda c, lam, n: (
+        TabulatedFunction(_cmul(c, su2.sine_fn(n, lam).values)),
+        su2.phi_fn(n, lam)), (0.3,), 8, lambda n: range(n + 1), 1, 0, (2, 9),
+        (0.4, 0.2 + 0.3j)),
+    "product": _product_family,
+    "coset": lambda: _Family(coset.CosetHypergroup(), lambda c, lam, n: (
+        coset.coset_sine(c, lam), coset.coset_exponential(lam)), (1.0,), 8,
+        lambda n: [(float(np.exp(t / 4.0)), float(t)) for t in range(n + 1)],
+        (2.0, 1.0), 0, ((2.0, 1.0), (0.5, 3.0)), (0.7, 1.5)),
+}
+
+
 # ---------------------------------------------------------------- compact
 
 def run_compact(cfg):
     checks = []
     for theta in cfg.thetas:
-        tag = f"compact:theta={theta:g}"
+        tag = f"compact:theta={_fmt(theta)}"
         hg = two_point_hypergroup(theta)
         m1 = TabulatedFunction([1.0, -theta])
         rep = exp_residual(hg, m1, hg.all_pairs())
@@ -212,9 +260,8 @@ def run_compact(cfg):
         rep = power_identity_check(hg, TabulatedFunction([0.0, 1.0]), m1, 0,
                                    1, 8)
         checks.append(_row(f"{tag}:power-refutation", rep, 0.5, "above"))
-    rec = chebyshev_recurrence()
-    f, m = _sine_and_exp(rec, 64, 0.9)
-    rep = power_identity_check(PolynomialHypergroup(rec), f, m, 1, 2, 8)
+    hg, pair, *_ = _FAMILIES["chebyshev"]()
+    rep = power_identity_check(hg, *pair(1.0, 0.9, 64), 1, 2, 8)
     checks.append(_row("compact:chebyshev:power-identity", rep, 1e-10, "abs"))
     s3 = s3_conjugacy_hypergroup()
     exps = exponentials(s3, tol=cfg.tol)
@@ -236,11 +283,11 @@ def run_polyone(cfg):
     pairs = _pairs_grid(n_max)
     for rec in ([recurrence_from_file(cfg.rec_file)] if cfg.rec_file
                 else [chebyshev_recurrence(), legendre_recurrence()]):
-        name = rec.name or "custom"
-        cases = [(f":lam={_fmt_lam(lam)}", *_sine_and_exp(rec, 2 * n_max, lam))
+        name, fam = rec.name or "custom", _poly_family(rec)
+        cases = [(f":lam={_fmt_lam(lam)}", *fam.pair(1.0, lam, 2 * n_max))
                  for lam in lambdas]
-        checks += _equation_checks(PolynomialHypergroup(rec), pairs,
-                                   f"polyone:{name}", cases, 1e-9, 1e-9)
+        checks += _equation_checks(fam.hg, pairs, f"polyone:{name}", cases,
+                                   1e-9, 1e-9)
         draws = [(complex(rng.uniform(-1.25, 1.25), rng.uniform(-0.5, 0.5)),
                   complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
                  for _ in range(10)]
@@ -248,7 +295,7 @@ def run_polyone(cfg):
                  if isinstance(f, Exception)]
         checks.append(_row(f"polyone:{name}:reconstruct", _fact(
             not fails, len(draws), fails[-1] if fails else None), 0.0, "abs"))
-        sines, exps = _sine_and_exp(rec, 5, 0.3)
+        sines, exps = fam.pair(1.0, 0.3, 5)
         prods = sine_values(rec, 5, 1.0) * exps.values
         sv = np.linalg.svd(np.column_stack([sines.values, prods]),
                            compute_uv=False)
@@ -265,7 +312,7 @@ def run_su2(cfg):
     checks = []
     lambdas = cfg.lambdas or (0.3, 0.5 + 0.2j, 1.0)
     n_max = cfg.n_max or 40
-    hg = su2.Su2Hypergroup()
+    hg, pair, *_ = _FAMILIES["su2"]()
     upper = PairBatch(*np.triu_indices(101))   # (k, n), k <= n <= 100
     # bands of 13 consecutive k keep the padding small (a row has k + 1
     # weights; a padding weight 0 adds +0.0 to the positive sum).  Bands of
@@ -284,8 +331,8 @@ def run_su2(cfg):
                        "abs"))
     pairs = _pairs_grid(n_max)
     rng = random.Random(cfg.seed)
-    cases = [(f":lam={_fmt_lam(lam)}", su2.sine_fn(2 * n_max, lam),
-              su2.phi_fn(2 * n_max, lam)) for lam in lambdas]
+    cases = [(f":lam={_fmt_lam(lam)}", *pair(1.0, lam, 2 * n_max))
+             for lam in lambdas]
     rows = iter(_equation_checks(hg, pairs, "su2", cases, 1e-9, 1e-9, [
         ("su2:additive", su2.additive_fn(1.0), lambda n: 1.0, 1e-10, "abs")]))
     for lam, (tail, f, m) in zip(lambdas, cases):
@@ -341,7 +388,7 @@ def run_sturm(cfg):
     x_max, h = cfg.x_max, cfg.h
     const = sturm_mod.constant_family()
     power = sturm_mod.power_family(cfg.alpha)
-    power_tag = f"power(alpha={cfg.alpha:g})"
+    power_tag = f"power(alpha={_fmt(cfg.alpha)})"
     res_bound = 10.0 * h * h
     residuals = []
     for lam in lambdas:
@@ -403,11 +450,11 @@ def run_coset(cfg):
     count = cfg.samples
     xs, us = _coset_samples(rng, count)
     ys, vs = _coset_samples(rng, count)
-    hg = coset.CosetHypergroup()
+    hg, pair, *_ = _FAMILIES["coset"]()
     aus, avs = np.abs(us), np.abs(vs)
     pairs = PairBatch((xs, aus), (ys, avs))
-    cases = [(f":lam={_fmt_lam(lam)}", coset.coset_sine(1.0, lam),
-              coset.coset_exponential(lam)) for lam in lambdas]
+    cases = [(f":lam={_fmt_lam(lam)}", *pair(1.0, lam, None))
+             for lam in lambdas]
     checks += _equation_checks(hg, pairs, "coset", cases, 1e-12, 1e-10)
     # the closed-form value cosh 3 + cosh 1 - 2 cosh^2 1 is pinned in tests
     rep = coset.falsify_dalembert_alpha(0.0, 1.0, [(2.0, 1.0, 1.0, 1.0)])
@@ -415,7 +462,7 @@ def run_coset(cfg):
     quads = list(zip(xs[:200], us[:200], ys[:200], vs[:200]))
     for alpha, lam in ((1.0, 0.0), (0.5, 1.0)):
         checks.append(_row(
-            f"coset:falsify-alpha={alpha:g}:lam={_fmt_lam(lam)}",
+            f"coset:falsify-alpha={_fmt(alpha)}:lam={_fmt_lam(lam)}",
             coset.falsify_dalembert_alpha(lam, alpha, quads), 1e-3, "above"))
     checks.append(_row(
         "coset:falsify-square:recorded",
@@ -479,48 +526,31 @@ def run_suite(name, cfg=None):
 
 # ------------------------------------------------- dual vs finite difference
 
-def dual_fd_families():
-    """Built-in exponential families exposed as (name, value, deriv, points,
-    lambdas) tuples, where value(x, lam) is the exponential and deriv(x, lam)
-    is the artifact's lambda-derivative.  Used to cross-check derivatives
-    against central differences."""
-    cheb = chebyshev_recurrence()
-    leg = legendre_recurrence()
-    prod = ProductPolyHypergroup([cheb, leg])
-    power, h = sturm_mod.power_family(0.5), 1e-3
-
-    return [
-        (rec.name,
-         lambda n, lam, rec=rec: eval_P(rec, n, lam),
-         lambda n, lam, rec=rec: eval_P_with_derivative(rec, n, lam)[1],
-         [3, 7], [0.6, 0.3 + 0.4j]) for rec in (cheb, leg)
-    ] + [
-        ("su2", su2.phi, su2.dphi, [2, 9], [0.4, 0.2 + 0.3j]),
-        ("product-coordinate-0",
-         lambda x, lam: prod.q_eval(x, (lam, 0.8)),
-         lambda x, lam: prod.q_grad(x, (lam, 0.8))[0],
-         [(2, 3), (4, 1)], [0.5, 0.7]),
-        ("sturm-power",
-         lambda x, lam: sturm_mod.solve_phi(
-             power, lam, x_max=x, h=h).values[-1],
-         lambda x, lam: sturm_mod.dlambda_phi(
-             power, lam, x_max=x, h=h).values[-1],
-         [1.0, 2.0], [0.6, 1.2]),
-        ("coset",
-         lambda p, lam: coset.coset_exponential(lam)(p),
-         lambda p, lam: coset.coset_sine(1.0, lam)(p),
-         [(2.0, 1.0), (0.5, 3.0)], [0.7, 1.5]),
-    ]
-
-
 def dual_vs_fd_report(h=1e-5):
-    """Worst relative disagreement between the families' lambda-derivatives
-    and central differences across all built-in families."""
+    """Worst relative disagreement between lambda-derivatives and central
+    differences of exponentials: f(x) against m(x) of pair(1, lam, x) for
+    each table family (``_Family``), the first coordinate of the chebyshev x
+    legendre product, and the power-weight ODE family solved to x."""
+    fams = {name: build() for name, build in _FAMILIES.items()}
+    checks = [(name, fam.pair, fam.fd_points, fam.fd_lams)
+              for name, fam in fams.items() if fam.fd_points]
+    prod, power, step = fams["product"].hg, sturm_mod.power_family(0.5), 1e-3
+    checks[-1:-1] = [   # before coset: the scan order settles witness ties
+        ("product-coordinate-0", lambda c, lam, n: (
+            prod.multi_sine((c, 0.0), (lam, 0.8)), prod.exp_fn((lam, 0.8))),
+         [(2, 3), (4, 1)], [0.5, 0.7]),
+        ("sturm-power", lambda c, lam, n: (
+            lambda x: sturm_mod.dlambda_phi(power, lam, x_max=x,
+                                            h=step).values[-1],
+            lambda x: sturm_mod.solve_phi(power, lam, x_max=x,
+                                          h=step).values[-1]),
+         [1.0, 2.0], [0.6, 1.2])]
     derivs, fds, witnesses = [], [], []
-    for name, value, deriv, points, lambdas in dual_fd_families():
+    for name, pair, points, lambdas in checks:
         for x in points:
             for lam in lambdas:
-                derivs.append(deriv(x, lam))
-                fds.append(central_difference(lambda t: value(x, t), lam, h=h))
+                derivs.append(pair(1.0, lam, x)[0](x))
+                fds.append(central_difference(
+                    lambda t: pair(1.0, t, x)[1](x), lam, h=h))
                 witnesses.append((name, x, _fmt_lam(lam)))
     return _scan(*_residual(np.array(derivs), [np.array(fds)]), witnesses)

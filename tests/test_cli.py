@@ -13,7 +13,7 @@ from hypersine import cli
 from hypersine.core import (ResidualReport, dump_finite_hypergroup,
                             s3_conjugacy_hypergroup, two_point_hypergroup)
 from hypersine.sturm import power_family, solve_sine
-from hypersine.suites import SuiteReport, _row
+from hypersine.suites import _FAMILIES, SuiteReport, _row
 
 
 def run(argv):
@@ -21,9 +21,14 @@ def run(argv):
 
 
 def test_list(capsys):
+    # the tabulate families are those of the family table, then sturm
+    assert cli.TABULATE_FAMILIES == (*_FAMILIES, "sturm") == (
+        "chebyshev", "legendre", "su2", "product", "coset", "sturm")
     assert run(["list"]) == 0
-    out = capsys.readouterr().out
-    assert "polyone" in out and "coset" in out and "chebyshev" in out
+    assert capsys.readouterr().out == (
+        "suites: compact polyone su2 sinsev sturm coset all\n"
+        "tabulate families: chebyshev legendre su2 product coset sturm\n"
+        "built-in recurrences: chebyshev legendre\n")
 
 
 def test_verify_compact_json_report(capsys):

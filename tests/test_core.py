@@ -255,6 +255,18 @@ def test_finite_hypergroup_checks_associativity_and_involution():
         FiniteHypergroup(no_inverse)
 
 
+def test_tensor_is_a_read_only_copy():
+    from hypersine.core import FiniteHypergroup
+    caller = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.5, 0.5]]])
+    hg = FiniteHypergroup(caller)
+    # an edit would leave the validated tensor: one exponential, not two
+    with pytest.raises(ValueError):
+        hg.tensor[1, 1] = [0.25, 0.75]
+    caller[1, 1] = [0.25, 0.75]   # the caller's array stays its own
+    assert hg.tensor[1, 1].tolist() == [0.5, 0.5]
+    assert len(exponentials(hg)) == 2
+
+
 def test_exponentials_of_product_hypergroup():
     # on D(1/4) x D(1/4) every generator row has repeated eigenvalues
     from hypersine.core import FiniteHypergroup

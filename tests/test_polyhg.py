@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypersine.core import (NotHypergroupError, TheoremViolationError,
                             sine_residual)
 from hypersine.polyhg import (PolynomialHypergroup, ThreeTermRecurrence,
+                              _linearize_block,
                               chebyshev_recurrence, eval_P,
                               eval_P_with_derivative, exp_fn, exp_values,
                               legendre_recurrence, linearize,
@@ -87,6 +88,49 @@ def test_exact_linearization_matches_float_path():
         assert exact.allclose(approx, tol=1e-12)
         # the rational weights sum to one before the float conversion
         assert abs(sum(exact.weights) - 1.0) <= 1e-14
+
+
+def _rational_ultraspherical(alpha):
+    """x P_n = (n + 2 alpha + 1) P_(n+1) + n P_(n-1), over 2n + 2 alpha + 1."""
+    return ThreeTermRecurrence(
+        a=lambda n: (n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1),
+        b=lambda n: Fraction(0),
+        c=lambda n: n / (2 * n + 2 * alpha + 1), name="ultraspherical")
+
+
+def _fraction_P(rec, x, top):
+    """P_0(x)..P_top(x) in rational arithmetic, top >= 1."""
+    a, b, c = ([Fraction(f(i)) for i in range(top)]
+               for f in (rec.a, rec.b, rec.c))
+    p = [Fraction(1), (x - b[0]) / a[0]]
+    for m in range(1, top):
+        p.append(((x - b[m]) * p[m] - c[m] * p[m - 1]) / a[m])
+    return p
+
+
+@pytest.mark.parametrize("rec", [
+    chebyshev_recurrence(), legendre_recurrence(),
+    _rational_ultraspherical(Fraction(1, 3))], ids=lambda rec: rec.name)
+def test_exact_linearization_proved_by_evaluation(rec):
+    # both sides of P_n P_k = sum_l w_l P_l have degree n + k, so equality
+    # at n + k + 1 distinct points proves the weights; the points and P are
+    # exact, and P comes from the recurrence, not from the reduction
+    top = 8
+    coeffs = np.array([[Fraction(f(i)) for i in range(2 * top)]
+                       for f in (rec.a, rec.b, rec.c)], dtype=object)
+    xs = [Fraction(j, 5) - 2 for j in range(2 * top + 1)]
+    ps = [_fraction_P(rec, x, 2 * top) for x in xs]
+    pairs = list(itertools.combinations_with_replacement(range(top + 1), 2))
+    # one block from k_min = 0 and one from k_min = 3, which drops columns
+    for block in (pairs, [(n, k) for n, k in pairs if k >= 3]):
+        lo, hi = (np.array(v) for v in zip(*block))
+        for n, k, row in zip(lo.tolist(), hi.tolist(),
+                             _linearize_block(coeffs, lo, hi)):
+            for p in ps:
+                assert p[n] * p[k] == sum(w * p[l] for l, w in enumerate(row))
+            assert min(row) >= 0
+            assert linearize(rec, n, k, exact=True).items() == tuple(
+                (l, float(w)) for l, w in enumerate(row) if w)
 
 
 def test_spec_worked_linearizations():

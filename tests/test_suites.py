@@ -11,7 +11,8 @@ from hypersine.core import (ResidualReport, TabulatedFunction,
                             TheoremViolationError, power_identity_check,
                             two_point_hypergroup)
 from hypersine.sturm import constant_family, solve_phi
-from hypersine.suites import (SuiteConfig, SUITE_NAMES, _coset_samples, _row,
+from hypersine.suites import (_FAMILIES, SuiteConfig, SUITE_NAMES,
+                              _coset_samples, _equation_checks, _row,
                               dual_vs_fd_report, jsonable, run_suite)
 
 ROW_KEYS = {"suite", "max_abs", "max_rel", "witness", "samples", "pass"}
@@ -296,3 +297,36 @@ def test_su2_propagation_rows_keep_their_values():
            for c in run_suite("su2", SuiteConfig(seed=4)).checks
            if c.name.startswith("su2:propagation")}
     assert got == {name: (*vals, 40, 41) for name, vals in want.items()}
+
+
+@pytest.mark.parametrize("name", list(_FAMILIES))
+def test_each_table_family_satisfies_its_equations(name):
+    # at the default lambda, on the pairs of the default tabulate elements
+    fam = _FAMILIES[name]()
+    lam = fam.lams[0] if len(fam.lams) == 1 else fam.lams
+    f, m = fam.pair(1.5, lam, 2 * fam.n_max)
+    xs = list(fam.elements(fam.n_max))
+    assert max(abs(f(x)) for x in xs) > 0.1   # not the zero function
+    rows = _equation_checks(fam.hg, [(x, y) for x in xs for y in xs], name,
+                            [("", f, m)], 1e-9, 1e-9)
+    assert [row.name for row in rows] == [f"{name}:exp", f"{name}:sine"]
+    assert all(row.passed and row.max_rel <= 1e-9 for row in rows), rows
+
+
+def test_row_names_tell_close_parameters_apart_and_read_back():
+    lams = (0.1234567, 0.1234568, 0.3 + 1j / 3)
+    names = [c.name for c in run_suite("polyone", SuiteConfig(
+        n_max=4, lambdas=lams)).checks if c.name.startswith(
+            "polyone:chebyshev:exp:")]
+    assert [complex(n.split("lam=")[1]) for n in names] == list(lams)
+    thetas = (0.1234567, 0.1234568)
+    tags = {c.name.split(":")[1] for c in run_suite(
+        "compact", SuiteConfig(thetas=thetas)).checks
+        if c.name.startswith("compact:theta=")}
+    assert sorted(float(t.split("=")[1]) for t in tags) == list(thetas)
+    names = {c.name for c in run_suite("sturm", SuiteConfig(
+        alpha=1 / 3, lambdas=(1.0,), x_max=0.5, h=1e-2)).checks}
+    assert "sturm:power(alpha=0.3333333333333333):homogeneous-zero" in names
+    # the default names keep the short g format
+    assert "polyone:chebyshev:exp:lam=0.5+0.5j" in {
+        c.name for c in run_suite("polyone", SuiteConfig(n_max=2)).checks}

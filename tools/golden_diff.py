@@ -50,6 +50,11 @@ TABULATE_CONFIGS = tuple(
     ("--family", "su2", "--lambda", "0,3.141592653589793", "--c", "2"),
     ("--family", "sturm", "--alpha", "1.3", "--lambda", "0.8"),
     ("--family", "sturm", "--lambda", "-0.7", "--c", "-1.5"),
+    ("--family", "legendre", "--format", "json"),   # integer element labels
+    ("--family", "chebyshev", "--n-max", "0"),   # table to max(2n + 2, 4)
+    ("--family", "su2", "--n-max", "0"),   # table to 2n + 2
+    ("--family", "coset", "--lambda", "0.5,0.5", "--c", "2,-1", "--n-max",
+     "3"),
 )
 
 
