@@ -198,8 +198,9 @@ def cmd_tabulate(args):
     else:
         n_max = fam.n_max if args.n_max is None else args.n_max
         lam = ((args.lambdas or list(fam.lams)) * most)[:most]   # one: all
+        # the rows read m and f on 0..n_max + 1: x <= n_max and x * unit
         f, m = fam.pair(args.c, lam[0] if most == 1 else tuple(lam),
-                        max(2 * n_max + 2, fam.min_degree))
+                        n_max + 1)
         xs = fam.elements(n_max)
         [(errs, _)] = _errors(fam.hg, [(f, m)], [(x, fam.unit) for x in xs])
         rows = [(",".join(map(repr, x)) if isinstance(x, tuple) else x,

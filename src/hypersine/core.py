@@ -225,7 +225,10 @@ class Hypergroup:
     ``_pair_batch``): [P, K] weights padded with zeros, and a support of
     that shape (a tuple of them for tuple elements) whose padding slots
     hold valid elements.  The residual checks (``_errors``) call it once
-    per pair set, for every equation checked there.  The identity must
+    per pair set, for every equation checked there; a subclass whose
+    convolve_many(ys, xs) has the rows of convolve_many(xs, ys) bit for
+    bit declares ``_mirror_rows``, and mirrored pairs then share one
+    convolution (the polynomial and su2 hypergroups).  The identity must
     satisfy convolve(o, x) = convolve(x, o) = point mass at x.
     """
 
@@ -438,21 +441,57 @@ def _integrate_many(f, support, weights):
     return out
 
 
+def _first_pairs(xs, ys):
+    """(first, row): the index of the first pair of each unordered pair
+    {x, y}, in pair order, and per pair the position in ``first`` of its
+    own unordered pair.  Keys lo (max hi + 1) + hi, one stable argsort."""
+    lo, hi = (v.astype(np.int64, copy=False)   # elements below 2^31
+              for v in (np.minimum(xs, ys), np.maximum(xs, ys)))
+    keys = lo * (hi.max() + 1) + hi
+    order = np.argsort(keys, kind="stable")
+    starts = np.empty(len(order), bool)
+    starts[0] = True
+    np.not_equal(keys[order[1:]], keys[order[:-1]], out=starts[1:])
+    owner = np.empty_like(order)   # per pair, its first pair
+    owner[order] = order[starts][np.cumsum(starts) - 1]
+    firsts = owner == np.arange(len(owner))
+    return np.flatnonzero(firsts), (np.cumsum(firsts) - 1)[owner]
+
+
+def _mirrored(hg, xs, ys):
+    """True if ``_errors`` may convolve each unordered pair once: hg
+    declares ``_mirror_rows`` (convolve_many(ys, xs) has the rows of
+    convolve_many(xs, ys), bit for bit) and the pairs are non-negative
+    integers whose keys in ``_first_pairs`` fit 63 bits.  Other batches are
+    convolved as given, so a bad element raises hg's own error."""
+    return (getattr(hg, "_mirror_rows", False)
+            and isinstance(xs, np.ndarray) and isinstance(ys, np.ndarray)
+            and xs.dtype.kind in "iu" and ys.dtype.kind in "iu"
+            and min(xs.min(), ys.min()) >= 0
+            and max(xs.max(), ys.max()) < 1 << 31)
+
+
 @np.errstate(all="ignore")
 def _errors(hg, equations, pairs):
     """Per-pair errors (``_residual``) of each (f, m) in ``equations`` over
     the pairs: of f(x*y) = f(x)m(y) + f(y)m(x), or of m(x*y) = m(x)m(y) when
     f is None.  The pairs are batched (``_pair_batch``) and convolved once,
     for every equation; this is the only place an equation check does so.
+    Where ``_mirrored`` allows, only the first of each unordered pair is
+    convolved and integrated, in pair order, and a pair reads its integral
+    from there; the terms on the right are computed per ordered pair.
     Each equation integrates first; consecutive equations with the same m
     share m(xs) and m(ys), and only the current m's values are held."""
     xs, ys = _pair_batch(pairs)
-    support, weights = hg.convolve_many(xs, ys)
+    first = row = slice(None)   # every pair, as given
+    if _mirrored(hg, xs, ys):
+        first, row = _first_pairs(xs, ys)
+    support, weights = hg.convolve_many(xs[first], ys[first])
     errors, last = [], None
     for f, m in equations:
         if m is not last:   # m_at(0) is m(xs), m_at(1) m(ys), each once met
             last, m_at = m, functools.cache(lambda i, m=m: m((xs, ys)[i]))
-        lhs = _integrate_many(m if f is None else f, support, weights)
+        lhs = _integrate_many(m if f is None else f, support, weights)[row]
         errors.append(_residual(lhs, [_cmul(m_at(0), m_at(1))] if f is None
                                 else [_cmul(f(xs), m_at(1)),
                                       _cmul(f(ys), m_at(0))]))

@@ -270,6 +270,8 @@ class PolynomialHypergroup(Hypergroup):
     weight of l in n * k is the coefficient of P_l in P_n P_k, zero below
     DROP_COEFF_TOL.  Nothing is stored between calls."""
 
+    _mirror_rows = True   # a pair and its mirror reduce as (min, max)
+
     def __init__(self, rec):
         self.rec = rec
         self.identity = 0

@@ -38,6 +38,7 @@ class Su2Hypergroup(Hypergroup):
 
     identity = 0
     commutative = True
+    _mirror_rows = True   # |k - n| and (k + 1)(n + 1) read both alike
 
     def convolve_many(self, ks, ns):
         """Weight (l + 1) / ((k + 1)(n + 1)) on l = |k - n|, .., k + n in
@@ -54,6 +55,16 @@ class Su2Hypergroup(Hypergroup):
         return support, weights
 
 
+def _hyperbolic(fn, lam):
+    """cmath's cosh or sinh at lam; OverflowError naming lam where it leaves
+    the float range, as ``_finite`` names it for the table."""
+    try:
+        return fn(lam)
+    except OverflowError:
+        raise OverflowError(
+            f"su2 table overflows at lambda = {lam!r}") from None
+
+
 def _scaled(n, lam, scale=None):
     """U_n(x) / (n+1), or scale U_n'(x) / (n+1), at x = cosh lam for one
     element or an integer array; U_n and U_n' are exact integers at x = +-1.
@@ -64,7 +75,7 @@ def _scaled(n, lam, scale=None):
         raise ValueError(f"element must be >= 0, got {ns.min()}")
     top = int(ns.max(initial=0))
     u, du = _p_and_dp(np.array([[0.5] * top, [0.0] * top, [0.5] * top]),
-                      cmath.cosh(lam))
+                      _hyperbolic(cmath.cosh, lam))
     with np.errstate(over="ignore", invalid="ignore"):
         z = _finite(u[ns] if scale is None else _cmul(scale, du[ns]),
                     "su2 table", lam)
@@ -80,7 +91,7 @@ def phi(n, lam):
 
 def dphi(n, lam):
     """The lambda-derivative of phi(n, .) at lam, taking n as phi does."""
-    return _scaled(n, lam, cmath.sinh(lam))
+    return _scaled(n, lam, _hyperbolic(cmath.sinh, lam))
 
 
 def phi_fn(n_max, lam):
@@ -99,7 +110,7 @@ def sine_fn(n_max, lam):
     """A non-zero phi(., lam)-sine function on 0..n_max: scale U_n'(cosh lam)
     / (n+1), scale = sinh lam (dphi) or, where |sinh lam| < SMALL_SINH_TOL,
     3 cosh lam, which makes it (-1)^(k n) n (n+2) at lam = i k pi."""
-    s = cmath.sinh(lam)
+    s = _hyperbolic(cmath.sinh, lam)
     scale = s if abs(s) >= SMALL_SINH_TOL else 3 * cmath.cosh(lam)
     # + 0.0 turns f(0) = scale * 0 into 0 where it is -0 (Re scale < 0)
     return TabulatedFunction(_scaled(np.arange(n_max + 1), lam, scale) + 0.0)

@@ -208,17 +208,17 @@ def _pairs_grid(n_max):
 # A family of the table: its hypergroup hg and pair(c, lam, n) -> (f, m),
 # the c-sine function and the exponential at lam on the degrees 0..n (closed
 # forms take any n); the lambdas, n_max, elements(n_max) and unit element of
-# its default ``hypersine tabulate`` table, whose functions reach at least
-# degree min_degree; the points and lambdas where ``dual_vs_fd_report``
-# compares f at c = 1 with central differences of m (none: no such check).
-_Family = namedtuple("_Family", "hg pair lams n_max elements unit min_degree "
-                                "fd_points fd_lams", defaults=(0, (), ()))
+# its default ``hypersine tabulate`` table; the points and lambdas where
+# ``dual_vs_fd_report`` compares f at c = 1 with central differences of m
+# (none: no such check).
+_Family = namedtuple("_Family", "hg pair lams n_max elements unit "
+                                "fd_points fd_lams", defaults=((), ()))
 
 
 def _poly_family(rec):
     return _Family(PolynomialHypergroup(rec),
                    lambda c, lam, n: _sine_and_exp(rec, n, lam, c), (0.7,),
-                   8, lambda n: range(n + 1), 1, 4, (3, 7), (0.6, 0.3 + 0.4j))
+                   8, lambda n: range(n + 1), 1, (3, 7), (0.6, 0.3 + 0.4j))
 
 
 def _product_family():
@@ -234,13 +234,13 @@ _FAMILIES = {   # name -> the builder of its _Family, in `hypersine list` order
     "legendre": lambda: _poly_family(legendre_recurrence()),
     "su2": lambda: _Family(su2.Su2Hypergroup(), lambda c, lam, n: (
         TabulatedFunction(_cmul(c, su2.sine_fn(n, lam).values)),
-        su2.phi_fn(n, lam)), (0.3,), 8, lambda n: range(n + 1), 1, 0, (2, 9),
+        su2.phi_fn(n, lam)), (0.3,), 8, lambda n: range(n + 1), 1, (2, 9),
         (0.4, 0.2 + 0.3j)),
     "product": _product_family,
     "coset": lambda: _Family(coset.CosetHypergroup(), lambda c, lam, n: (
         coset.coset_sine(c, lam), coset.coset_exponential(lam)), (1.0,), 8,
         lambda n: [(float(np.exp(t / 4.0)), float(t)) for t in range(n + 1)],
-        (2.0, 1.0), 0, ((2.0, 1.0), (0.5, 3.0)), (0.7, 1.5)),
+        (2.0, 1.0), ((2.0, 1.0), (0.5, 3.0)), (0.7, 1.5)),
 }
 
 

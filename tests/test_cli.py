@@ -128,7 +128,9 @@ def test_overflowing_lambda_prints_only_the_error_line(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "su2", "--lambda", "9"],
-    ["tabulate", "--family", "su2", "--lambda", "9", "--n-max", "60"]])
+    # a table to degree n-max + 1 = 122; phi(n, 9) leaves the float range
+    # near n = 79
+    ["tabulate", "--family", "su2", "--lambda", "9", "--n-max", "121"]])
 def test_su2_table_leaving_the_float_range_is_config_error(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -166,6 +168,34 @@ def test_coset_closed_form_leaving_the_float_range_is_config_error(argv,
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
         "error: coset closed form overflows at lambda = (800+0j)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "su2", "--lambda", "800"],
+    ["tabulate", "--family", "su2", "--lambda", "800"],
+    ["tabulate", "--family", "su2", "--lambda", "800,1", "--n-max", "0"]])
+def test_su2_lambda_whose_cosh_overflows_is_named(argv, capsys):
+    # cosh and sinh leave the float range before the table does
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    lam = cli._parse_lambda(argv[argv.index("--lambda") + 1])
+    assert captured.out == "" and captured.err == (
+        f"error: su2 table overflows at lambda = {lam!r}\n")
+
+
+def test_tabulate_reads_the_table_to_degree_n_max_plus_one(capsys):
+    # the row of 0 reads P_0, P_1 and the support {1} of 0 * 1; P_2 =
+    # 2 lam^2 - 1 leaves the float range, and a table to n-max 1 reads it
+    argv = ["tabulate", "--family", "chebyshev", "--lambda", "1e160"]
+    assert run([*argv, "--n-max", "0"]) == 0
+    assert capsys.readouterr().out == (
+        "element,m,sine,residual\n0,1.0,0.0,0.0\n")
+    assert run([*argv, "--n-max", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: chebyshev table overflows at lambda = (1e+160+0j)\n")
 
 
 @pytest.mark.parametrize("suite", ["compact", "coset"])

@@ -529,3 +529,116 @@ def test_finite_convolve_many_compacts_no_rows_after_construction(
     assert weights.shape == (16, 4)
     assert hg.convolve(3, 3).allclose(FiniteMeasure(
         [(0, 0.125), (1, 0.375), (2, 0.125), (3, 0.375)]))
+
+
+def _ultraspherical_hypergroup(alpha, top=24):
+    """The ultraspherical polynomial hypergroup (see
+    ``test_ultraspherical_tables_match_reference``) on degrees 0..top."""
+    a = [1.0] + [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1)
+                 for n in range(1, top + 1)]
+    c = [0.0] + [n / (2 * n + 2 * alpha + 1) for n in range(1, top + 1)]
+    return PolynomialHypergroup(recurrence_from_lists(a, [0.0] * (top + 1), c))
+
+
+# (hypergroup, largest element of a pair): the families declaring
+# _mirror_rows, each built anew so an instance may switch it off
+mirror_families = st.one_of(
+    st.sampled_from([chebyshev_recurrence, legendre_recurrence]).map(
+        lambda rec: (PolynomialHypergroup(rec()), 12)),
+    st.floats(-0.5, 2.0).map(lambda alpha: (_ultraspherical_hypergroup(alpha),
+                                            12)),
+    st.just(None).map(lambda _: (su2.Su2Hypergroup(), 100)),
+)
+special_values = st.sampled_from(
+    [0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, complex(math.inf, 1.0),
+     complex(0.0, math.nan)])
+
+
+def _mirrored_pairs(data, top):
+    """A pair list holding duplicates and mirrors of its drawn pairs, in a
+    drawn order."""
+    el = st.integers(0, top)
+    pairs = data.draw(st.lists(st.tuples(el, el), min_size=1, max_size=30))
+    more = data.draw(st.lists(st.sampled_from(pairs), max_size=30))
+    return data.draw(st.permutations(
+        pairs + [(y, x) for x, y in more] + more[::2]))
+
+
+def _values(data, rng, size):
+    """A complex table of size entries: normal draws, all zero (every
+    sine residual ties at 0), or either with special values in places."""
+    values = (np.zeros(size, complex) if data.draw(st.booleans())
+              else rng.normal(size=size) + 1j * rng.normal(size=size))
+    for i, v in data.draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                             special_values), max_size=4)):
+        values[i] = v
+    return TabulatedFunction(values)
+
+
+@given(family=mirror_families, data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80)
+def test_mirrored_pairs_share_the_integral_and_nothing_else(family, data,
+                                                            seed):
+    # errors and relative errors equal those of the per-pair path bit for
+    # bit, NaN included; the right-hand terms of a pair and its mirror
+    # round differently, so a shared residual fails here
+    hg, top = family
+    rng = np.random.default_rng(seed)
+    pairs = _mirrored_pairs(data, top)
+    f, m, m2 = (_values(data, rng, 2 * top + 1) for _ in "fmn")
+    equations = [(None, m), (f, m), (m2, m), (f, m2)]
+    rows, convolve_many = [], hg.convolve_many
+
+    def recording(xs, ys):
+        rows.append(len(xs))
+        return convolve_many(xs, ys)
+    hg.convolve_many = recording
+    got = _errors(hg, equations, pairs)
+    hg._mirror_rows = False
+    want = _errors(hg, equations, pairs)
+    # the first of each unordered pair, then every pair
+    assert rows == [len({tuple(sorted(p)) for p in pairs}), len(pairs)]
+    for (err, rel), (want_err, want_rel) in zip(got, want):
+        assert err.tobytes() == want_err.tobytes()
+        assert rel.tobytes() == want_rel.tobytes()
+
+
+@given(family=mirror_families, data=st.data())
+@settings(max_examples=40)
+def test_mirror_rows_are_equal_bit_for_bit(family, data):
+    hg, top = family
+    xs, ys = _pair_batch(_mirrored_pairs(data, top))
+    for a, b in zip(hg.convolve_many(xs, ys), hg.convolve_many(ys, xs)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(family=mirror_families, data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40)
+def test_shared_path_raises_the_per_pair_errors(family, data, seed):
+    # a negative element is convolved as given and named as the first bad
+    # pair; a table too short names the same support element either way
+    hg, top = family
+    rng = np.random.default_rng(seed)
+    pairs = _mirrored_pairs(data, top)
+    negative = data.draw(st.booleans())
+    if negative:
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], -data.draw(st.integers(1, 5)))
+    f = _values(data, rng, data.draw(st.integers(1, 2 * top + 1)))
+    m = _values(data, rng, 2 * top + 1)
+    messages = []
+    for shared in (True, False):
+        hg._mirror_rows = shared
+        try:
+            _errors(hg, [(None, m), (f, m)], pairs)
+            messages.append(None)
+        except (ValueError, EvaluationError) as exc:
+            messages.append((type(exc), str(exc)))
+    assert messages[0] == messages[1]
+    if negative:
+        x, y = next(p for p in pairs if min(p) < 0)
+        what = "elements" if isinstance(hg, su2.Su2Hypergroup) else "degrees"
+        assert messages[0] == (ValueError,
+                               f"{what} must be >= 0, got {x!r}, {y!r}")

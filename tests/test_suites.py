@@ -215,17 +215,18 @@ def test_each_equation_pair_set_is_convolved_once(monkeypatch):
     from hypersine.polyhg import PolynomialHypergroup
     poly = _convolution_batches(monkeypatch, PolynomialHypergroup)
     run_suite("polyone", SuiteConfig(n_max=6, lambdas=(0.3, 0.7, 0.5 + 0.5j)))
-    # per recurrence: one batch for all lambdas and equations, then one for
-    # all 10 reconstruct draws (the rows n * 1, n = 1..5)
-    assert poly == [49, 5, 49, 5]
+    # per recurrence: one batch for all lambdas and equations, holding the
+    # 28 unordered pairs of the 49 on the grid (a mirror shares its row),
+    # then one for all 10 reconstruct draws (the rows n * 1, n = 1..5)
+    assert poly == [28, 5, 28, 5]
     pairs = _convolution_batches(monkeypatch, coset.CosetHypergroup)
     run_suite("coset", SuiteConfig(samples=300))
     assert pairs.count(300) == 1
     # the weight-sums bands of 13 k have 55 to 1,235 pairs; the grid at
-    # n_max 10 has 121
+    # n_max 10 has 121 pairs, 66 of them unordered
     grid = _convolution_batches(monkeypatch, su2.Su2Hypergroup)
     run_suite("su2", SuiteConfig(n_max=10))
-    assert grid.count(121) == 1
+    assert grid.count(66) == 1
     assert len(grid) < 20   # not one weight-sums batch per k
 
 

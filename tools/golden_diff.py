@@ -38,6 +38,10 @@ CONFIGS = (
      "--lambda=0.7", "--lambda=1.9", "--lambda=1.2,0.4"),
     ("su2", "--lambda", "0,3.141592653589793", "--n-max", "12"),
     ("polyone", "--rec-file", REC_FILE, "--n-max", "32"),
+    # chebyshev's errors are exactly 0 at lambda = +-1: each witness is the
+    # first ordered pair; su2 at lambda 0 witnesses pairs off the diagonal
+    ("polyone", "--n-max", "16", "--lambda", "1", "--lambda=-1"),
+    ("su2", "--n-max", "24", "--lambda", "0"),
 )
 TABULATE_CONFIGS = tuple(
     ("--family", family) for family in
@@ -51,10 +55,12 @@ TABULATE_CONFIGS = tuple(
     ("--family", "sturm", "--alpha", "1.3", "--lambda", "0.8"),
     ("--family", "sturm", "--lambda", "-0.7", "--c", "-1.5"),
     ("--family", "legendre", "--format", "json"),   # integer element labels
-    ("--family", "chebyshev", "--n-max", "0"),   # table to max(2n + 2, 4)
-    ("--family", "su2", "--n-max", "0"),   # table to 2n + 2
+    ("--family", "chebyshev", "--n-max", "0"),   # table to n + 1
+    ("--family", "su2", "--n-max", "0"),   # table to n + 1
     ("--family", "coset", "--lambda", "0.5,0.5", "--c", "2,-1", "--n-max",
      "3"),
+    # P_2 overflows here, but the one row reads only P_0 and P_1
+    ("--family", "chebyshev", "--n-max", "0", "--lambda", "1e100"),
 )
 
 
