@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import io
 import json
 import sys
 
@@ -18,8 +17,8 @@ from .core import (NotHypergroupError, _errors, _sine_space, exponentials,
                    load_finite_hypergroup)
 from .polyhg import BUILTIN_RECURRENCES
 from . import sturm as sturm_mod
-from .suites import (_FAMILIES, SUITE_NAMES, SuiteConfig, jsonable,
-                     run_suite)
+from .suites import (_FAMILIES, SUITE_NAMES, SuiteConfig, _rows_to_text,
+                     jsonable, run_suite)
 
 TABULATE_FAMILIES = (*_FAMILIES, "sturm")
 
@@ -122,19 +121,6 @@ def _emit(text, out):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _rows_to_text(rows, header, fmt):
-    if fmt == "json":
-        return json.dumps([dict(zip(header, r)) for r in rows],
-                          sort_keys=True, indent=2) + "\n"
-    import csv   # only CSV output needs it
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _c(z):

@@ -19,7 +19,6 @@ import numpy as np
 WEIGHT_TOL = 1e-12          # construction tolerance for probability weights
 VERIFY_WEIGHT_TOL = 1e-9    # tolerance used by verification suites
 DEFAULT_SUPPORT_CAP = 100_000
-_BLOCK_BYTES = 1 << 16      # largest row block of _integrate_many, bytes
 
 
 class EvaluationError(Exception):
@@ -415,9 +414,9 @@ def _certify(got, want, rtol, witnesses, what):
 
 
 def _integrate_many(f, support, weights):
-    """sum_K weights * f(support) per row, added left to right from 0.0 as
-    ``integrate`` adds, in row blocks of at most _BLOCK_BYTES in one buffer;
-    a zero weight adds nothing, whatever f is there.  An OverflowError (a
+    """sum_K weights * f(support) per row, one slot of all rows at a time;
+    each row adds left to right from +0.0, as ``integrate`` adds, and a
+    zero weight adds nothing, whatever f is there.  An OverflowError (a
     table leaving the float range) passes unwrapped."""
     try:
         values = np.asarray(f(support))
@@ -428,16 +427,13 @@ def _integrate_many(f, support, weights):
     except Exception as exc:
         raise EvaluationError(
             f"integrand undefined at a support element: {exc}") from exc
-    out = np.empty(len(weights), np.result_type(weights, values))
-    step = max(_BLOCK_BYTES // (weights.shape[1] * out.itemsize), 1)
-    buf = np.empty((min(step, len(out)), weights.shape[1]), out.dtype)
-    for lo in range(0, len(out), step):
-        w, b = weights[lo:lo + step], buf[:len(out) - lo]
-        np.multiply(w, values[lo:lo + step], out=b)
-        if not np.isfinite(b).all():   # 0 * inf is NaN: clear zero weights
-            b[w == 0] = 0
-        # with 0.0 added last, a +-0 term adds nothing, as a skipped one
-        np.add(np.cumsum(b, axis=1, out=b)[:, -1], 0.0, out=out[lo:lo + step])
+    if not np.isfinite(values).all():   # 0 * inf is NaN: clear zero weights
+        values = np.where(weights == 0, 0, values)
+    out = np.zeros(len(weights), np.result_type(weights, values))
+    for w, v in zip(weights.T, values.T):
+        out += w * v
+    parts = out.view(np.float64)   # +NaN: numpy signs a NaN by its place
+    parts[np.isnan(parts)] = np.nan
     return out
 
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import coset, su2
 from .core import (PairBatch, ResidualReport, TabulatedFunction,
-                   TheoremViolationError, _cmul, _errors, _residual, _scan,
-                   _uniforms, exp_residual, exponentials, integrate,
-                   power_identity_check, s3_conjugacy_hypergroup,
+                   TheoremViolationError, _cmul, _errors, _integrate_many,
+                   _residual, _scan, _uniforms, exp_residual, exponentials,
+                   integrate, power_identity_check, s3_conjugacy_hypergroup,
                    sine_space, two_point_hypergroup)
 from .dual import central_difference
 from .multipoly import ProductPolyHypergroup
@@ -115,20 +115,26 @@ class SuiteReport(NamedTuple):
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self):
-        import csv   # only CSV output needs it
+        return _rows_to_text(
+            [(row["suite"], repr(row["max_abs"]), repr(row["max_rel"]),
+              json.dumps(row["witness"], sort_keys=True), row["samples"],
+              row["pass"]) for row in (c.row() for c in self.checks)],
+            ["suite", "max_abs", "max_rel", "witness", "samples", "pass"],
+            "csv")
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["suite", "max_abs", "max_rel", "witness",
-                         "samples", "pass"])
-        for c in self.checks:
-            row = c.row()
-            writer.writerow([
-                row["suite"], repr(row["max_abs"]), repr(row["max_rel"]),
-                json.dumps(row["witness"], sort_keys=True), row["samples"],
-                row["pass"],
-            ])
-        return buf.getvalue()
+
+def _rows_to_text(rows, header, fmt):
+    """The rows under header as CSV text, or as JSON objects for "json"."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, r)) for r in rows],
+                          sort_keys=True, indent=2) + "\n"
+    import csv   # only CSV output needs it
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def jsonable(obj):
@@ -280,14 +286,14 @@ def run_polyone(cfg):
     lambdas = cfg.lambdas or (0.3, 0.7, 1.0, 1.5, 0.5 + 0.5j)
     n_max = cfg.n_max or 64
     rng = random.Random(cfg.seed)
-    pairs = _pairs_grid(n_max)
     for rec in ([recurrence_from_file(cfg.rec_file)] if cfg.rec_file
                 else [chebyshev_recurrence(), legendre_recurrence()]):
         name, fam = rec.name or "custom", _poly_family(rec)
         cases = [(f":lam={_fmt_lam(lam)}", *fam.pair(1.0, lam, 2 * n_max))
                  for lam in lambdas]
-        checks += _equation_checks(fam.hg, pairs, f"polyone:{name}", cases,
-                                   1e-9, 1e-9)
+        # the grid after the tables: an overflowing table raises first
+        checks += _equation_checks(fam.hg, _pairs_grid(n_max),
+                                   f"polyone:{name}", cases, 1e-9, 1e-9)
         draws = [(complex(rng.uniform(-1.25, 1.25), rng.uniform(-0.5, 0.5)),
                   complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
                  for _ in range(10)]
@@ -314,14 +320,12 @@ def run_su2(cfg):
     n_max = cfg.n_max or 40
     hg, pair, *_ = _FAMILIES["su2"]()
     upper = PairBatch(*np.triu_indices(101))   # (k, n), k <= n <= 100
-    # bands of 13 consecutive k keep the padding small (a row has k + 1
-    # weights; a padding weight 0 adds +0.0 to the positive sum).  Bands of
-    # 6 k or of 64 KiB, or a cumsum in place with no copy, each raised the
-    # peak RSS of a cold `verify all` by 0.04-0.1 MB.  cumsum adds left to
-    # right, as over one measure (the copy frees the rest of the band)
+    # bands of 13 k keep the padding small (a row has k + 1 weights; a
+    # padding weight 0 adds +0.0 to the positive sum); bands of 6 k or of
+    # 64 KiB each raised the peak RSS of a cold `verify all` by 0.04-0.1 MB
     edges = [*np.searchsorted(upper.xs, range(0, 101, 13)), len(upper)]
-    sums = np.concatenate([np.cumsum(hg.convolve_many(
-        upper.xs[lo:hi], upper.ys[lo:hi])[1], axis=1)[:, -1].copy()
+    sums = np.concatenate([_integrate_many(lambda s: 1.0, *hg.convolve_many(
+        upper.xs[lo:hi], upper.ys[lo:hi]))
         for lo, hi in zip(edges, edges[1:])])
     checks.append(_row("su2:weight-sums", _scan(*_residual(sums - 1.0, []),
                                                 upper), 1e-12, "abs"))
@@ -329,10 +333,10 @@ def run_su2(cfg):
     ok = mu.weight(0) == 0.25 and mu.weight(2) == 0.75 and len(mu) == 2
     checks.append(_row("su2:unit-square", _fact(ok, witness=mu.items()), 0.0,
                        "abs"))
-    pairs = _pairs_grid(n_max)
     rng = random.Random(cfg.seed)
     cases = [(f":lam={_fmt_lam(lam)}", *pair(1.0, lam, 2 * n_max))
              for lam in lambdas]
+    pairs = _pairs_grid(n_max)   # after the tables: one may overflow
     rows = iter(_equation_checks(hg, pairs, "su2", cases, 1e-9, 1e-9, [
         ("su2:additive", su2.additive_fn(1.0), lambda n: 1.0, 1e-10, "abs")]))
     for lam, (tail, f, m) in zip(lambdas, cases):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hypersine import cli
+from hypersine import cli, suites
 from hypersine.core import (ResidualReport, dump_finite_hypergroup,
                             s3_conjugacy_hypergroup, two_point_hypergroup)
 from hypersine.sturm import power_family, solve_sine
@@ -154,6 +154,22 @@ def test_polynomial_table_leaving_the_float_range_is_config_error(argv,
     lam = argv[argv.index("--lambda") + 1]
     assert captured.out == "" and captured.err == (
         f"error: chebyshev table overflows at lambda = {complex(lam)!r}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "su2", "--n-max", "100000"],
+     "su2 table overflows at lambda = 0.3"),
+    (["verify", "polyone", "--n-max", "5000"],
+     "chebyshev table overflows at lambda = 1.5")])
+def test_an_overflowing_table_raises_before_the_pair_grid(argv, message,
+                                                          monkeypatch, capsys):
+    # the (n_max + 1)^2 grid would take 10^10 pairs here: never build it
+    def grid(n_max):
+        raise AssertionError(f"pair grid built at n_max {n_max}")
+
+    monkeypatch.setattr(suites, "_pairs_grid", grid)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

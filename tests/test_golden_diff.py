@@ -97,3 +97,27 @@ def test_main_compares_every_sine_space_table(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out.count("sine-space s3.json --format json: DIFFERS") == 1
     assert sum(line.endswith("DIFFERS") for line in out) == 1
+
+
+def test_main_compares_each_csv_report_byte_for_byte(monkeypatch, capsys):
+    calls = []
+
+    def fake_run(src, argv, cwd):
+        calls.append((src, tuple(argv)))
+        if argv[0] == "verify" and "csv" not in argv:
+            return 0, b"{}"
+        changed = src == "head" and tuple(argv) == (
+            "verify", "compact", "--format", "csv")
+        return 0, b"suite,max_abs\n" + (b"changed\n" if changed else b"")
+
+    monkeypatch.setattr(golden_diff, "run", fake_run)
+    assert golden_diff.main(["base", "head"]) == 1
+    reports = [argv[1:] for src, argv in calls
+               if src == "head" and argv[-2:] == ("--format", "csv")
+               and argv[0] == "verify"]
+    assert reports == list(golden_diff.VERIFY_CSV_CONFIGS)
+    assert {"compact", "all"} <= {argv[0] for argv in reports}
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.endswith("DIFFERS")] == [
+        "verify compact --format csv: DIFFERS"]
+    assert "  line 2: '<missing>' -> 'changed\\n'" in out

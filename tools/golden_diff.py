@@ -1,5 +1,6 @@
-"""Compare the ``hypersine verify`` reports and the ``hypersine tabulate``
-and ``hypersine sine-space`` tables of two source trees.
+"""Compare the ``hypersine verify`` reports and the ``hypersine verify
+--format csv``, ``hypersine tabulate`` and ``hypersine sine-space`` tables of
+two source trees.
 
 Usage: python tools/golden_diff.py BASE_SRC HEAD_SRC
 
@@ -8,8 +9,8 @@ golden configuration runs once per tree in a fresh interpreter with
 PYTHONPATH set to that tree.  For ``verify``, ``wall_time`` is dropped and
 every other field must match byte for byte; the tool prints
 ``identical``, or one line per differing row field: ``name field base ->
-head``.  For ``tabulate`` and ``sine-space``, the exit code and the stdout
-bytes must match; the tool prints ``identical``, or the first differing
+head``.  For the tables, which hold no ``wall_time``, the exit code and the
+stdout bytes must match; the tool prints ``identical``, or the first differing
 line.  The exit status is 0 only if every configuration is identical.
 """
 
@@ -43,6 +44,11 @@ CONFIGS = (
     ("polyone", "--n-max", "16", "--lambda", "1", "--lambda=-1"),
     ("su2", "--n-max", "24", "--lambda", "0"),
 )
+# the report as CSV, compared byte for byte: compact and the suite-all size
+VERIFY_CSV_CONFIGS = tuple((*config, "--format", "csv") for config in (
+    ("compact",),
+    ("all", "--seed", "11", "--n-max", "10", "--samples", "3", "--xmax",
+     "0.3", "--h", "2e-3")))
 TABULATE_CONFIGS = tuple(
     ("--family", family) for family in
     ("chebyshev", "legendre", "su2", "product", "coset", "sturm")) + (
@@ -184,7 +190,8 @@ def main(argv=None):
             for line in lines:
                 print(f"  {line}")
             same = same and not lines
-        for config in ([("tabulate", *c) for c in TABULATE_CONFIGS]
+        for config in ([("verify", *c) for c in VERIFY_CSV_CONFIGS]
+                       + [("tabulate", *c) for c in TABULATE_CONFIGS]
                        + [("sine-space", *c) for c in SINE_SPACE_CONFIGS]):
             line = first_difference(*(run(src, config, tmp) for src in argv))
             print(f"{' '.join(config)}: "
