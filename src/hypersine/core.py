@@ -437,29 +437,12 @@ def _integrate_many(f, support, weights):
     return out
 
 
-def _first_pairs(xs, ys):
-    """(first, row): the index of the first pair of each unordered pair
-    {x, y}, in pair order, and per pair the position in ``first`` of its
-    own unordered pair.  Keys lo (max hi + 1) + hi, one stable argsort."""
-    lo, hi = (v.astype(np.int64, copy=False)   # elements below 2^31
-              for v in (np.minimum(xs, ys), np.maximum(xs, ys)))
-    keys = lo * (hi.max() + 1) + hi
-    order = np.argsort(keys, kind="stable")
-    starts = np.empty(len(order), bool)
-    starts[0] = True
-    np.not_equal(keys[order[1:]], keys[order[:-1]], out=starts[1:])
-    owner = np.empty_like(order)   # per pair, its first pair
-    owner[order] = order[starts][np.cumsum(starts) - 1]
-    firsts = owner == np.arange(len(owner))
-    return np.flatnonzero(firsts), (np.cumsum(firsts) - 1)[owner]
-
-
 def _mirrored(hg, xs, ys):
     """True if ``_errors`` may convolve each unordered pair once: hg
     declares ``_mirror_rows`` (convolve_many(ys, xs) has the rows of
     convolve_many(xs, ys), bit for bit) and the pairs are non-negative
-    integers whose keys in ``_first_pairs`` fit 63 bits.  Other batches are
-    convolved as given, so a bad element raises hg's own error."""
+    integers below 2^31 (the keys lo (max hi + 1) + hi fit 63 bits).  Other
+    batches are convolved as given, so a bad element raises hg's own error."""
     return (getattr(hg, "_mirror_rows", False)
             and isinstance(xs, np.ndarray) and isinstance(ys, np.ndarray)
             and xs.dtype.kind in "iu" and ys.dtype.kind in "iu"
@@ -474,14 +457,19 @@ def _errors(hg, equations, pairs):
     f is None.  The pairs are batched (``_pair_batch``) and convolved once,
     for every equation; this is the only place an equation check does so.
     Where ``_mirrored`` allows, only the first of each unordered pair is
-    convolved and integrated, in pair order, and a pair reads its integral
-    from there; the terms on the right are computed per ordered pair.
+    convolved and integrated, in the order the per-pair path meets them,
+    and a pair reads its integral there; right-hand terms are per pair.
     Each equation integrates first; consecutive equations with the same m
     share m(xs) and m(ys), and only the current m's values are held."""
     xs, ys = _pair_batch(pairs)
     first = row = slice(None)   # every pair, as given
     if _mirrored(hg, xs, ys):
-        first, row = _first_pairs(xs, ys)
+        lo, hi = (v.astype(np.int64)   # uint64 and int64 make float64
+                  for v in (np.minimum(xs, ys), np.maximum(xs, ys)))
+        _, first, row = np.unique(lo * (int(hi.max()) + 1) + hi,
+                                  return_index=True, return_inverse=True)
+        order = np.argsort(first)   # the unique keys, back in pair order
+        first, row = first[order], np.argsort(order)[row]
     support, weights = hg.convolve_many(xs[first], ys[first])
     errors, last = [], None
     for f, m in equations:
@@ -492,6 +480,13 @@ def _errors(hg, equations, pairs):
                                 else [_cmul(f(xs), m_at(1)),
                                       _cmul(f(ys), m_at(0))]))
     return errors
+
+
+def _interleaved(errors, pairs, tags):
+    """``_scan`` of the ``_errors`` of one equation per tag, alternating pair
+    by pair; the witnesses are tagged (tag, x, y)."""
+    return _scan(*(np.column_stack(col).ravel() for col in zip(*errors)),
+                 [(tag, *pair) for pair in pairs for tag in tags])
 
 
 def _propagate(hg, ms, f1s, n_max):

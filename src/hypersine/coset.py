@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (Hypergroup, _cmul, _finite, _pair_batch, _reject,
-                   _residual, _scan, sine_residual)
+from .core import (Hypergroup, _cmul, _errors, _finite, _interleaved,
+                   _reject, _residual, _scan, sine_residual)
 
 
 def group_mul(p, q):
@@ -140,22 +140,30 @@ def square_norm_check(samples):
     return _scan(*_residual(lhs, [rhs]), samples)
 
 
+class _Group(Hypergroup):
+    """The affine group on raw elements: p * q is the point mass at p q."""
+
+    commutative = False
+
+    def convolve_many(self, ps, qs):
+        support = tuple(c[:, None] for c in group_mul(ps, qs))
+        return support, np.ones((len(support[0]), 1))
+
+
 def group_sine_check(lam, pairs):
     """On the group itself every sine function for m = |x|^lam is
-    (additive) * m with the additive function a(x, u) = ln|x|.  Checks both
-    the additivity of a and the sine equation for f = a m over pairs of raw
-    group elements; witnesses are tagged ('additive'|'sine', p, q)."""
-    lam = complex(lam)
-    p, q = _pair_batch(pairs)
-    a_p, a_q, a_pq = (np.log(np.abs(x)) for x in (p[0], q[0], p[0] * q[0]))
-    m_p, m_q, m_pq = (np.exp(lam * a) for a in (a_p, a_q, a_pq))
-    add_err, add_rel = _residual(a_pq, [a_p, a_q])
-    sine_err, sine_rel = _residual(
-        a_pq * m_pq, [_cmul(a_p * m_p, m_q), _cmul(a_q * m_q, m_p)])
-    witnesses = [(tag, p_, q_) for p_, q_ in pairs
-                 for tag in ("additive", "sine")]
-    return _scan(np.column_stack([add_err, sine_err]).ravel(),
-                 np.column_stack([add_rel, sine_rel]).ravel(), witnesses)
+    (additive) * m with the additive function a(x, u) = ln|x|.  Checks, by
+    ``_errors`` on ``_Group``, the additivity of a (the sine equation for
+    m = 1) and the sine equation for f = a m over pairs of raw group
+    elements; witnesses are tagged ('additive'|'sine', p, q)."""
+    def a(p):
+        return np.log(np.abs(p[0]))
+
+    def m(p):
+        return np.exp(complex(lam) * a(p))
+    errors = _errors(_Group(), [(a, lambda p: 1.0),
+                                (lambda p: a(p) * m(p), m)], pairs)
+    return _interleaved(errors, pairs, ("additive", "sine"))
 
 
 def conjugate_by(p, k):

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import Hypergroup, _errors, _reject, _residual, _scan
+from .core import Hypergroup, _errors, _interleaved, _reject, _residual
 
 OVERFLOW_LIMIT = 1e12
 
@@ -266,8 +266,5 @@ def cosh_hypergroup_check(lam, pairs):
     for its lambda-derivative.  Witnesses are tagged ('exp'|'sine', x, y),
     the two equations alternating pair by pair."""
     m, f = (functools.partial(g, lam=lam) for g in (line_phi, line_dphi))
-    errors = _errors(CoshLineHypergroup(), [(None, m), (f, m)], pairs)
-    witnesses = [(tag, x, y) for x, y in pairs for tag in ("exp", "sine")]
-    # err and rel columns of both equations, alternating pair by pair
-    return _scan(*(np.column_stack(col).ravel() for col in zip(*errors)),
-                 witnesses)
+    return _interleaved(_errors(CoshLineHypergroup(), [(None, m), (f, m)],
+                                pairs), pairs, ("exp", "sine"))

@@ -132,6 +132,12 @@ def test_group_sine_check_for_log_times_power():
     assert rep.max_rel <= 1e-14
 
 
+def test_group_sine_check_rejects_a_zero_first_coordinate():
+    # (0, 3) is no group element: no NaN report, no warning
+    with pytest.raises(ValueError, match="nonzero first coordinate"):
+        group_sine_check(1.0, [((2.0, 1.0), (0.0, 3.0))])
+
+
 def test_involution_inverts():
     hg = CosetHypergroup()
     p = (2.0, 3.0)

@@ -21,11 +21,13 @@ from hypersine.core import (EvaluationError, FiniteHypergroup, FiniteMeasure,
                             _scan, exp_residual, integrate,
                             s3_conjugacy_hypergroup, sine_residual,
                             two_point_hypergroup)
-from hypersine.coset import (CosetHypergroup, coset_exponential, coset_sine)
+from hypersine.coset import (CosetHypergroup, coset_exponential, coset_sine,
+                             group_sine_check)
 from hypersine.multipoly import ProductPolyHypergroup
 from hypersine.polyhg import (PolynomialHypergroup, chebyshev_recurrence,
                               legendre_recurrence, recurrence_from_lists,
                               sine_fn)
+from hypersine.sturm import cosh_hypergroup_check, line_dphi, line_phi
 
 
 def _reference(hg, f, m, pairs):
@@ -606,14 +608,17 @@ def test_mirrored_pairs_share_the_integral_and_nothing_else(family, data,
     rows, convolve_many = [], hg.convolve_many
 
     def recording(xs, ys):
-        rows.append(len(xs))
+        rows.append(list(zip(xs.tolist(), ys.tolist())))
         return convolve_many(xs, ys)
     hg.convolve_many = recording
     got = _errors(hg, equations, pairs)
     hg._mirror_rows = False
     want = _errors(hg, equations, pairs)
     # the first of each unordered pair, then every pair
-    assert rows == [len({tuple(sorted(p)) for p in pairs}), len(pairs)]
+    assert [len(r) for r in rows] == [len({tuple(sorted(p)) for p in pairs}),
+                                      len(pairs)]
+    assert rows[0] == [p for i, p in enumerate(pairs)
+                       if sorted(p) not in map(sorted, pairs[:i])]
     for (err, rel), (want_err, want_rel) in zip(got, want):
         assert err.tobytes() == want_err.tobytes()
         assert rel.tobytes() == want_rel.tobytes()
@@ -657,3 +662,62 @@ def test_shared_path_raises_the_per_pair_errors(family, data, seed):
         what = "elements" if isinstance(hg, su2.Su2Hypergroup) else "degrees"
         assert messages[0] == (ValueError,
                                f"{what} must be >= 0, got {x!r}, {y!r}")
+
+
+def _group_reference(lam, pairs):
+    """(err, rel) of additivity and of the sine equation on the affine
+    group, from a = ln|x| and m = exp(lam a) at p, q and p q."""
+    lam = complex(lam)
+    (x, _), (y, _) = _pair_batch(pairs)
+    a_p, a_q, a_pq = (np.log(np.abs(v)) for v in (x, y, x * y))
+    m_p, m_q, m_pq = (np.exp(lam * a) for a in (a_p, a_q, a_pq))
+    return [_residual(a_pq, [a_p, a_q]),
+            _residual(a_pq * m_pq, [_cmul(a_p * m_p, m_q),
+                                    _cmul(a_q * m_q, m_p)])]
+
+
+def _cosh_reference(lam, pairs):
+    """(err, rel) of the exponential and the sine equation on the cosh
+    line, integrating over d[x+y] and d[|x-y|] with weight 1/2 each."""
+    x, y = _pair_batch(pairs)
+    m, f = (lambda v: line_phi(v, lam)), (lambda v: line_dphi(v, lam))
+
+    def integral(g):
+        return 0.5 * g(x + y) + 0.5 * g(np.abs(x - y))
+    return [_residual(integral(m), [_cmul(m(x), m(y))]),
+            _residual(integral(f), [_cmul(f(x), m(y)), _cmul(f(y), m(x))])]
+
+
+group_elements = st.tuples(
+    st.floats(-5.0, 5.0).map(math.exp), st.booleans(),
+    st.floats(-10.0, 10.0)).map(lambda t: (-t[0] if t[1] else t[0], t[2]))
+lambdas = st.one_of(st.sampled_from([0.75, -1.3, 0.0]), st.builds(
+    complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+
+
+@given(data=st.data(), lam=lambdas)
+@settings(max_examples=60)
+def test_interleaved_checks_equal_their_reference_bit_for_bit(data, lam):
+    # each pair's two equations in turn; raw group pairs with negative x,
+    # which no suite draws
+    group_pairs = data.draw(st.lists(st.tuples(group_elements, group_elements),
+                                     min_size=1, max_size=20))
+    point = st.floats(0.0, 5.0)
+    line_pairs = data.draw(st.lists(st.tuples(point, point), min_size=1,
+                                    max_size=20))
+    for check, reference, pairs, tags in (
+            (group_sine_check, _group_reference, group_pairs,
+             ("additive", "sine")),
+            (cosh_hypergroup_check, _cosh_reference, line_pairs,
+             ("exp", "sine"))):
+        columns = reference(lam, pairs)
+        errs, rels = ([col[k][i] for i in range(len(pairs)) for col in columns]
+                      for k in (0, 1))
+        got = check(lam, pairs)
+        want = _scan(np.array(errs), np.array(rels),
+                     [(tag, *pair) for pair in pairs for tag in tags])
+        assert all(np.isfinite([want.max_abs, want.max_rel]))
+        for value in ("max_abs", "max_rel"):
+            assert (np.float64(getattr(got, value)).tobytes()
+                    == np.float64(getattr(want, value)).tobytes())
+        assert (got.witness, got.samples) == (want.witness, want.samples)

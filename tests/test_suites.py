@@ -255,7 +255,6 @@ def test_coset_suite_hands_no_long_tuple_list_to_the_batcher(monkeypatch):
             len(pairs))
         return real(pairs)
     monkeypatch.setattr(core, "_pair_batch", recording)
-    monkeypatch.setattr(coset, "_pair_batch", recording)
     run_suite("coset", SuiteConfig(samples=4000))
     assert max(lists) <= 200
     assert batches.count(4000) == 1   # every equation row, one convolution
