@@ -6,10 +6,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import json
 import sys
+import types
 
 import numpy as np
 
@@ -32,6 +32,7 @@ def _parse_lambda(text):
             return complex(float(re_s), float(im_s))
         return complex(text)
     except ValueError as exc:
+        import argparse
         raise argparse.ArgumentTypeError(
             f"cannot parse {text!r} as a lambda value") from exc
 
@@ -41,78 +42,37 @@ def _finite(parse):
     def convert(text):
         value = parse(text)
         if not cmath.isfinite(value):
+            import argparse
             raise argparse.ArgumentTypeError(f"{text!r} is not finite")
         return value
     convert.__name__ = parse.__name__   # argparse: "invalid float value"
     return convert
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="hypersine",
-        description="Verify sine and exponential functional equations on "
-                    "built-in hypergroup families.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _values(text):
+    """argparse type of ``--m``: "V1,V2,..." as finite complex numbers."""
+    return [_finite(complex)(v) for v in text.split(",")]
 
-    shared = {   # add_argument keywords; each subcommand names its own
-        "--tol": dict(type=_finite(float), default=SuiteConfig.tol,
-                      help="tolerance of the exponential equation in "
-                           "sine-space and the compact suite"),
-        "--seed": dict(type=int, default=SuiteConfig.seed),
-        "--lambda": dict(dest="lambdas", type=_finite(_parse_lambda),
-                         action="append", metavar="LAM",
-                         help="spectral parameter; repeatable; accepts "
-                              "re, re+imj, or re,im"),
-        "--n-max": dict(type=int, default=None),
-        "--xmax": dict(type=_finite(float), default=SuiteConfig.x_max),
-        "--h": dict(type=_finite(float), default=SuiteConfig.h),
-        "--out": dict(default=None,
-                      help="write the report here instead of stdout"),
-        "--format": dict(choices=("json", "csv"), default=None,
-                         help="json for verify, csv for tables by default"),
-    }
 
-    def add_parser(name, flags, help):
-        parser = sub.add_parser(name, help=help)
-        for flag in flags:
-            parser.add_argument(flag, **shared[flag])
-        return parser
+_values.__name__ = "complex"   # argparse: "invalid complex value"
 
-    p_verify = add_parser("verify", shared,
-                          "run a verification suite and emit its report")
-    p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    p_verify.add_argument("--theta", type=_finite(float), action="append",
-                          help="two-point family parameter; repeatable")
-    p_verify.add_argument("--alpha", type=_finite(float),
-                          default=SuiteConfig.alpha,
-                          help="power-weight parameter for the ODE family")
-    p_verify.add_argument("--samples", type=int, default=SuiteConfig.samples)
-    p_verify.add_argument("--rec-file", default=None,
-                          help="JSON recurrence spec replacing the built-in "
-                               "polynomial families")
 
-    p_tab = add_parser(
-        "tabulate", ("--lambda", "--n-max", "--xmax", "--h", "--out",
-                     "--format"),
-        "tabulate an exponential and a sine function for one family")
-    p_tab.add_argument("--family", choices=TABULATE_FAMILIES, required=True)
-    p_tab.add_argument("--c", type=_finite(_parse_lambda),
-                       default=complex(1.0),
-                       help="sine normalization constant")
-    p_tab.add_argument("--alpha", type=_finite(float), default=None,
-                       help="power-weight parameter (sturm family); "
-                            "without it, the constant weight")
-
-    p_space = add_parser(
-        "sine-space", ("--tol", "--out", "--format"),
-        "solve the sine equation on a finite hypergroup spec file")
-    p_space.add_argument("spec", help="JSON file with size, tensor, name")
-    p_space.add_argument("--m", action="append", metavar="V1,V2,...",
-                         help="exponential values; repeatable; default "
-                              "enumerates all exponentials")
-
-    sub.add_parser("list", help="list suites, families, and recurrences")
-    return parser
+_SHARED = {   # add_argument keywords; each subcommand names its own
+    "--tol": dict(type=_finite(float), default=SuiteConfig.tol,
+                  help="tolerance of the exponential equation in "
+                       "sine-space and the compact suite"),
+    "--seed": dict(type=int, default=SuiteConfig.seed),
+    "--lambda": dict(dest="lambdas", type=_finite(_parse_lambda),
+                     action="append", metavar="LAM",
+                     help="spectral parameter; repeatable; accepts "
+                          "re, re+imj, or re,im"),
+    "--n-max": dict(type=int),
+    "--xmax": dict(type=_finite(float), default=SuiteConfig.x_max),
+    "--h": dict(type=_finite(float), default=SuiteConfig.h),
+    "--out": dict(help="write the report here instead of stdout"),
+    "--format": dict(choices=("json", "csv"),
+                     help="json for verify, csv for tables by default"),
+}
 
 
 def _emit(text, out):
@@ -141,9 +101,8 @@ def cmd_verify(args):
         alpha=args.alpha, samples=args.samples,
         rec_file=args.rec_file or "")
     report = run_suite(args.suite, cfg)
-    fmt = args.format or "json"
-    text = report.to_json() if fmt == "json" else report.to_csv()
-    _emit(text, args.out)
+    _emit(report.to_csv() if args.format == "csv" else report.to_json(),
+          args.out)
     failed = [c for c in report.checks if not c.passed]
     for check in failed:
         print(f"FAIL {check.name}: {check.rule} tol={check.tol:g} "
@@ -199,10 +158,8 @@ def cmd_tabulate(args):
 
 def cmd_sine_space(args):
     hg = load_finite_hypergroup(args.spec)
-    if args.m:   # sine_space rejects a wrong length or a non-exponential
-        ms = [[complex(v) for v in spec.split(",")] for spec in args.m]
-    else:
-        ms = [list(m) for m in exponentials(hg, tol=args.tol)]
+    # sine_space rejects an --m of the wrong length or a non-exponential
+    ms = args.m or [list(m) for m in exponentials(hg, tol=args.tol)]
     rows = []
     for mv in ms:
         basis, worst = _sine_space(hg, mv, exp_tol=args.tol)
@@ -226,17 +183,95 @@ def cmd_list(_args):
     return 0
 
 
+# name: (handler, help, ((argument, add_argument keywords), ...))
+COMMANDS = {
+    "verify": (cmd_verify, "run a verification suite and emit its report", (
+        *_SHARED.items(), ("suite", dict(choices=SUITE_NAMES + ("all",))),
+        ("--theta", dict(type=_finite(float), action="append",
+                         help="two-point family parameter; repeatable")),
+        ("--alpha", dict(type=_finite(float), default=SuiteConfig.alpha,
+                         help="power-weight parameter for the ODE family")),
+        ("--samples", dict(type=int, default=SuiteConfig.samples)),
+        ("--rec-file", dict(help="JSON recurrence spec replacing the "
+                                 "built-in polynomial families")))),
+    "tabulate": (cmd_tabulate, "tabulate an exponential and a sine function "
+                               "for one family", (
+        *((flag, _SHARED[flag]) for flag in ("--lambda", "--n-max", "--xmax",
+                                             "--h", "--out", "--format")),
+        ("--family", dict(choices=TABULATE_FAMILIES, required=True)),
+        ("--c", dict(type=_finite(_parse_lambda), default=complex(1.0),
+                     help="sine normalization constant")),
+        ("--alpha", dict(type=_finite(float),
+                         help="power-weight parameter (sturm family); "
+                              "without it, the constant weight")))),
+    "sine-space": (cmd_sine_space, "solve the sine equation on a finite "
+                                   "hypergroup spec file", (
+        *((flag, _SHARED[flag]) for flag in ("--tol", "--out", "--format")),
+        ("spec", dict(help="JSON file with size, tensor, name")),
+        ("--m", dict(type=_values, action="append", metavar="V1,V2,...",
+                     help="exponential values; repeatable; default "
+                          "enumerates all exponentials")))),
+    "list": (cmd_list, "list suites, families, and recurrences", ()),
+}
+
+
+def build_parser():
+    import argparse
+    parser = argparse.ArgumentParser(
+        prog="hypersine",
+        description="Verify sine and exponential functional equations on "
+                    "built-in hypergroup families.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help)
+        for argument, keywords in arguments:
+            command.add_argument(argument, **keywords)
+    return parser
+
+
+def _parse(argv):
+    """``build_parser().parse_args(argv)`` read from ``COMMANDS`` when argv is
+    a subcommand, its positionals and exact long options, each "--flag=value"
+    or "--flag value" with a value not starting with "-"; else None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    arguments = dict(COMMANDS[argv[0]][2])
+    dests = {name: kw.get("dest", name.lstrip("-").replace("-", "_"))
+             for name, kw in arguments.items()}
+    args = {dests[name]: kw.get("default") for name, kw in arguments.items()}
+    positionals = [name for name in arguments if name[0] != "-"]
+    required = {name for name, kw in arguments.items() if kw.get("required")}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] == "-":
+            name, eq, value = token.partition("=")
+            value = value if eq else next(tokens, "-")
+            if (name not in arguments or value == "--"   # argparse drops it
+                    or not eq and value[:1] == "-"):
+                return None
+        elif positionals:
+            name, value = positionals.pop(0), token
+        else:
+            return None
+        kw = arguments[name]
+        try:
+            value = kw.get("type", str)(value)
+        except Exception:   # argparse names the argument in its error
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        required.discard(name)
+        args[dests[name]] = ([*(args[dests[name]] or ()), value]
+                             if kw.get("action") == "append" else value)
+    return (None if positionals or required
+            else types.SimpleNamespace(command=argv[0], **args))
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "verify": cmd_verify,
-        "tabulate": cmd_tabulate,
-        "sine-space": cmd_sine_space,
-        "list": cmd_list,
-    }
+    args = (_parse(sys.argv[1:] if argv is None else argv)
+            or build_parser().parse_args(argv))
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command][0](args)
     except (NotHypergroupError, ValueError, OSError, OverflowError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

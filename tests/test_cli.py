@@ -253,6 +253,25 @@ def test_a_cold_run_does_not_import_numpy_random(tmp_path):
     assert _cold_run(runs, ["numpy.random"]) == [[0, 0], []]
 
 
+def test_a_cold_well_formed_run_imports_no_argparse(tmp_path):
+    # a well-formed command line is read from cli.COMMANDS: argparse, and the
+    # gettext and locale its first message imports, are for help, prefixes
+    # and errors only
+    spec = tmp_path / "s3.json"
+    dump_finite_hypergroup(s3_conjugacy_hypergroup(), spec)
+    runs = [SUITE_ALL + ["--out", str(tmp_path / "all.json")],
+            ["tabulate", "--family", "chebyshev", "--n-max", "4",
+             "--out", str(tmp_path / "t.csv")],
+            ["sine-space", str(spec), "--out", str(tmp_path / "s3.csv")],
+            ["list"]]
+    assert _cold_run(runs, ["argparse", "gettext", "locale"]) == [
+        [0, 0, 0, 0], []]
+    # --n is a prefix of --n-max: argparse reads it
+    runs = [["verify", "compact", "--n", "3",
+             "--out", str(tmp_path / "c.json")]]
+    assert _cold_run(runs, ["argparse"]) == [[0], ["argparse"]]
+
+
 def test_a_cold_json_verify_imports_neither_dataclasses_nor_csv(tmp_path):
     # the report records are NamedTuples and only CSV output imports csv:
     # building a dataclass at import costs more than a millisecond
@@ -409,14 +428,27 @@ def test_sine_space_rejects_non_exponential(tmp_path, capsys):
     assert "not an exponential" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("m, message", [("1,nan", "not an exponential"),
-                                        ("1,-0.25,1", "m has 3 values")])
-def test_sine_space_rejects_nan_and_wrong_length_m(tmp_path, capsys, m,
-                                                   message):
+def test_sine_space_rejects_wrong_length_m(tmp_path, capsys):
     spec = tmp_path / "d.json"
     dump_finite_hypergroup(two_point_hypergroup(0.25), spec)
-    assert run(["sine-space", str(spec), "--m", m]) == 2
-    assert message in capsys.readouterr().err
+    assert run(["sine-space", str(spec), "--m", "1,-0.25,1"]) == 2
+    assert "m has 3 values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m, message", [
+    ("abc", "invalid complex value: 'abc'"),
+    ("1,inf,1", "'inf' is not finite"),
+    ("1,nan", "'nan' is not finite")])
+def test_malformed_or_non_finite_m_is_a_usage_error(tmp_path, capsys, m,
+                                                    message):
+    spec = tmp_path / "d.json"
+    dump_finite_hypergroup(two_point_hypergroup(0.25), spec)
+    with pytest.raises(SystemExit) as err:
+        run(["sine-space", str(spec), "--m", m])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --m: {message}\n")
 
 
 def test_sine_space_missing_file_is_config_error(tmp_path):

@@ -12,6 +12,9 @@ every other field must match byte for byte; the tool prints
 head``.  For the tables, which hold no ``wall_time``, the exit code and the
 stdout bytes must match; the tool prints ``identical``, or the first differing
 line.  The exit status is 0 only if every configuration is identical.
+The CLI reads most of these command lines from its option table; those
+with a prefix such as ``--n`` or a separate negative value go through
+argparse, so both ways of parsing are compared.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ CONFIGS = (
     # first ordered pair; su2 at lambda 0 witnesses pairs off the diagonal
     ("polyone", "--n-max", "16", "--lambda", "1", "--lambda=-1"),
     ("su2", "--n-max", "24", "--lambda", "0"),
+    # a prefix and a separate negative value: argparse parses this one
+    ("polyone", "--n", "12", "--lambda", "-0.5"),
 )
 # the report as CSV, compared byte for byte: compact and the suite-all size
 VERIFY_CSV_CONFIGS = tuple((*config, "--format", "csv") for config in (
@@ -67,6 +72,7 @@ TABULATE_CONFIGS = tuple(
      "3"),
     # P_2 overflows here, but the one row reads only P_0 and P_1
     ("--family", "chebyshev", "--n-max", "0", "--lambda", "1e100"),
+    ("--family", "chebyshev", "--lam", "0.5", "--n", "6"),   # prefixes
 )
 
 
@@ -100,6 +106,10 @@ SPECS = {   # finite hypergroup spec files, as core.dump_finite_hypergroup
 }
 SINE_SPACE_CONFIGS = tuple((spec, "--format", fmt)
                            for spec in SPECS for fmt in ("csv", "json"))
+# the command lines whose stdout is compared byte for byte
+TABLES = ([("verify", *c) for c in VERIFY_CSV_CONFIGS]
+          + [("tabulate", *c) for c in TABULATE_CONFIGS]
+          + [("sine-space", *c) for c in SINE_SPACE_CONFIGS])
 
 
 def ultraspherical():
@@ -190,9 +200,7 @@ def main(argv=None):
             for line in lines:
                 print(f"  {line}")
             same = same and not lines
-        for config in ([("verify", *c) for c in VERIFY_CSV_CONFIGS]
-                       + [("tabulate", *c) for c in TABULATE_CONFIGS]
-                       + [("sine-space", *c) for c in SINE_SPACE_CONFIGS]):
+        for config in TABLES:
             line = first_difference(*(run(src, config, tmp) for src in argv))
             print(f"{' '.join(config)}: "
                   f"{'identical' if line is None else 'DIFFERS'}")
