@@ -242,10 +242,11 @@ def linearize(rec, n, k, exact=False):
     """Convolution measure of degrees n and k: the coefficients of
     P_n * P_k = sum_l w_l P_l, from ``PolynomialHypergroup.convolve``.
 
-    With ``exact=True`` the same block reduction (``_linearize_block``)
-    runs on ``Fraction`` coefficients, as an oracle for n + k <= 32: any
-    negative weight, or an intermediate P_m * P_k weight below -1e-10,
-    raises NotHypergroupError, as a weight below -1e-10 does in floats.
+    With ``exact=True`` the block reduction ``_linearize_block`` runs on
+    ``Fraction`` coefficients (n + k <= 32), deciding signs exactly: a
+    negative weight, or an intermediate P_m * P_k weight below -1e-10 (the
+    float rule), raises NotHypergroupError.  The measure holds ``float(w)``;
+    exact callers use ``_linearize_block`` on ``Fraction`` rows.
     """
     n, k = int(n), int(k)
     if n < 0 or k < 0:

@@ -11,14 +11,14 @@ and the sine candidates solve the inhomogeneous companion
 whose c = 1 solution is the lambda-derivative of the family.  A'/A may have
 a s/x singularity at the origin (power weights A = x^s).  One pass serves
 ``solve_phi``, ``solve_sine`` and ``dlambda_phi``: a fixed-step classical
-fourth-order method over (u, u', f, f'), launched from a short power series
-on [0, x_start] with x_start = max(10 h, 1e-3).  The equations are linear,
-so each RK4 step is a fixed matrix [[P, 0], [c Q, P]]: the step matrices of
-the whole grid are built at once with array arithmetic, then one short loop
-applies them in order (P alone when c = 0).  Accuracy is checked against
-closed forms, not against a second integration: cosh(sqrt(lam) x) and
-x sinh(sqrt(lam) x) / (2 sqrt(lam)) for A == 1, and the identity
-d/dlam phi_alpha = x^2 / (4 (alpha + 1)) phi_(alpha + 1) for A = x^(2 alpha + 1).
+fourth-order method over (u, u', f, f'), launched from ``_hyp0f1`` through
+x^4 on [0, x_start] with x_start = max(10 h, 1e-3).  The equations are
+linear, so each RK4 step is a fixed matrix [[P, 0], [c Q, P]]: the step
+matrices of the whole grid are built at once with array arithmetic, then one
+short loop applies them in order (P alone when c = 0).  Accuracy is checked
+against closed forms, not against a second integration: cosh(sqrt(lam) x)
+and x sinh(sqrt(lam) x) / (2 sqrt(lam)) for A == 1, and for A = x^s the
+whole series ``_hyp0f1``, phi = 0F1(; alpha + 1; lam x^2 / 4) and f.
 
 For A == 1 the family is cosh(sqrt(lam) x) and the point convolution
 d[x] * d[y] = (d[x+y] + d[|x-y|]) / 2 makes the half line a hypergroup;
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from typing import Callable, NamedTuple, Optional
 
@@ -92,16 +93,31 @@ class OdeSolution(NamedTuple):
 # a huge real lam makes inf * 0 here; the overflow guard of _integrate
 # reports the non-finite table
 @np.errstate(all="ignore")
-def _series(s, lam, c, x):
-    """Series launch near 0, valid for A'/A = s/x (exact for the power
-    weights): 1 + b2 x^2 + b4 x^4 for the exponential, g2 x^2 + g4 x^4 for
-    the companion, and their derivatives."""
-    b2, g2 = lam / (2.0 * (s + 1.0)), c / (2.0 * (s + 1.0))
-    b4 = lam * b2 / (4.0 * (s + 3.0))
-    g4 = lam * c / (4.0 * (s + 3.0) * (s + 1.0))
+def _hyp0f1(s, lam, c, x, terms=None):
+    """(phi, phi', f, f') at the points x for the power weight x^s, s = 2 alpha
+    + 1 >= 0: phi = 0F1(; alpha + 1; lam x^2 / 4) = sum_k a_k x^(2k), a_k =
+    a_(k-1) lam / (2k (s + 2k - 1)), and f = c d/dlam phi.  The sum ends at
+    k = ``terms`` (the RK4 launch takes 2), else once k |a_k| max(x^2)^k is
+    below 1e-17 of the sum so far: rounding level unless lam x^2 cancels."""
     x2 = x * x
-    return (1.0 + x2 * (b2 + b4 * x2), x * (2.0 * b2 + 4.0 * b4 * x2),
-            x2 * (g2 + g4 * x2), x * (2.0 * g2 + 4.0 * g4 * x2))
+    big = float(np.max(x2, initial=0.0))
+    a, num, den, size, total, phi, f = 1.0, c, 1.0, 1.0, 0.0, [], []
+    for k in itertools.count(1) if terms is None else range(1, terms + 1):
+        step = 2 * k * (s + (2 * k - 1))
+        a, den = a * lam / step, den * step
+        phi.append(a)
+        f.append(k * num / den)   # c k lam^(k-1) / (product of the steps)
+        num, size = num * lam, size * abs(lam) * big / step   # |a_k| big^k
+        total += k * size
+        if terms is None and not k * size > 1e-17 * total:   # NaN stops
+            break
+
+    def horner(co):   # sum_k co[k - 1] x^(2k - 2)
+        return functools.reduce(lambda acc, b: b + acc * x2, co[::-1])
+
+    dphi, df = ([2 * k * t for k, t in enumerate(co, 1)] for co in (phi, f))
+    return (1.0 + x2 * horner(phi), x * horner(dphi), x2 * horner(f),
+            x * horner(df))
 
 
 def _grid(x_max, h):
@@ -162,7 +178,7 @@ def _integrate(family, lam, c, x_max, h):
     grid, steps = _grid(x_max, h)
     k0 = _launch_index(x_max, h, steps)
     width = 2 if c == 0 else 4
-    launch = _series(family.origin_exponent, lam, c, grid[:k0 + 1])[:width]
+    launch = _hyp0f1(family.origin_exponent, lam, c, grid[:k0 + 1], 2)[:width]
     xs = grid[k0] + np.arange(steps - k0) * h
     entries = zip(*(e.tolist() for e in _step_columns(family.ratio, lam, c,
                                                        xs, h)))
@@ -200,8 +216,7 @@ def solve_phi(family, lam, x_max=5.0, h=1e-3):
 def solve_sine(family, lam, c, x_max=5.0, h=1e-3):
     """Solution of the inhomogeneous companion equation with forcing c * phi;
     ``forcing`` holds phi from the same pass."""
-    lam = complex(lam)
-    c = complex(c)
+    lam, c = complex(lam), complex(c)
     grid, phi, _, f, df = _integrate(family, lam, c, x_max, h)
     return OdeSolution(grid, f, df, lam, c,
                        ode_residual(grid, f, family.ratio, lam, c, phi),
@@ -238,13 +253,11 @@ def line_phi(x, lam):
 
 def line_dphi(x, lam):
     """Closed form of the lambda-derivative x sinh(sqrt(lam) x)/(2 sqrt(lam)),
-    at a point or an array of points, with the series used near lam = 0
-    where the quotient degenerates."""
-    x = np.asarray(x)
-    w = cmath.sqrt(lam)
+    at a point or an array of points, with the series ``_hyp0f1`` near
+    lam = 0, where the quotient degenerates."""
+    x, w = np.asarray(x), cmath.sqrt(lam)
     if abs(w) < 1e-4:
-        x2 = x * x
-        return x2 / 2.0 * (1.0 + lam * x2 / 6.0 + lam * lam * x2 * x2 / 120.0 * 1.0)
+        return _hyp0f1(0.0, lam, 1.0, x)[2]
     return x * np.sinh(w * x) / (2.0 * w)
 
 

@@ -114,7 +114,7 @@ def test_fail_line_names_the_rule_and_tolerance(capsys):
     prefix = "FAIL sturm:const:sine-closed-form:lam=2: "
     line, = [ln for ln in capsys.readouterr().err.splitlines()
              if ln.startswith(prefix)]
-    assert line.startswith(prefix + "abs tol=1e-05 max_abs=")
+    assert line.startswith(prefix + "rel tol=1e-08 max_abs=")
 
 
 def test_overflowing_lambda_prints_only_the_error_line(capsys):

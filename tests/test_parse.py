@@ -95,6 +95,8 @@ def test_parse_returns_what_argparse_returns(argv):
 ARGPARSE_PATH = [
     ("tabulate", "--family", "sturm", "--lambda", "-0.7", "--c", "-1.5"),
     ("verify", "polyone", "--n", "12", "--lambda", "-0.5"),
+    ("verify", "sturm", "--xmax", "5", "--h", "1e-2", "--lambda", "2",
+     "--alpha", "-0.5"),
     ("tabulate", "--family", "chebyshev", "--lam", "0.5", "--n", "6")]
 GOLDEN = [("verify", *config) for config in golden_diff.CONFIGS]
 GOLDEN += golden_diff.TABLES

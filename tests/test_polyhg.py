@@ -90,6 +90,21 @@ def test_exact_linearization_matches_float_path():
         assert abs(sum(exact.weights) - 1.0) <= 1e-14
 
 
+def test_exact_linearization_returns_the_floats_of_the_fraction_row():
+    rec = _rational_ultraspherical(Fraction(1, 3))
+    coeffs = np.array([[Fraction(f(i)) for i in range(12)]
+                       for f in (rec.a, rec.b, rec.c)], dtype=object)
+    pairs = ((0, 0), (1, 4), (3, 3), (2, 6), (5, 6))
+    lo, hi = (np.array(v) for v in zip(*pairs))
+    for (n, k), row in zip(pairs, _linearize_block(coeffs, lo, hi)):
+        got = linearize(rec, n, k, exact=True)
+        assert got.items() == tuple((l, float(w)) for l, w in enumerate(row)
+                                    if w)
+        assert all(type(w) is float for w in got.weights)
+        # and rounded: past P_0 * P_0 some weight is not the rational one
+        assert any(Fraction(w) != row[l] for l, w in got.items()) or n == 0
+
+
 def _rational_ultraspherical(alpha):
     """x P_n = (n + 2 alpha + 1) P_(n+1) + n P_(n-1), over 2n + 2 alpha + 1."""
     return ThreeTermRecurrence(

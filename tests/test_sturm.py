@@ -94,7 +94,7 @@ def _reference_rk4(family, lam, c, x_max, h):
     grid, steps = sturm._grid(x_max, h)
     k0 = sturm._launch_index(x_max, h, steps)
     s = family.origin_exponent
-    rows = [sturm._series(s, lam, c, x) for x in grid[:k0 + 1]]
+    rows = [sturm._hyp0f1(s, lam, c, x, terms=2) for x in grid[:k0 + 1]]
 
     def rhs(x, state):
         pu, pv, fu, fv = state
@@ -154,8 +154,8 @@ def _complex_pass(family, lam, c, x_max, h):
     grid, steps = sturm._grid(x_max, h)
     k0 = sturm._launch_index(x_max, h, steps)
     width = 2 if c == 0 else 4
-    launch = list(sturm._series(family.origin_exponent, lam, c,
-                                grid[:k0 + 1])[:width])
+    launch = list(sturm._hyp0f1(family.origin_exponent, lam, c,
+                                grid[:k0 + 1], terms=2)[:width])
     xs = grid[k0] + np.arange(steps - k0) * h
     columns = [e.tolist() for e in sturm._step_columns(family.ratio, lam, c,
                                                        xs, h)]
@@ -255,3 +255,75 @@ def test_cosh_hypergroup_check_flags_wrong_lambda():
     m = lambda x: line_phi(x, 1.0)
     rep = sine_residual(hg, f, m, [(0.7, 1.1), (1.5, 2.0)])
     assert rep.max_abs > 1e-3
+
+
+def _launch_series(s, lam, c, x):
+    """The RK4 launch as it was written before ``_hyp0f1``: the series
+    through x^4, the oracle for ``_hyp0f1(..., terms=2)``."""
+    b2, g2 = lam / (2.0 * (s + 1.0)), c / (2.0 * (s + 1.0))
+    b4 = lam * b2 / (4.0 * (s + 3.0))
+    g4 = lam * c / (4.0 * (s + 3.0) * (s + 1.0))
+    x2 = x * x
+    return (1.0 + x2 * (b2 + b4 * x2), x * (2.0 * b2 + 4.0 * b4 * x2),
+            x2 * (g2 + g4 * x2), x * (2.0 * g2 + 4.0 * g4 * x2))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.float64)
+
+
+_scalars = st.one_of(st.just(0.0), st.just(1.0), st.floats(-50.0, 50.0),
+                     st.complex_numbers(max_magnitude=50.0, **_finite))
+
+
+@settings(max_examples=200)
+@given(alpha=st.floats(-0.5, 3.0), lam=_scalars, c=_scalars,
+       h=st.sampled_from([1e-4, 5e-4, 1e-3, 2e-3, 1e-2]))
+def test_launch_is_the_old_series_bit_for_bit(alpha, lam, c, h):
+    s = 2.0 * alpha + 1.0
+    x = np.arange(11) * h
+    for got, want in zip(sturm._hyp0f1(s, lam, c, x, terms=2),
+                         _launch_series(s, lam, c, x)):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+_lams = st.one_of(
+    st.floats(0.0, 6.0, exclude_min=True),
+    st.builds(cmath.rect, st.floats(0.0, 6.0),
+              st.floats(-math.pi / 2, math.pi / 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(-0.5, 3.0), lam=_lams,
+       c=st.one_of(st.just(1.0),
+                   st.complex_numbers(max_magnitude=3.0, **_finite)),
+       xs=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4))
+def test_series_is_0f1_and_its_lambda_derivative(alpha, lam, c, xs):
+    import mpmath as mp
+    phi, _, f, _ = sturm._hyp0f1(2.0 * alpha + 1.0, lam, c, np.array(xs))
+    for x, got_phi, got_f in zip(xs, phi, f):
+        z = mp.mpc(lam) * mp.mpf(x) ** 2 / 4
+        ref_phi = complex(mp.hyp0f1(alpha + 1, z))
+        ref_f = complex(mp.mpc(c) * mp.mpf(x) ** 2 / (4 * (alpha + 1))
+                        * mp.hyp0f1(alpha + 2, z))
+        assert abs(got_phi - ref_phi) <= 1e-13 * (1.0 + abs(ref_phi))
+        assert abs(got_f - ref_f) <= 1e-13 * (1.0 + abs(ref_f))
+
+
+def test_series_at_alpha_minus_half_is_cosh():
+    x = np.linspace(0.0, 5.0, 501)
+    for lam in (0.5, 2.0, 1.0 + 0.5j, 6.0j, 1e-12):
+        phi, dphi, f, _ = sturm._hyp0f1(0.0, lam, 1.0, x)
+        assert _close(phi, line_phi(x, lam), 1e-14)
+        assert _close(f, line_dphi(x, lam), 1e-14)
+        w = cmath.sqrt(lam)
+        assert _close(dphi, w * np.sinh(w * x), 1e-14)
+
+
+def test_series_at_lambda_zero_is_exact():
+    x = np.linspace(0.0, 5.0, 11)
+    phi, dphi, f, df = sturm._hyp0f1(2.0, 0.0, 3.0, x)
+    assert np.array_equal(phi, np.ones_like(x))
+    assert not dphi.any()
+    assert np.array_equal(f, 3.0 / 6.0 * x * x)
+    assert np.array_equal(df, 3.0 / 3.0 * x)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from hypersine import coset, polyhg, su2
+from hypersine import coset, polyhg, sturm, su2
 from hypersine.core import (ResidualReport, TabulatedFunction,
                             TheoremViolationError, power_identity_check,
                             two_point_hypergroup)
@@ -126,8 +126,24 @@ def test_sturm_suite_respects_overridden_grid():
     assert rep.passed
 
 
+_STURM_CLOSED_FORM_ROWS = [
+    f"sturm:{tag}:{what}:lam={lam}" for tag, lam in
+    (("const", "2"), ("power(alpha=-0.5)", "1"))
+    for what in ("phi", "sine-closed-form")]
+
+
+def _sturm_closed_form_rows(**cfg):
+    """The closed-form rows of the sturm suite at lambda 2 and alpha -1/2
+    on [0, 5], name -> passed, and whether every other row passed."""
+    checks = run_suite("sturm", SuiteConfig(lambdas=(2.0,), alpha=-0.5,
+                                            **cfg)).checks
+    rows = {c.name: c.passed for c in checks}
+    return ({name: rows.pop(name) for name in _STURM_CLOSED_FORM_ROWS},
+            all(rows.values()))
+
+
 def test_sturm_sine_rows_fail_on_a_coarse_grid():
-    # at h = 1e-2 the RK4 error in the derivative exceeds the 1e-5 tolerance
+    # at h = 1e-2 the RK4 error exceeds the 1e-8 relative tolerance
     cfg = SuiteConfig(x_max=5.0, h=1e-2, lambdas=(2.0,), alpha=-0.5)
     rows = {c.name: c for c in run_suite("sturm", cfg).checks}
     assert not rows["sturm:const:sine-closed-form:lam=2"].passed
@@ -135,7 +151,67 @@ def test_sturm_sine_rows_fail_on_a_coarse_grid():
     # the witness is the grid point x = i h of the worst error
     x = rows["sturm:const:sine-closed-form:lam=2"].witness
     assert 0.0 <= x <= 5.0 and x == round(x / 1e-2) * 1e-2
-    assert not rows["sturm:power(alpha=-0.5):sine-vs-phi(alpha+1):lam=1"].passed
+    assert not rows["sturm:power(alpha=-0.5):sine-closed-form:lam=1"].passed
+    assert not any(rows[name].passed for name in _STURM_CLOSED_FORM_ROWS)
+
+
+def test_sturm_closed_form_rows_pass_at_the_default_grid():
+    rows, rest = _sturm_closed_form_rows()
+    assert all(rows.values()) and rest
+
+
+def test_sturm_closed_form_rows_fail_for_a_shifted_reference(monkeypatch):
+    # each reference evaluated at alpha + 0.01: the series at s + 0.02, and
+    # for the constant weight (alpha = -1/2) the series at s = 0.02
+    hyp0f1 = sturm._hyp0f1
+
+    def shifted(s, lam, c, x, terms=None):   # the RK4 launch stays exact
+        return hyp0f1(s + (0.02 if terms is None else 0.0), lam, c, x, terms)
+
+    monkeypatch.setattr(sturm, "_hyp0f1", shifted)
+    monkeypatch.setattr(sturm, "line_phi",
+                        lambda x, lam: hyp0f1(0.02, lam, 1.0, x)[0])
+    monkeypatch.setattr(sturm, "line_dphi",
+                        lambda x, lam: hyp0f1(0.02, lam, 1.0, x)[2])
+    rows, _ = _sturm_closed_form_rows()
+    assert not any(rows.values())
+
+
+def test_sturm_closed_form_rows_fail_for_an_rk4_stage_mutant(monkeypatch):
+    # stage k1 scaled by 1 + 1e-6: on e1 it is (0, lam, 0, c) and on e2
+    # (1, -A'/A, 0, 0), and the step adds h / 6 of it
+    step_columns = sturm._step_columns
+
+    def mutant(ratio, lam, c, xs, h):
+        entries = step_columns(ratio, lam, c, xs, h)
+        width = len(entries) // 2
+        k1 = [0.0, lam, 0.0, c][:width] + [1.0, -ratio(xs), 0.0, 0.0][:width]
+        return [e + 1e-6 * (h / 6.0) * k for e, k in zip(entries, k1)]
+
+    monkeypatch.setattr(sturm, "_step_columns", mutant)
+    rows, _ = _sturm_closed_form_rows()
+    assert not any(rows.values())
+
+
+def test_sturm_suite_makes_one_rk4_pass_per_closed_form_and_zero_row(
+        monkeypatch):
+    # n_lambda constant-weight passes, one power-weight pass and the two
+    # homogeneous-zero passes; no exponential is solved on its own
+    integrate, passes = sturm._integrate, []
+
+    def counted(*args):
+        passes.append(args[1:3])
+        return integrate(*args)
+
+    def no_solve_phi(*args, **kwargs):
+        raise AssertionError("solve_phi called")
+
+    monkeypatch.setattr(sturm, "_integrate", counted)
+    monkeypatch.setattr(sturm, "solve_phi", no_solve_phi)
+    lambdas = (0.5, 2.0, 1.0 + 0.5j)
+    assert run_suite("sturm", SuiteConfig(lambdas=lambdas)).passed
+    assert len(passes) == len(lambdas) + 3
+    assert [c for _, c in passes].count(0.0) == 2
 
 
 def test_seed_changes_sampled_witnesses():

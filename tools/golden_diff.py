@@ -40,6 +40,12 @@ CONFIGS = (
     ("sturm", "--seed", "4"),
     ("sturm", "--h", "5e-4", "--xmax", "0.35", "--alpha", "1.3", "--seed", "2",
      "--lambda=0.7", "--lambda=1.9", "--lambda=1.2,0.4"),
+    # |phi| ~ 1e5 at x = 5: accurate solutions with a large absolute error
+    ("sturm", "--lambda=5.811"),
+    ("sturm", "--alpha", "3", "--lambda=-2", "--seed", "5"),
+    # RK4 error above the tolerance: every closed-form row fails
+    ("sturm", "--xmax", "5", "--h", "1e-2", "--lambda", "2", "--alpha",
+     "-0.5"),
     ("su2", "--lambda", "0,3.141592653589793", "--n-max", "12"),
     ("polyone", "--rec-file", REC_FILE, "--n-max", "32"),
     # chebyshev's errors are exactly 0 at lambda = +-1: each witness is the
