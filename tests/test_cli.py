@@ -526,13 +526,19 @@ def test_coset_falsify_square_reports_the_pairs_it_checked(tmp_path):
     assert rows["coset:associativity-float"]["samples"] == 3
 
 
-@pytest.mark.parametrize("suite", ["compact", "coset"])
+@pytest.mark.parametrize("suite", ["compact", "su2", "coset"])
 def test_no_row_that_cannot_fail_on_its_own(suite, tmp_path):
-    # neither can fail alone: a vanishing row checks the basis that its
-    # sine-dim row requires to be empty, and square-norm calls no
-    # hypergroup code
+    # none of these can fail alone: a vanishing row checks the basis that
+    # its sine-dim row requires to be empty, square-norm calls no hypergroup
+    # code, and the fixed-input rows recompute one value on one input
+    # whatever the configuration (tests/test_su2.py and tests/test_coset.py
+    # make their assertions)
+    fixed_input = {"su2:unit-square", "coset:falsify-alpha:recorded",
+                   "coset:falsify-square:recorded",
+                   "coset:group-identities-exact"}
     out = tmp_path / "report.json"
     assert run(["verify", suite, "--samples", "20", "--out", str(out)]) == 0
     names = [row["suite"] for row in json.loads(out.read_text())["checks"]]
     assert names and not [n for n in names
-                          if "vanishing" in n or "square-norm" in n]
+                          if "vanishing" in n or "square-norm" in n
+                          or n in fixed_input]

@@ -24,6 +24,17 @@ def test_group_axioms_exact_on_dyadics(x, u, y, v, z, w):
     assert group_mul((1.0, 0.0), p) == p
 
 
+# p_i = (x_i, i - 2), q_i = (x_{i+1}, 2i), r_i = (x_{i+2}, i) over the
+# dyadics x = 0.5, -2, 4, -0.25, 8, 1 (indices mod 6): q's u reaches 10,
+# outside the strategy's +-8
+@pytest.mark.parametrize("i", range(6))
+def test_group_associativity_exact_on_fixed_dyadic_triples(i):
+    x = [0.5, -2.0, 4.0, -0.25, 8.0, 1.0]
+    p, q = (x[i], i - 2.0), (x[(i + 1) % 6], 2.0 * i)
+    r = (x[(i + 2) % 6], float(i))
+    assert group_mul(group_mul(p, q), r) == group_mul(p, group_mul(q, r))
+
+
 pow2 = st.tuples(st.integers(min_value=-5, max_value=5),
                  st.booleans()).map(lambda t: (-1.0 if t[1] else 1.0) * 2.0 ** t[0])
 
@@ -50,6 +61,9 @@ def test_stabilizer_is_not_normal():
     # conjugating the order-two element lands outside the subgroup
     assert conjugate_by((3.0, 5.0), (-1.0, 0.0)) == (-1.0, 10.0)
     assert conjugate_by((1.0, 0.25), (-1.0, 0.0)) == (-1.0, 0.5)
+    for i, x in enumerate([0.5, -2.0, 4.0, -0.25, 8.0, 1.0]):
+        u = i - 2.0
+        assert conjugate_by((x, u), (-1.0, 0.0)) == (-1.0, 2.0 * u)
 
 
 def test_coset_of_canonicalizes():
@@ -116,6 +130,7 @@ def test_falsify_square_term_recorded_pair():
     rep = falsify_square_term(1.0, 1.0, [((2.0, 1.0), (3.0, 1.0))])
     # lhs averages 6(ln 6 + 9) and 6(ln 6 + 1); rhs is 6 ln 6 + 12
     assert rep.max_abs == pytest.approx(18.0, rel=1e-12)
+    assert rep.max_abs > 0.5
     with pytest.raises(ValueError):
         falsify_square_term(1.0, 0.0, [((2.0, 1.0), (3.0, 1.0))])
 

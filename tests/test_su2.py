@@ -42,6 +42,7 @@ def test_unit_square_is_exact():
     mu = su2.Su2Hypergroup().convolve(1, 1)
     assert mu.weight(0) == 0.25
     assert mu.weight(2) == 0.75
+    assert len(mu) == 2
 
 
 def test_phi_against_high_precision():
