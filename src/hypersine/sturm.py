@@ -15,10 +15,10 @@ fourth-order method over (u, u', f, f'), launched from ``_hyp0f1`` through
 x^4 on [0, x_start] with x_start = max(10 h, 1e-3).  The equations are
 linear, so each RK4 step is a fixed matrix [[P, 0], [c Q, P]]: the step
 matrices of the whole grid are built at once with array arithmetic, then one
-short loop applies them in order (P alone when c = 0).  Accuracy is checked
-against closed forms, not against a second integration: cosh(sqrt(lam) x)
-and x sinh(sqrt(lam) x) / (2 sqrt(lam)) for A == 1, and for A = x^s the
-whole series ``_hyp0f1``, phi = 0F1(; alpha + 1; lam x^2 / 4) and f.
+short loop applies them in order.  Accuracy is checked against closed forms,
+not against a second integration: cosh(sqrt(lam) x) and x sinh(sqrt(lam) x)
+/ (2 sqrt(lam)) for A == 1, and for A = x^s the whole series ``_hyp0f1``,
+phi = 0F1(; alpha + 1; lam x^2 / 4) and f.
 
 For A == 1 the family is cosh(sqrt(lam) x) and the point convolution
 d[x] * d[y] = (d[x+y] + d[|x-y|]) / 2 makes the half line a hypergroup;
@@ -138,21 +138,20 @@ def _step_columns(ratio, lam, c, xs, h):
     """Columns e1 and e2 of the RK4 step matrices, minus the identity, over
     (phi, phi', f, f') for the steps starting at ``xs``, one array per
     entry: the classical stages run on the basis vectors, vectorised over
-    the steps, with A'/A sampled at x, x + h/2 and x + h.  The system is block lower-triangular, so a step
-    matrix is I + [[D, 0], [c Q, D]] and these two columns hold every
-    entry: D00, D10, cQ00, cQ10, then D01, D11, cQ01, cQ11 (the D entries
-    alone when c == 0).  Leaving out the identity lets a step add an O(h)
+    the steps, with A'/A sampled at x, x + h/2 and x + h.  The system is
+    block lower-triangular, so a step matrix is I + [[D, 0], [c Q, D]] and
+    these two columns hold every entry: D00, D10, cQ00, cQ10, then D01,
+    D11, cQ01, cQ11.  Leaving out the identity lets a step add an O(h)
     increment to the state, so rounding stays relative to the increment."""
-    width = 2 if c == 0 else 4
 
     def rhs(r, s):
-        d = (s[1], lam * s[0] - r * s[1])
-        return d if width == 2 else d + (s[3], lam * s[2] + c * s[0] - r * s[3])
+        return (s[1], lam * s[0] - r * s[1],
+                s[3], lam * s[2] + c * s[0] - r * s[3])
 
     r0, rh, r1 = ratio(xs), ratio(xs + h / 2.0), ratio(xs + h)
     one, zero = np.ones(len(xs)), np.zeros(len(xs))
     entries = []
-    for e in ((one, zero, zero, zero)[:width], (zero, one, zero, zero)[:width]):
+    for e in ((one, zero, zero, zero), (zero, one, zero, zero)):
         k1 = rhs(r0, e)
         k2 = rhs(rh, tuple(s + (h / 2.0) * k for s, k in zip(e, k1)))
         k3 = rhs(rh, tuple(s + (h / 2.0) * k for s, k in zip(e, k2)))
@@ -167,7 +166,7 @@ def _integrate(family, lam, c, x_max, h):
     (phi, phi', f, f') with the exponential feeding the forcing c * phi, so
     no interpolation is needed at half steps.  The step matrices of the
     whole grid are built first (``_step_columns``), then one loop applies
-    them in order; with c == 0 only (phi, phi') runs and f is exactly 0.
+    them in order.  With c == 0 every cQ entry is 0, so f stays exactly 0.
     When lam and c are both real the pass runs in floats: a complex
     operation on zero imaginary parts rounds its real part exactly as the
     float operation does, so only the sign of a zero can differ.
@@ -177,27 +176,18 @@ def _integrate(family, lam, c, x_max, h):
         lam, c = lam.real, c.real
     grid, steps = _grid(x_max, h)
     k0 = _launch_index(x_max, h, steps)
-    width = 2 if c == 0 else 4
-    launch = _hyp0f1(family.origin_exponent, lam, c, grid[:k0 + 1], 2)[:width]
+    launch = _hyp0f1(family.origin_exponent, lam, c, grid[:k0 + 1], 2)
     xs = grid[k0] + np.arange(steps - k0) * h
     entries = zip(*(e.tolist() for e in _step_columns(family.ratio, lam, c,
                                                        xs, h)))
-    state, out = [t[-1].item() for t in launch], []
-    if c == 0:
-        u, v = state
-        for a, p, b, q in entries:
-            u, v = u + (a * u + b * v), v + (p * u + q * v)
-            out.extend((u, v))
-    else:
-        u, v, fu, fv = state
-        for a, p, ga, gp, b, q, gb, gq in entries:
-            u, v, fu, fv = (u + (a * u + b * v), v + (p * u + q * v),
-                            fu + (a * fu + b * fv + ga * u + gb * v),
-                            fv + (p * fu + q * fv + gp * u + gq * v))
-            out.extend((u, v, fu, fv))
-    rest = np.array(out, dtype=complex).reshape(-1, width).T
+    (u, v, fu, fv), out = [t[-1].item() for t in launch], []
+    for a, p, ga, gp, b, q, gb, gq in entries:
+        u, v, fu, fv = (u + (a * u + b * v), v + (p * u + q * v),
+                        fu + (a * fu + b * fv + ga * u + gb * v),
+                        fv + (p * fu + q * fv + gp * u + gq * v))
+        out.extend((u, v, fu, fv))
+    rest = np.array(out, dtype=complex).reshape(-1, 4).T
     tables = [np.concatenate(pair) for pair in zip(launch, rest)]
-    tables += [np.zeros(steps + 1, dtype=complex) for _ in range(4 - width)]
     if not all(np.all(np.abs(t) <= OVERFLOW_LIMIT) for t in tables):  # NaN too
         raise OverflowError(
             f"solution magnitude exceeded {OVERFLOW_LIMIT:g}; "

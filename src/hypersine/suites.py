@@ -403,11 +403,6 @@ def run_sturm(cfg):
                                STURM_CLOSED_FORM_RTOL, "rel"))
         residuals += [sturm_mod.ode_residual(grid, phi, fam.ratio, lam),
                       ssol.ode_residual]
-    for fam, tag in ((const, "const"), (power, power_tag)):
-        sol = sturm_mod.solve_sine(fam, 1.0, 0.0, x_max=x_max, h=h)
-        checks.append(_row(f"sturm:{tag}:homogeneous-zero",
-                           _scan(*_residual(sol.values, [0.0]),
-                                 sol.grid.tolist()), 1e-10, "abs"))
     worst_res = max(residuals)
     rep = ResidualReport(worst_res, worst_res / res_bound, None, len(residuals))
     checks.append(_row("sturm:ode-residual-bound", rep, res_bound, "abs"))

@@ -526,13 +526,14 @@ def test_coset_falsify_square_reports_the_pairs_it_checked(tmp_path):
     assert rows["coset:associativity-float"]["samples"] == 3
 
 
-@pytest.mark.parametrize("suite", ["compact", "su2", "coset"])
+@pytest.mark.parametrize("suite", ["compact", "su2", "coset", "sturm"])
 def test_no_row_that_cannot_fail_on_its_own(suite, tmp_path):
     # none of these can fail alone: a vanishing row checks the basis that
     # its sine-dim row requires to be empty, square-norm calls no hypergroup
-    # code, and the fixed-input rows recompute one value on one input
-    # whatever the configuration (tests/test_su2.py and tests/test_coset.py
-    # make their assertions)
+    # code, a homogeneous-zero row compares the zero solution of c = 0 with
+    # 0, and the fixed-input rows recompute one value on one input whatever
+    # the configuration (tests/test_su2.py, tests/test_coset.py and
+    # tests/test_sturm.py make their assertions)
     fixed_input = {"su2:unit-square", "coset:falsify-alpha:recorded",
                    "coset:falsify-square:recorded",
                    "coset:group-identities-exact"}
@@ -541,4 +542,4 @@ def test_no_row_that_cannot_fail_on_its_own(suite, tmp_path):
     names = [row["suite"] for row in json.loads(out.read_text())["checks"]]
     assert names and not [n for n in names
                           if "vanishing" in n or "square-norm" in n
-                          or n in fixed_input]
+                          or "homogeneous-zero" in n or n in fixed_input]

@@ -34,18 +34,23 @@ def test_differences_ignore_wall_time_and_name_each_changed_field():
         "report pass true -> false"]
 
 
-def test_first_difference_names_exit_code_or_first_changed_line():
-    table = b"element,m\n0,1.0\n1,-0.5\n"
-    assert golden_diff.first_difference((0, table), (0, table)) is None
-    assert golden_diff.first_difference((0, table), (2, b"")) == (
-        "exit code 0 -> 2")
-    assert golden_diff.first_difference(
-        (0, table), (0, table.replace(b"-0.5", b"-0.25"))) == (
-        "line 3: '1,-0.5\\n' -> '1,-0.25\\n'")
-    assert golden_diff.first_difference((0, table), (0, table[:-1])) == (
-        "line 3: '1,-0.5\\n' -> '1,-0.5'")
-    assert golden_diff.first_difference((0, table), (0, table + b"2,0\n")) == (
-        "line 4: '<missing>' -> '2,0\\n'")
+def test_line_diff_names_exit_code_and_every_changed_line():
+    table = b"element,m\n0,1.0\n1,-0.5\n2,0.25\n"
+    assert golden_diff.line_diff((0, table), (0, table)) == []
+    assert golden_diff.line_diff((0, table), (2, b"")) == [
+        "exit code 0 -> 2", "@@ -1,4 +0,0 @@", "-element,m", "-0,1.0",
+        "-1,-0.5", "-2,0.25"]
+    assert golden_diff.line_diff(
+        (0, table), (0, table.replace(b"-0.5", b"-0.25"))) == [
+        "@@ -3 +3 @@", "-1,-0.5", "+1,-0.25"]
+    # two deleted rows are two - lines, each under its own hunk header
+    assert golden_diff.line_diff(
+        (0, table), (0, b"element,m\n1,-0.5\n")) == [
+        "@@ -2 +1,0 @@", "-0,1.0", "@@ -4 +2,0 @@", "-2,0.25"]
+    assert golden_diff.line_diff((0, table), (0, table[:-1])) == [
+        "@@ -4 +4 @@", "-2,0.25", "+2,0.25 (no newline at end)"]
+    assert golden_diff.line_diff((0, table), (0, table + b"3,0\n")) == [
+        "@@ -4,0 +5 @@", "+3,0"]
 
 
 def test_differences_see_a_reordered_report():
@@ -120,4 +125,5 @@ def test_main_compares_each_csv_report_byte_for_byte(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.endswith("DIFFERS")] == [
         "verify compact --format csv: DIFFERS"]
-    assert "  line 2: '<missing>' -> 'changed\\n'" in out
+    at = out.index("verify compact --format csv: DIFFERS")
+    assert out[at + 1:at + 3] == ["  @@ -1,0 +2 @@", "  +changed"]

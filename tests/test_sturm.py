@@ -70,8 +70,20 @@ def test_solve_sine_is_linear_in_c():
 
 
 def test_homogeneous_solution_stays_zero():
-    sol = solve_sine(constant_family(), 1.0, 0.0, x_max=2.0, h=1e-3)
-    assert np.max(np.abs(sol.values)) == 0.0
+    # c = 0 runs the four-state pass; every cQ entry is 0, so f stays 0
+    for family in (constant_family(), power_family(0.5)):
+        sol = solve_sine(family, 1.0, 0.0, x_max=5.0, h=1e-3)
+        assert not sol.values.any() and not sol.derivatives.any()
+
+
+@pytest.mark.parametrize("family", [constant_family(), power_family(0.5)],
+                         ids=lambda fam: fam.name)
+@pytest.mark.parametrize("lam", [0.7, -1.3, 1.0 + 0.5j, -0.4 - 0.9j])
+def test_phi_is_the_forcing_of_every_sine_pass(family, lam):
+    # the exponential block never reads f, so phi is the same bits at any c
+    phi = solve_phi(family, lam).values
+    for c in (0.0, 1.0, 0.5 + 0.3j):
+        assert solve_sine(family, lam, c).forcing.tobytes() == phi.tobytes()
 
 
 def test_ode_residual_is_within_grid_bound():
@@ -153,25 +165,18 @@ def _complex_pass(family, lam, c, x_max, h):
     lam, c = complex(lam), complex(c)
     grid, steps = sturm._grid(x_max, h)
     k0 = sturm._launch_index(x_max, h, steps)
-    width = 2 if c == 0 else 4
-    launch = list(sturm._hyp0f1(family.origin_exponent, lam, c,
-                                grid[:k0 + 1], terms=2)[:width])
+    launch = sturm._hyp0f1(family.origin_exponent, lam, c, grid[:k0 + 1],
+                           terms=2)
     xs = grid[k0] + np.arange(steps - k0) * h
     columns = [e.tolist() for e in sturm._step_columns(family.ratio, lam, c,
                                                        xs, h)]
-    u, v, fu, fv = [complex(t[-1]) for t in launch] + [0j] * (4 - width)
+    u, v, fu, fv = [complex(t[-1]) for t in launch]
     rows = []
-    for entries in zip(*columns):
-        if width == 2:
-            a, p, b, q = entries
-            u, v = u + (a * u + b * v), v + (p * u + q * v)
-        else:
-            a, p, ga, gp, b, q, gb, gq = entries
-            u, v, fu, fv = (u + (a * u + b * v), v + (p * u + q * v),
-                            fu + (a * fu + b * fv + ga * u + gb * v),
-                            fv + (p * fu + q * fv + gp * u + gq * v))
+    for a, p, ga, gp, b, q, gb, gq in zip(*columns):
+        u, v, fu, fv = (u + (a * u + b * v), v + (p * u + q * v),
+                        fu + (a * fu + b * fv + ga * u + gb * v),
+                        fv + (p * fu + q * fv + gp * u + gq * v))
         rows.append((u, v, fu, fv))
-    launch += [np.zeros(k0 + 1, dtype=complex)] * (4 - width)
     rest = np.array(rows, dtype=complex).reshape(-1, 4).T
     return grid, *(np.concatenate(pair) for pair in zip(launch, rest))
 

@@ -184,8 +184,7 @@ def test_sturm_closed_form_rows_fail_for_an_rk4_stage_mutant(monkeypatch):
 
     def mutant(ratio, lam, c, xs, h):
         entries = step_columns(ratio, lam, c, xs, h)
-        width = len(entries) // 2
-        k1 = [0.0, lam, 0.0, c][:width] + [1.0, -ratio(xs), 0.0, 0.0][:width]
+        k1 = [0.0, lam, 0.0, c, 1.0, -ratio(xs), 0.0, 0.0]
         return [e + 1e-6 * (h / 6.0) * k for e, k in zip(entries, k1)]
 
     monkeypatch.setattr(sturm, "_step_columns", mutant)
@@ -193,10 +192,9 @@ def test_sturm_closed_form_rows_fail_for_an_rk4_stage_mutant(monkeypatch):
     assert not any(rows.values())
 
 
-def test_sturm_suite_makes_one_rk4_pass_per_closed_form_and_zero_row(
-        monkeypatch):
-    # n_lambda constant-weight passes, one power-weight pass and the two
-    # homogeneous-zero passes; no exponential is solved on its own
+def test_sturm_suite_makes_one_rk4_pass_per_closed_form(monkeypatch):
+    # n_lambda constant-weight passes and one power-weight pass, each with
+    # c = 1; no exponential is solved on its own and no c = 0 pass is made
     integrate, passes = sturm._integrate, []
 
     def counted(*args):
@@ -210,8 +208,8 @@ def test_sturm_suite_makes_one_rk4_pass_per_closed_form_and_zero_row(
     monkeypatch.setattr(sturm, "solve_phi", no_solve_phi)
     lambdas = (0.5, 2.0, 1.0 + 0.5j)
     assert run_suite("sturm", SuiteConfig(lambdas=lambdas)).passed
-    assert len(passes) == len(lambdas) + 3
-    assert [c for _, c in passes].count(0.0) == 2
+    assert len(passes) == len(lambdas) + 1
+    assert all(c == 1.0 for _, c in passes)
 
 
 def test_seed_changes_sampled_witnesses():
@@ -402,7 +400,7 @@ def test_row_names_tell_close_parameters_apart_and_read_back():
     assert sorted(float(t.split("=")[1]) for t in tags) == list(thetas)
     names = {c.name for c in run_suite("sturm", SuiteConfig(
         alpha=1 / 3, lambdas=(1.0,), x_max=0.5, h=1e-2)).checks}
-    assert "sturm:power(alpha=0.3333333333333333):homogeneous-zero" in names
+    assert "sturm:power(alpha=0.3333333333333333):phi:lam=1" in names
     # the default names keep the short g format
     assert "polyone:chebyshev:exp:lam=0.5+0.5j" in {
         c.name for c in run_suite("polyone", SuiteConfig(n_max=2)).checks}

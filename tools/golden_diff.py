@@ -10,8 +10,10 @@ PYTHONPATH set to that tree.  For ``verify``, ``wall_time`` is dropped and
 every other field must match byte for byte; the tool prints
 ``identical``, or one line per differing row field: ``name field base ->
 head``.  For the tables, which hold no ``wall_time``, the exit code and the
-stdout bytes must match; the tool prints ``identical``, or the first differing
-line.  The exit status is 0 only if every configuration is identical.
+stdout bytes must match; the tool prints ``identical``, or the exit codes
+and every differing line, as a unified diff with no context (``@@`` hunk
+headers, ``-`` base lines, ``+`` head lines).  The exit status is 0 only if
+every configuration is identical.
 The CLI reads most of these command lines from its option table; those
 with a prefix such as ``--n`` or a separate negative value go through
 argparse, so both ways of parsing are compared.
@@ -19,6 +21,7 @@ argparse, so both ways of parsing are compared.
 
 from __future__ import annotations
 
+import difflib
 import itertools
 import json
 import os
@@ -143,19 +146,20 @@ def run_verify(src, argv, cwd):
     return code, json.loads(out) if out else {}
 
 
-def first_difference(base, head):
-    """None if two (exit code, stdout bytes) outputs are the same, else a
-    line naming the exit codes or the first stdout line that differs."""
-    if base[0] != head[0]:
-        return f"exit code {base[0]} -> {head[0]}"
-    lines = itertools.zip_longest(base[1].splitlines(keepends=True),
-                                  head[1].splitlines(keepends=True),
-                                  fillvalue=b"<missing>")
-    for number, (b, h) in enumerate(lines, 1):
-        if b != h:
-            return (f"line {number}: {b.decode(errors='replace')!r} -> "
-                    f"{h.decode(errors='replace')!r}")
-    return None
+def line_diff(base, head):
+    """Lines telling how two (exit code, stdout bytes) outputs differ, [] if
+    they are the same: the exit codes, then a unified diff of the stdout
+    lines with no context and no file header.  A last line without its
+    newline is marked so."""
+    lines = [f"exit code {base[0]} -> {head[0]}"] if base[0] != head[0] else []
+    diff = difflib.diff_bytes(difflib.unified_diff,
+                              *(out.splitlines(keepends=True)
+                                for _, out in (base, head)), n=0)
+    for line in itertools.islice(diff, 2, None):
+        text = line.decode(errors="replace")
+        lines.append(text[:-1] if text.endswith("\n")
+                     else f"{text} (no newline at end)")
+    return lines
 
 
 def differences(base, head):
@@ -207,12 +211,12 @@ def main(argv=None):
                 print(f"  {line}")
             same = same and not lines
         for config in TABLES:
-            line = first_difference(*(run(src, config, tmp) for src in argv))
+            lines = line_diff(*(run(src, config, tmp) for src in argv))
             print(f"{' '.join(config)}: "
-                  f"{'identical' if line is None else 'DIFFERS'}")
-            if line is not None:
+                  f"{'identical' if not lines else 'DIFFERS'}")
+            for line in lines:
                 print(f"  {line}")
-            same = same and line is None
+            same = same and not lines
     return 0 if same else 1
 
 
