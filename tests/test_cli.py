@@ -526,17 +526,21 @@ def test_coset_falsify_square_reports_the_pairs_it_checked(tmp_path):
     assert rows["coset:associativity-float"]["samples"] == 3
 
 
-@pytest.mark.parametrize("suite", ["compact", "su2", "coset", "sturm"])
+@pytest.mark.parametrize("suite", ["compact", "su2", "sinsev", "coset",
+                                   "sturm"])
 def test_no_row_that_cannot_fail_on_its_own(suite, tmp_path):
     # none of these can fail alone: a vanishing row checks the basis that
     # its sine-dim row requires to be empty, square-norm calls no hypergroup
     # code, a homogeneous-zero row compares the zero solution of c = 0 with
     # 0, and the fixed-input rows recompute one value on one input whatever
-    # the configuration (tests/test_su2.py, tests/test_coset.py and
-    # tests/test_sturm.py make their assertions)
+    # the configuration (tests/test_su2.py, tests/test_coset.py,
+    # tests/test_sturm.py, tests/test_multipoly.py and acceptance criterion
+    # 4 make their assertions)
     fixed_input = {"su2:unit-square", "coset:falsify-alpha:recorded",
                    "coset:falsify-square:recorded",
-                   "coset:group-identities-exact"}
+                   "coset:group-identities-exact",
+                   "compact:chebyshev:power-identity",
+                   "sinsev:d=2:fit-roundtrip", "sinsev:d=3:fit-roundtrip"}
     out = tmp_path / "report.json"
     assert run(["verify", suite, "--samples", "20", "--out", str(out)]) == 0
     names = [row["suite"] for row in json.loads(out.read_text())["checks"]]

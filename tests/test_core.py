@@ -319,9 +319,10 @@ def test_power_chain_is_x_times_the_power_of_y(hg, x, y):
     (PolynomialHypergroup(chebyshev_recurrence()), 1, 2, list(range(1, 9)))])
 def test_power_identity_convolves_each_power_once(hg, x, y, sizes,
                                                   monkeypatch):
-    # the compact suite's power rows: one convolve_many call per power
-    # n = 1..8, over the support of x * y^(n-1), and no pair-at-a-time
-    # convolution; 14 and 36 pairs in all
+    # one convolve_many call per power n = 1..8, over the support of
+    # x * y^(n-1), and no pair-at-a-time convolution; 14 and 36 pairs in
+    # all (the two-point case is the compact suite's power-refutation row,
+    # the Chebyshev case the inputs of acceptance criterion 4)
     seen, convolve_many = [], hg.convolve_many
     monkeypatch.setattr(hg, "convolve_many", lambda xs, ys: seen.append(
         len(xs)) or convolve_many(xs, ys))

@@ -71,12 +71,15 @@ def test_multi_sine_satisfies_sine_equation(cheb_leg):
     assert worst <= 1e-12
 
 
-def test_fit_recovers_coefficients(cheb_leg):
-    lam = (0.6, 0.8)
-    c = (1.5, -2.0)
-    f = cheb_leg.multi_sine(c, lam)
-    got = cheb_leg.fit_coefficients(f, lam, n_max=6)
-    assert np.allclose(got, np.array(c, dtype=complex), atol=1e-11)
+@pytest.mark.parametrize("factors, lam, c", [
+    pytest.param("CL", (0.6, 0.8), (1.5, -2.0), id="d=2"),
+    pytest.param("CCL", (0.6, 1.1, 0.8), (1.0, 0.5, -0.75), id="d=3")])
+def test_fit_recovers_coefficients(factors, lam, c):
+    # Chebyshev (C) and Legendre (L) factors
+    recs = {"C": chebyshev_recurrence(), "L": legendre_recurrence()}
+    hg = ProductPolyHypergroup([recs[k] for k in factors])
+    got = hg.fit_coefficients(hg.multi_sine(c, lam), lam, n_max=6, rtol=1e-9)
+    assert np.abs(got - np.array(c, dtype=complex)).max() <= 1e-9
 
 
 def test_fit_rejects_non_sine(cheb_leg):

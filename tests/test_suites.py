@@ -120,6 +120,13 @@ def test_compact_power_refutation_rows_fail_the_identity():
     assert not _row("zero", rep, 0.5, "above").passed
 
 
+def test_sinsev_rows_check_the_seeded_pairs():
+    rep = run_suite("sinsev", SuiteConfig(samples=5))
+    assert [c.name for c in rep.checks] == [
+        f"sinsev:d={d}:{kind}" for d in (2, 3) for kind in ("exp", "sine")]
+    assert all(c.passed and c.samples == 5 for c in rep.checks)
+
+
 def test_sturm_suite_respects_overridden_grid():
     cfg = SuiteConfig(x_max=1.0, h=2e-3, lambdas=(1.0,))
     rep = run_suite("sturm", cfg)

@@ -40,6 +40,7 @@ CONFIGS = (
      "--lambda=1.28,-0.57", "--lambda=-1.5,0.4"),
     ("su2", "--seed", "4"),
     ("compact", "--theta", "1", "--theta", "0.3"),
+    ("sinsev", "--seed", "3", "--samples", "50"),
     ("sturm", "--seed", "4"),
     ("sturm", "--h", "5e-4", "--xmax", "0.35", "--alpha", "1.3", "--seed", "2",
      "--lambda=0.7", "--lambda=1.9", "--lambda=1.2,0.4"),
