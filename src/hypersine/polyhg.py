@@ -37,28 +37,8 @@ class ThreeTermRecurrence:
         self.c = c
         self.name = name
         self.max_order = max_order
-        self._validate()
-
-    def _validate(self):
-        """Checks degrees 0..64 (0..max_order), each coefficient converted
-        once, into the table ``_float_coeffs`` reads."""
-        top = 64 if self.max_order is None else self.max_order
-        self._floats = self._convert(top + 1)
-        a, b, c = self._floats
-        if not a[0] > 0:
-            raise NotHypergroupError(f"a_0 = {self.a(0)} must be positive")
-        if not abs(a[0] + b[0] - 1.0) <= 1e-12:
-            raise NotHypergroupError("a_0 + b_0 must equal 1")
-        with np.errstate(invalid="ignore"):   # inf - inf is NaN, and fails
-            ok = (a > 0) & (c > 0) & (np.abs(a + b + c - 1.0) <= 1e-12)
-        bad = np.flatnonzero(~ok[1:]) + 1   # NaN fails too
-        if len(bad):
-            n, (an, bn, cn) = bad[0], self._floats[:, bad[0]].tolist()
-            if not (an > 0 and cn > 0):
-                raise NotHypergroupError(
-                    f"a_{n} and c_{n} must be positive, got {an}, {cn}")
-            raise NotHypergroupError(
-                f"a_{n} + b_{n} + c_{n} must equal 1, got {an + bn + cn}")
+        self._floats = np.empty((3, 0))
+        self._convert(65 if max_order is None else max_order + 1)
 
     def check_order(self, n):
         if self.max_order is not None and n > self.max_order:
@@ -67,15 +47,35 @@ class ThreeTermRecurrence:
                 f"{self.max_order}, requested {n}")
 
     def _float_coeffs(self, n):
-        """Float rows (a, b, c) for degrees 0..n-1, converted once."""
+        """Checked float rows (a, b, c) for degrees 0..n-1."""
         self.check_order(n)
         if self._floats.shape[1] < n:
-            self._floats = self._convert(n)
+            self._convert(n)
         return self._floats[:, :n]
 
     def _convert(self, n):
-        return np.array([[float(f(i)) for i in range(n)]
-                         for f in (self.a, self.b, self.c)])
+        """Extend the float table to degrees 0..n-1, converting each new
+        degree once, and check the table: a_0 > 0 and a_0 + b_0 = 1, then
+        a_n > 0, c_n > 0 and a_n + b_n + c_n = 1, within 1e-12."""
+        floats = np.concatenate([self._floats, [
+            [float(f(i)) for i in range(self._floats.shape[1], n)]
+            for f in (self.a, self.b, self.c)]], axis=1)
+        a, b, c = floats
+        if not a[0] > 0:
+            raise NotHypergroupError(f"a_0 = {self.a(0)} must be positive")
+        if not abs(a[0] + b[0] - 1.0) <= 1e-12:
+            raise NotHypergroupError("a_0 + b_0 must equal 1")
+        with np.errstate(invalid="ignore"):   # inf - inf is NaN, and fails
+            ok = (a > 0) & (c > 0) & (np.abs(a + b + c - 1.0) <= 1e-12)
+        bad = np.flatnonzero(~ok[1:]) + 1   # NaN fails too
+        if len(bad):
+            n, (an, bn, cn) = bad[0], floats[:, bad[0]].tolist()
+            if not (an > 0 and cn > 0):
+                raise NotHypergroupError(
+                    f"a_{n} and c_{n} must be positive, got {an}, {cn}")
+            raise NotHypergroupError(
+                f"a_{n} + b_{n} + c_{n} must equal 1, got {an + bn + cn}")
+        self._floats = floats
 
     def __repr__(self):
         return f"<ThreeTermRecurrence {self.name!r}>"
@@ -113,7 +113,7 @@ def recurrence_from_lists(a, b, c, name=""):
 
 
 def recurrence_from_file(path):
-    """Load a recurrence from JSON {"name", "a", "b", "c"[, "closed_form"]}."""
+    """Recurrence from JSON {"name", "a", "b", "c"}, other keys ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
@@ -170,16 +170,6 @@ def _finite_p_and_dp(rec, n_max, lam):
     return _finite(p, what, lam), _finite(dp, what, lam)
 
 
-def exp_values(rec, n_max, lam):
-    """Array of P_n(lam) for n = 0..n_max."""
-    return _finite_p_and_dp(rec, n_max, lam)[0]
-
-
-def sine_values(rec, n_max, lam, c=1.0):
-    """Array of c * P_n'(lam) for n = 0..n_max."""
-    return _sine_and_exp(rec, n_max, lam, c)[0].values
-
-
 def _sine_and_exp(rec, n_max, lam, c=1.0):
     """``sine_fn`` and ``exp_fn`` on 0..n_max from one recurrence run."""
     p, dp = _finite_p_and_dp(rec, n_max, lam)
@@ -190,7 +180,7 @@ def _sine_and_exp(rec, n_max, lam, c=1.0):
 
 def exp_fn(rec, lam, n_max=256):
     """Exponential n -> P_n(lam) as a tabulated function."""
-    return TabulatedFunction(exp_values(rec, n_max, lam))
+    return TabulatedFunction(_finite_p_and_dp(rec, n_max, lam)[0])
 
 
 def sine_fn(rec, c, lam, n_max=256):
@@ -253,7 +243,7 @@ def linearize(rec, n, k, exact=False):
         raise ValueError(f"degrees must be >= 0, got {n}, {k}")
     if n > k:
         n, k = k, n
-    rec.check_order(n + k)
+    rec._float_coeffs(n + k)   # checks every degree the rows read
     if exact:
         coeffs = np.array([[Fraction(f(i)) for i in range(n + k)]
                            for f in (rec.a, rec.b, rec.c)], dtype=object)

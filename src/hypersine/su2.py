@@ -106,14 +106,19 @@ def additive_fn(c):
     return f
 
 
-def sine_fn(n_max, lam):
-    """A non-zero phi(., lam)-sine function on 0..n_max: scale U_n'(cosh lam)
-    / (n+1), scale = sinh lam (dphi) or, where |sinh lam| < SMALL_SINH_TOL,
-    3 cosh lam, which makes it (-1)^(k n) n (n+2) at lam = i k pi."""
+def _sine_scale(lam):
+    """f(1) of ``sine_fn``: sinh lam or, where |sinh lam| < SMALL_SINH_TOL,
+    3 cosh lam, which makes f (-1)^(k n) n (n+2) at lam = i k pi."""
     s = _hyperbolic(cmath.sinh, lam)
-    scale = s if abs(s) >= SMALL_SINH_TOL else 3 * cmath.cosh(lam)
+    return s if abs(s) >= SMALL_SINH_TOL else 3 * cmath.cosh(lam)
+
+
+def sine_fn(n_max, lam):
+    """A non-zero phi(., lam)-sine function on 0..n_max: ``_sine_scale(lam)``
+    times U_n'(cosh lam) / (n+1), dphi where the scale is sinh lam."""
     # + 0.0 turns f(0) = scale * 0 into 0 where it is -0 (Re scale < 0)
-    return TabulatedFunction(_scaled(np.arange(n_max + 1), lam, scale) + 0.0)
+    return TabulatedFunction(
+        _scaled(np.arange(n_max + 1), lam, _sine_scale(lam)) + 0.0)
 
 
 def propagate_sine(lam, f1, n_max):

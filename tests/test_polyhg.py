@@ -12,10 +12,10 @@ from hypersine.core import (NotHypergroupError, TheoremViolationError,
 from hypersine.polyhg import (PolynomialHypergroup, ThreeTermRecurrence,
                               _linearize_block,
                               chebyshev_recurrence, eval_P,
-                              eval_P_with_derivative, exp_fn, exp_values,
+                              eval_P_with_derivative, exp_fn,
                               legendre_recurrence, linearize,
                               reconstruct_sine, recurrence_from_file,
-                              recurrence_from_lists, sine_fn, sine_values)
+                              recurrence_from_lists, sine_fn)
 
 
 def test_chebyshev_closed_form():
@@ -218,6 +218,24 @@ def test_recurrence_rejects_nan_coefficients(coeff, n):
         recurrence_from_lists(lists["a"], lists["b"], lists["c"])
 
 
+@pytest.mark.parametrize("a70, b70", [(0.5, 0.1), (-0.5, 1.0)])
+def test_callable_recurrence_is_checked_at_every_degree_read(a70, b70):
+    # chebyshev but for degree 70, above the 0..64 checked at construction:
+    # a_70 + b_70 + c_70 = 1.1, or a_70 < 0 with the sum still 1
+    cheb = chebyshev_recurrence()
+    rec = ThreeTermRecurrence(lambda n: a70 if n == 70 else cheb.a(n),
+                              lambda n: b70 if n == 70 else cheb.b(n),
+                              cheb.c, name="bent")
+    for call in (lambda: exp_fn(rec, 0.5),
+                 lambda: sine_fn(rec, 1.0, 0.5, 100),
+                 lambda: eval_P(rec, 100, 0.5),
+                 lambda: PolynomialHypergroup(rec).convolve_many(
+                     np.array([40]), np.array([40])),
+                 lambda: linearize(rec, 40, 40, exact=True)):
+        with pytest.raises(NotHypergroupError, match="a_70 "):
+            call()
+
+
 def test_recurrence_file_round_trip(tmp_path):
     path = tmp_path / "rec.json"
     path.write_text(
@@ -240,7 +258,7 @@ def test_recurrence_file_rejects_garbage(tmp_path):
 
 def test_normalization_at_one():
     for rec in (chebyshev_recurrence(), legendre_recurrence()):
-        vals = exp_values(rec, 20, 1.0)
+        vals = exp_fn(rec, 1.0, 20).values
         assert np.allclose(vals, 1.0, atol=1e-12)
 
 
@@ -251,7 +269,7 @@ def test_sine_values_match_derivative_route():
                 (chebyshev_recurrence(), cheb.chebder, cheb.chebval))
     for rec, der, val in families:
         for lam in (0.45, -0.8, 0.3 + 0.4j):
-            vals = sine_values(rec, 10, lam, c=2.0)
+            vals = sine_fn(rec, 2.0, lam, 10).values
             for n in range(11):
                 want = 2.0 * val(lam, der([0.0] * n + [1.0]))
                 assert vals[n] == pytest.approx(want, rel=1e-12, abs=1e-12)

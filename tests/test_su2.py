@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hypersine import su2
-from hypersine.core import _propagate, exp_residual, sine_residual
+from hypersine.core import (TabulatedFunction, _propagate, exp_residual,
+                            sine_residual)
 from hypersine.polyhg import (PolynomialHypergroup, _reconstruct, exp_fn,
-                              exp_values, legendre_recurrence,
-                              reconstruct_sine, recurrence_from_lists,
-                              sine_values)
+                              legendre_recurrence, reconstruct_sine,
+                              recurrence_from_lists, sine_fn)
 from hypersine.suites import SuiteConfig, run_suite
 
 
@@ -222,6 +222,19 @@ def test_su2_suite_passes_near_zeros_of_sinh(k, r, angle):
     assert [c.name for c in rep.checks if not c.passed] == []
 
 
+def test_propagation_rows_catch_a_scaled_sine_fn(monkeypatch):
+    # the sine equation is linear in f, so doubling sine_fn keeps every sine
+    # row passing; only the propagation rows compare with the closed form
+    sine_fn = su2.sine_fn
+    monkeypatch.setattr(su2, "sine_fn", lambda n_max, lam: TabulatedFunction(
+        2 * sine_fn(n_max, lam).values))
+    rep = run_suite("su2", SuiteConfig(n_max=10))
+    failed = [c.name for c in rep.checks if not c.passed]
+    assert failed == [c.name for c in rep.checks
+                      if c.name.startswith("su2:propagation:")]
+    assert len(failed) == 3
+
+
 def test_negative_elements_are_rejected():
     for n in (-1, np.array([0, 3, -2])):
         for fn in (su2.phi, su2.dphi):
@@ -305,8 +318,8 @@ def test_su2_functions_are_u_at_cosh(lam):
     # from f(1) agrees on both hypergroups
     n_max, x = 40, cmath.cosh(lam)
     rec, ns = _u_recurrence(n_max), np.arange(n_max + 1)
-    assert _rel(exp_values(rec, n_max, x), su2.phi(ns, lam)) <= 1e-12
-    assert _rel(cmath.sinh(lam) * sine_values(rec, n_max, x),
+    assert _rel(exp_fn(rec, x, n_max).values, su2.phi(ns, lam)) <= 1e-12
+    assert _rel(cmath.sinh(lam) * sine_fn(rec, 1.0, x, n_max).values,
                 su2.dphi(ns, lam)) <= 1e-12
     f1 = 1.3 - 0.4j
     got = _propagate(PolynomialHypergroup(rec), [exp_fn(rec, x, n_max)], [f1],

@@ -56,6 +56,9 @@ CONFIGS = (
     # first ordered pair; su2 at lambda 0 witnesses pairs off the diagonal
     ("polyone", "--n-max", "16", "--lambda", "1", "--lambda=-1"),
     ("su2", "--n-max", "24", "--lambda", "0"),
+    # negative real, negative imaginary part, and the 3 cosh lambda scale
+    ("su2", "--lambda=-0.7", "--lambda=0.4,-2", "--lambda=1e-7", "--seed",
+     "9"),
     # a prefix and a separate negative value: argparse parses this one
     ("polyone", "--n", "12", "--lambda", "-0.5"),
 )
