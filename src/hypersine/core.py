@@ -595,7 +595,7 @@ def _sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):
     i, j = np.divmod(np.arange(n * n), n)
     a[np.arange(n * n), i] -= m_vals[j]
     a[np.arange(n * n), j] -= m_vals[i]
-    _, s, vh = np.linalg.svd(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=False)   # U is never read
     cutoff = max(a.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
     rank = int((s > cutoff).sum())
     basis = [TabulatedFunction(vec.conj()) for vec in vh[rank:]]

@@ -35,9 +35,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import Hypergroup, _errors, _interleaved, _reject, _residual
-
-OVERFLOW_LIMIT = 1e12
+from .core import (Hypergroup, _errors, _finite, _interleaved, _reject,
+                   _residual)
 
 
 class SturmLiouvilleFunction(NamedTuple):
@@ -90,8 +89,7 @@ class OdeSolution(NamedTuple):
     forcing: Optional[np.ndarray] = None
 
 
-# a huge real lam makes inf * 0 here; the overflow guard of _integrate
-# reports the non-finite table
+# a huge real lam makes inf * 0 here; _integrate reports the non-finite table
 @np.errstate(all="ignore")
 def _hyp0f1(s, lam, c, x, terms=None):
     """(phi, phi', f, f') at the points x for the power weight x^s, s = 2 alpha
@@ -187,12 +185,8 @@ def _integrate(family, lam, c, x_max, h):
                         fv + (p * fu + q * fv + gp * u + gq * v))
         out.extend((u, v, fu, fv))
     rest = np.array(out, dtype=complex).reshape(-1, 4).T
-    tables = [np.concatenate(pair) for pair in zip(launch, rest)]
-    if not all(np.all(np.abs(t) <= OVERFLOW_LIMIT) for t in tables):  # NaN too
-        raise OverflowError(
-            f"solution magnitude exceeded {OVERFLOW_LIMIT:g}; "
-            "reduce x_max or Re sqrt(lam)")
-    return (grid, *tables)
+    return (grid, *(_finite(np.concatenate(pair), "sturm solution", lam)
+                    for pair in zip(launch, rest)))
 
 
 def solve_phi(family, lam, x_max=5.0, h=1e-3):
@@ -218,6 +212,7 @@ def dlambda_phi(family, lam, x_max=5.0, h=1e-3):
     return solve_sine(family, lam, 1.0, x_max=x_max, h=h)
 
 
+@np.errstate(all="ignore")   # a table near the float range overflows here
 def ode_defect(grid, values, ratio, lam, c=0.0, forcing=None):
     """``core._residual`` (err, rel) of u'' = lam u - (A'/A) u' + c forcing
     on the interior nodes, u'' and u' by central differences: rel is err

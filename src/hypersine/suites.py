@@ -1,8 +1,12 @@
 """Named verification suites and deterministic report serialization.
 
 Each suite runs a fixed list of checks at pinned tolerances and returns a
-SuiteReport.  Every row is built by ``_row`` from a core.ResidualReport, a
-tolerance and a pass rule: ``abs``, ``rel`` or the refutation ``above``.
+SuiteReport.  A suite's runner yields claims (name, tol, rule, evidence);
+``_judge`` turns them into rows, in claim order, each by ``_row`` with the
+pass rule ``abs``, ``rel`` or the refutation ``above``.  The evidence is a
+core.ResidualReport, or an ``_Eq``: an exponential or sine equation on a
+pair set, which ``_judge`` checks with every other ``_Eq`` of the same
+hypergroup and pair-set objects in one ``core._errors`` call.
 Serialized reports contain one row per check with the columns (suite,
 max_abs, max_rel, witness, samples, pass), without the tolerance and rule;
 given the same configuration and seed the JSON output is byte identical
@@ -188,23 +192,39 @@ def _fact(ok, samples=1, witness=None):
                           samples)
 
 
-def _equation_checks(hg, pairs, head, cases, exp_tol, sine_tol, extra=()):
-    """Relative rows head:exp<tail> and head:sine<tail> for each (tail, f, m)
-    in cases, then a row per (name, f, m, tol, rule) in extra (the exp
-    equation if f is None), all from one batch and convolution of the pairs."""
-    specs = [spec for tail, f, m in cases for spec in (
-        (f"{head}:exp{tail}", None, m, exp_tol, "rel"),
-        (f"{head}:sine{tail}", f, m, sine_tol, "rel"))] + list(extra)
-    errors = _errors(hg, [(f, m) for _, f, m, _, _ in specs], pairs)
-    return [_row(name, _scan(*errs, pairs), tol, rule)
-            for (name, _, _, tol, rule), errs in zip(specs, errors)]
+# Claim evidence: f(x*y) = f(x)m(y) + f(y)m(x) over the pairs of hg, or
+# m(x*y) = m(x)m(y) when f is None; ``_judge`` checks it
+_Eq = namedtuple("_Eq", "hg pairs f m")
 
 
-def _sine_dim_check(tag, label, hg, m, tol):
-    """tag:sine-dim-label: the m-sine space is trivial."""
+def _judge(claims):
+    """The rows of the claims (name, tol, rule, evidence), in claim order,
+    each by ``_row``.  The ``_Eq`` claims on the same hg and pair-set objects
+    are checked by one ``_errors`` call, in claim order, after the last
+    claim is made: one batch and convolution per pair set."""
+    claims, batches, reports = list(claims), {}, {}
+    for i, (*_, ev) in enumerate(claims):
+        if isinstance(ev, _Eq):
+            batches.setdefault((id(ev.hg), id(ev.pairs)), []).append(i)
+    for idx in batches.values():
+        hg, pairs, _, _ = claims[idx[0]][3]
+        errors = _errors(hg, [claims[i][3][2:] for i in idx], pairs)
+        reports.update((i, _scan(*e, pairs)) for i, e in zip(idx, errors))
+    return [_row(name, reports.get(i, ev), tol, rule)
+            for i, (name, tol, rule, ev) in enumerate(claims)]
+
+
+def _equations(hg, pairs, head, tail, f, m, exp_tol, sine_tol):
+    """The relative claims head:exp<tail> of m and head:sine<tail> of f."""
+    yield f"{head}:exp{tail}", exp_tol, "rel", _Eq(hg, pairs, None, m)
+    yield f"{head}:sine{tail}", sine_tol, "rel", _Eq(hg, pairs, f, m)
+
+
+def _sine_dim(tag, label, hg, m, tol):
+    """The claim tag:sine-dim-label: the m-sine space is trivial."""
     basis = sine_space(hg, m, exp_tol=tol)
-    return _row(f"{tag}:sine-dim-{label}",
-                _fact(len(basis) == 0, hg.size ** 2, len(basis)), 0.0, "abs")
+    return (f"{tag}:sine-dim-{label}", 0.0, "abs",
+            _fact(len(basis) == 0, hg.size ** 2, len(basis)))
 
 
 def _pairs_grid(n_max):
@@ -255,66 +275,58 @@ _FAMILIES = {   # name -> the builder of its _Family, in `hypersine list` order
 # ---------------------------------------------------------------- compact
 
 def run_compact(cfg):
-    checks = []
     for theta in cfg.thetas:
         tag = f"compact:theta={_fmt(theta)}"
         hg = two_point_hypergroup(theta)
         m1 = TabulatedFunction([1.0, -theta])
-        rep = exp_residual(hg, m1, hg.all_pairs())
-        checks.append(_row(f"{tag}:exp", rep, 4 * np.finfo(float).eps, "abs"))
+        yield (f"{tag}:exp", 4 * np.finfo(float).eps, "abs",
+               exp_residual(hg, m1, hg.all_pairs()))
         for label, m in (("m0", [1.0, 1.0]), ("m1", [1.0, -theta])):
-            checks.append(_sine_dim_check(tag, label, hg, m, cfg.tol))
+            yield _sine_dim(tag, label, hg, m, cfg.tol)
         # f = [0, 1] is no m1-sine: at n = 2 the residual is 1 + theta
-        rep = power_identity_check(hg, TabulatedFunction([0.0, 1.0]), m1, 0,
-                                   1, 8)
-        checks.append(_row(f"{tag}:power-refutation", rep, 0.5, "above"))
+        yield f"{tag}:power-refutation", 0.5, "above", power_identity_check(
+            hg, TabulatedFunction([0.0, 1.0]), m1, 0, 1, 8)
     s3 = s3_conjugacy_hypergroup()
     exps = exponentials(s3, tol=cfg.tol)
-    checks.append(_row("compact:s3:exponential-count",
-                       _fact(len(exps) == 3, s3.size ** 2, len(exps)), 0.0,
-                       "abs"))
+    yield ("compact:s3:exponential-count", 0.0, "abs",
+           _fact(len(exps) == 3, s3.size ** 2, len(exps)))
     for i, m in enumerate(exps):
-        checks.append(_sine_dim_check("compact:s3", f"m{i}", s3, m, cfg.tol))
-    return checks
+        yield _sine_dim("compact:s3", f"m{i}", s3, m, cfg.tol)
 
 
 # ---------------------------------------------------------------- polyone
 
 def run_polyone(cfg):
-    checks = []
     lambdas = cfg.lambdas or (0.3, 0.7, 1.0, 1.5, 0.5 + 0.5j)
     n_max = cfg.n_max or 64
     rng = random.Random(cfg.seed)
     for rec in ([recurrence_from_file(cfg.rec_file)] if cfg.rec_file
                 else [chebyshev_recurrence(), legendre_recurrence()]):
         name, fam = rec.name or "custom", _poly_family(rec)
-        cases = [(f":lam={_fmt_lam(lam)}", *fam.pair(1.0, lam, 2 * n_max))
-                 for lam in lambdas]
-        # the grid after the tables: an overflowing table raises first
-        checks += _equation_checks(fam.hg, _pairs_grid(n_max),
-                                   f"polyone:{name}", cases, 1e-9, 1e-9)
+        cases = [(lam, *fam.pair(1.0, lam, 2 * n_max)) for lam in lambdas]
+        pairs = _pairs_grid(n_max)   # after the tables: one may overflow
+        for lam, f, m in cases:
+            yield from _equations(fam.hg, pairs, f"polyone:{name}",
+                                  f":lam={_fmt_lam(lam)}", f, m, 1e-9, 1e-9)
         draws = [(complex(rng.uniform(-1.25, 1.25), rng.uniform(-0.5, 0.5)),
                   complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
                  for _ in range(10)]
         fails = [str(f) for f in _reconstruct(rec, *zip(*draws), n_max, 1e-9)
                  if isinstance(f, Exception)]
-        checks.append(_row(f"polyone:{name}:reconstruct", _fact(
-            not fails, len(draws), fails[-1] if fails else None), 0.0, "abs"))
+        yield f"polyone:{name}:reconstruct", 0.0, "abs", _fact(
+            not fails, len(draws), fails[-1] if fails else None)
         sines, exps = fam.pair(1.0, 0.3, 5)
         prods = fam.pair(1.0, 1.0, 5)[0].values * exps.values
         sv = np.linalg.svd(np.column_stack([sines.values, prods]),
                            compute_uv=False)
         ratio = float(sv[1] / sv[0])
-        checks.append(_row(f"polyone:{name}:derivative-not-multiplicative",
-                           ResidualReport(ratio, ratio, None, 6), 1e-6,
-                           "above"))
-    return checks
+        yield (f"polyone:{name}:derivative-not-multiplicative", 1e-6,
+               "above", ResidualReport(ratio, ratio, None, 6))
 
 
 # ---------------------------------------------------------------- su2
 
 def run_su2(cfg):
-    checks = []
     lambdas = cfg.lambdas or (0.3, 0.5 + 0.2j, 1.0)
     n_max = cfg.n_max or 40
     hg, pair, *_ = _FAMILIES["su2"]()
@@ -326,29 +338,26 @@ def run_su2(cfg):
     sums = np.concatenate([_integrate_many(lambda s: 1.0, *hg.convolve_many(
         upper.xs[lo:hi], upper.ys[lo:hi]))
         for lo, hi in zip(edges, edges[1:])])
-    checks.append(_row("su2:weight-sums", _scan(*_residual(sums - 1.0, []),
-                                                upper), 1e-12, "abs"))
+    yield ("su2:weight-sums", 1e-12, "abs",
+           _scan(*_residual(sums - 1.0, []), upper))
     rng = random.Random(cfg.seed)
-    cases = [(f":lam={_fmt_lam(lam)}", *pair(1.0, lam, 2 * n_max))
-             for lam in lambdas]
+    cases = [(lam, *pair(1.0, lam, 2 * n_max)) for lam in lambdas]
     pairs = _pairs_grid(n_max)   # after the tables: one may overflow
-    rows = iter(_equation_checks(hg, pairs, "su2", cases, 1e-9, 1e-9, [
-        ("su2:additive", su2.additive_fn(1.0), lambda n: 1.0, 1e-10, "abs")]))
-    for lam, (tail, f, m) in zip(lambdas, cases):
-        checks += [next(rows), next(rows)]
+    for lam, f, m in cases:
+        tail = f":lam={_fmt_lam(lam)}"
+        yield from _equations(hg, pairs, "su2", tail, f, m, 1e-9, 1e-9)
         f1 = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
         prop = su2.propagate_sine(lam, f1, n_max)
         want = (f1 / su2._sine_scale(lam)) * f.values[:n_max + 1]
-        rep = _scan(*_residual(prop, [want]), range(n_max + 1))
-        checks.append(_row(f"su2:propagation{tail}", rep, 1e-8, "rel"))
-    checks.append(next(rows))
-    return checks
+        yield (f"su2:propagation{tail}", 1e-8, "rel",
+               _scan(*_residual(prop, [want]), range(n_max + 1)))
+    yield ("su2:additive", 1e-10, "abs",
+           _Eq(hg, pairs, su2.additive_fn(1.0), lambda n: 1.0))
 
 
 # ---------------------------------------------------------------- sinsev
 
 def run_sinsev(cfg):
-    checks = []
     rng = random.Random(cfg.seed)
     n_pairs = min(cfg.samples, 200)
     cheb, leg = chebyshev_recurrence(), legendre_recurrence()
@@ -360,16 +369,14 @@ def run_sinsev(cfg):
         d = hg.dimension
         pairs = [tuple(tuple(int(13 * rng.random()) for _ in range(d))
                        for _ in range(2)) for _ in range(n_pairs)]
-        f = hg.multi_sine(coeff, lam)
-        checks += _equation_checks(hg, pairs, f"sinsev:{tag}",
-                                   [("", f, hg.exp_fn(lam))], 1e-9, 1e-9)
-    return checks
+        yield from _equations(hg, pairs, f"sinsev:{tag}", "",
+                              hg.multi_sine(coeff, lam), hg.exp_fn(lam),
+                              1e-9, 1e-9)
 
 
 # ---------------------------------------------------------------- sturm
 
 def run_sturm(cfg):
-    checks = []
     lambdas = cfg.lambdas or (0.5, 1.0, 2.0, 1.0 + 0.5j)
     x_max, h = cfg.x_max, cfg.h
     const = sturm_mod.constant_family()
@@ -388,20 +395,18 @@ def run_sturm(cfg):
         tag = "const" if fam is const else power_tag
         for what, values, ref in zip(("phi", "sine-closed-form"),
                                      (phi, ssol.values), refs):
-            checks.append(_row(f"sturm:{tag}:{what}:lam={_fmt_lam(lam)}",
-                               _scan(*_residual(values, [ref]), grid.tolist()),
-                               STURM_CLOSED_FORM_RTOL, "rel"))
+            yield (f"sturm:{tag}:{what}:lam={_fmt_lam(lam)}",
+                   STURM_CLOSED_FORM_RTOL, "rel",
+                   _scan(*_residual(values, [ref]), grid.tolist()))
         residuals += [sturm_mod.ode_residual(grid, phi, fam.ratio, lam),
                       ssol.ode_residual]
     worst_res = max(residuals)
-    rep = ResidualReport(worst_res, worst_res / res_bound, None, len(residuals))
-    checks.append(_row("sturm:ode-residual-bound", rep, res_bound, "abs"))
+    yield ("sturm:ode-residual-bound", res_bound, "abs", ResidualReport(
+        worst_res, worst_res / res_bound, None, len(residuals)))
     pts = _uniforms(random.Random(cfg.seed), 80, 0.05, 2.5).reshape(40, 2)
     for lam in (0.8, 1.0, 2.0):
-        rep = sturm_mod.cosh_hypergroup_check(lam, [tuple(p) for p in pts])
-        checks.append(_row(f"sturm:cosh-check:lam={_fmt_lam(lam)}", rep,
-                           1e-10, "abs"))
-    return checks
+        yield (f"sturm:cosh-check:lam={_fmt_lam(lam)}", 1e-10, "abs",
+               sturm_mod.cosh_hypergroup_check(lam, [tuple(p) for p in pts]))
 
 
 # ---------------------------------------------------------------- coset
@@ -414,7 +419,6 @@ def _coset_samples(rng, count):
 
 
 def run_coset(cfg):
-    checks = []
     lambdas = cfg.lambdas or (0.0, 1.0, 2.0, 0.5 + 0.5j)
     rng = random.Random(cfg.seed)
     count = cfg.samples
@@ -423,37 +427,32 @@ def run_coset(cfg):
     hg, pair, *_ = _FAMILIES["coset"]()
     aus, avs = np.abs(us), np.abs(vs)
     pairs = PairBatch((xs, aus), (ys, avs))
-    cases = [(f":lam={_fmt_lam(lam)}", *pair(1.0, lam, None))
-             for lam in lambdas]
-    checks += _equation_checks(hg, pairs, "coset", cases, 1e-12, 1e-10)
+    for lam in lambdas:
+        yield from _equations(hg, pairs, "coset", f":lam={_fmt_lam(lam)}",
+                              *pair(1.0, lam, None), 1e-12, 1e-10)
     quads = list(zip(xs[:200], us[:200], ys[:200], vs[:200]))
     for alpha, lam in ((1.0, 0.0), (0.5, 1.0)):
-        checks.append(_row(
-            f"coset:falsify-alpha={_fmt(alpha)}:lam={_fmt_lam(lam)}",
-            coset.falsify_dalembert_alpha(lam, alpha, quads), 1e-3, "above"))
-    checks.append(_row("coset:falsify-square:random",
-                       coset.falsify_square_term(1.0, 0.25, PairBatch(
-                           (xs[:200], aus[:200]), (ys[:200], avs[:200]))),
-                       1e-3, "above"))
+        yield (f"coset:falsify-alpha={_fmt(alpha)}:lam={_fmt_lam(lam)}",
+               1e-3, "above", coset.falsify_dalembert_alpha(lam, alpha, quads))
+    yield "coset:falsify-square:random", 1e-3, "above", (
+        coset.falsify_square_term(1.0, 0.25, PairBatch(
+            (xs[:200], aus[:200]), (ys[:200], avs[:200]))))
     gpairs = [((x, u), (y, v))
               for x, u, y, v in zip(xs[:200], us[:200], ys[:200], vs[:200])]
-    checks.append(_row("coset:group-sine",
-                       coset.group_sine_check(1.0 + 1.0j, gpairs), 1e-12,
-                       "rel"))
+    yield ("coset:group-sine", 1e-12, "rel",
+           coset.group_sine_check(1.0 + 1.0j, gpairs))
     p, q = (xs[:200], us[:200]), (ys[:200], vs[:200])
     r = (xs[:200] * 0.5 + 1.0, vs[:200] - us[:200])
     lhs = coset.group_mul(coset.group_mul(p, q), r)
     rhs = coset.group_mul(p, coset.group_mul(q, r))
     # per triple, the worse of the two coordinates
     errs = (np.maximum(*e) for e in _residual(np.array(lhs), [np.array(rhs)]))
-    checks.append(_row("coset:associativity-float",
-                       _scan(*errs, range(len(xs[:200]))), 1e-12, "rel"))
+    yield ("coset:associativity-float", 1e-12, "rel",
+           _scan(*errs, range(len(xs[:200]))))
     left, right = (integrate(lambda el: el[1], hg.convolve(*pq)) for pq in
                    [((2.0, 3.0), (5.0, 7.0)), ((5.0, 7.0), (2.0, 3.0))])
-    checks.append(_row("coset:non-commutative-witness",
-                       _fact(abs(left - right) > 0.5, witness=(left, right)),
-                       0.0, "abs"))
-    return checks
+    yield ("coset:non-commutative-witness", 0.0, "abs",
+           _fact(abs(left - right) > 0.5, witness=(left, right)))
 
 
 _RUNNERS = {
@@ -474,7 +473,7 @@ def run_suite(name, cfg=None):
     cfg = cfg or SuiteConfig()
     t0 = time.perf_counter()
     checks = [c for s in (SUITE_NAMES if name == "all" else (name,))
-              for c in _RUNNERS[s](cfg)]
+              for c in _judge(_RUNNERS[s](cfg))]
     return SuiteReport(name, checks, wall_time=time.perf_counter() - t0)
 
 

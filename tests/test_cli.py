@@ -123,7 +123,8 @@ def test_overflowing_lambda_prints_only_the_error_line(capsys):
         assert run(["verify", "sturm", "--lambda", "1e300"]) == 2
     assert [str(w.message) for w in caught] == []
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: solution magnitude")
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: sturm solution overflows at lambda")
 
 
 @pytest.mark.parametrize("argv", [

@@ -212,19 +212,22 @@ def test_sine_space_rejects_non_finite_m(bad):
 
 
 def test_sine_space_on_group_algebra_has_additive_solutions():
-    # Z/3 as a hypergroup: convolution is group addition, so sine functions
-    # for m == 1 are the additive characters, a 0-dimensional real... no:
-    # additive functions on Z/3 must vanish (torsion), dimension 0.
-    tensor = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            tensor[i, j, (i + j) % 3] = 1.0
+    # Z/n as a hypergroup: convolution is group addition, so its
+    # exponentials are the n characters, and an m-sine function is m times
+    # an additive function, which vanishes on a finite group (torsion):
+    # every sine space has dimension 0.
     from hypersine.core import FiniteHypergroup
-    hg = FiniteHypergroup(tensor, name="z3")
-    basis = sine_space(hg, [1.0, 1.0, 1.0])
-    oracle = _nullspace_by_elimination(
-        _sine_system_rows(hg, [1.0, 1.0, 1.0]))
-    assert len(basis) == len(oracle) == 0
+    for n in (3, 24):
+        tensor = np.zeros((n, n, n))
+        for i in range(n):
+            tensor[i, range(n), (i + np.arange(n)) % n] = 1.0
+        hg = FiniteHypergroup(tensor, name=f"z{n}")
+        ms = exponentials(hg)
+        chars = np.exp(2j * np.pi * np.outer(range(n), range(n)) / n)
+        assert len(ms) == n
+        assert all(np.abs(chars - m).max(axis=1).min() < 1e-9 for m in ms)
+        assert all(sine_space(hg, m) == [] for m in ms)
+        assert not _nullspace_by_elimination(_sine_system_rows(hg, [1.0] * n))
 
 
 def test_finite_hypergroup_validation():

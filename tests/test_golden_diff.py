@@ -34,6 +34,42 @@ def test_differences_ignore_wall_time_and_name_each_changed_field():
         "report pass true -> false"]
 
 
+def test_differences_name_a_moved_tolerance_or_rule(monkeypatch, tmp_path):
+    # the report does not serialize tol and rule; run_verify reads them
+    # from the rules file its child writes
+    def fake_run(src, argv, cwd, rules=None):
+        assert argv[0] == "verify" and Path(rules).parent == Path(cwd)
+        Path(rules).write_text(json.dumps(
+            [["a", 1e-9, "rel"], ["b", 0.5 if src == "base" else 0.25,
+                                  "above"]]))
+        return 1, json.dumps(_report(
+            [("a", 0.0, True), ("b", 1.0, src == "base")])).encode()
+
+    monkeypatch.setattr(golden_diff, "run", fake_run)
+    reports = [golden_diff.run_verify(src, ["compact"], tmp_path)
+               for src in ("base", "head")]
+    assert reports[0][1]["checks"][0] == {
+        "suite": "a", "max_abs": 0.0, "pass": True, "tol": 1e-9,
+        "rule": "rel"}
+    assert golden_diff.differences(*(rep for _, rep in reports)) == [
+        "b pass true -> false", "b tol 0.5 -> 0.25"]
+
+
+def test_run_verify_reads_each_rows_tolerance_and_rule(tmp_path):
+    src = Path(__file__).parents[1] / "src"
+    code, report = golden_diff.run_verify(src, ["compact", "--theta", "0.5"],
+                                          tmp_path)
+    rows = {row["suite"]: (row["tol"], row["rule"])
+            for row in report["checks"]}
+    assert code == 0 and rows == {
+        "compact:theta=0.5:exp": (4 * np.finfo(float).eps, "abs"),
+        "compact:theta=0.5:sine-dim-m0": (0.0, "abs"),
+        "compact:theta=0.5:sine-dim-m1": (0.0, "abs"),
+        "compact:theta=0.5:power-refutation": (0.5, "above"),
+        "compact:s3:exponential-count": (0.0, "abs"),
+        **{f"compact:s3:sine-dim-m{i}": (0.0, "abs") for i in range(3)}}
+
+
 def test_line_diff_names_exit_code_and_every_changed_line():
     table = b"element,m\n0,1.0\n1,-0.5\n2,0.25\n"
     assert golden_diff.line_diff((0, table), (0, table)) == []
@@ -82,7 +118,7 @@ def test_product_spec_is_the_product_of_two_point_hypergroups():
 def test_main_compares_every_sine_space_table(monkeypatch, capsys):
     calls = []
 
-    def fake_run(src, argv, cwd):
+    def fake_run(src, argv, cwd, rules=None):
         calls.append((src, tuple(argv)))
         assert all((Path(cwd) / name).exists() for name in golden_diff.SPECS)
         if argv[0] == "verify":
@@ -107,7 +143,7 @@ def test_main_compares_every_sine_space_table(monkeypatch, capsys):
 def test_main_compares_each_csv_report_byte_for_byte(monkeypatch, capsys):
     calls = []
 
-    def fake_run(src, argv, cwd):
+    def fake_run(src, argv, cwd, rules=None):
         calls.append((src, tuple(argv)))
         if argv[0] == "verify" and "csv" not in argv:
             return 0, b"{}"

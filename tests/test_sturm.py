@@ -94,8 +94,10 @@ def test_ode_residual_is_within_grid_bound():
 
 
 def test_overflow_guard():
-    with pytest.raises(OverflowError):
-        solve_phi(constant_family(), 64.0, x_max=5.0, h=1e-3)
+    # only the float range bounds a table: cosh(8 * 5) ~ 1e17 is kept
+    sol = solve_sine(constant_family(), 64.0, 1.0, x_max=5.0, h=1e-3)
+    for table in (sol.forcing, sol.values):
+        assert np.isfinite(table).all() and abs(table[-1]) > 1e12
 
 
 def _reference_rk4(family, lam, c, x_max, h):
@@ -202,10 +204,13 @@ def test_real_problem_pass_is_the_complex_pass(alpha, lam, c, grid, constant):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_guard_covers_the_forced_pass_and_non_finite_tables():
-    with pytest.raises(OverflowError, match="solution magnitude exceeded"):
-        solve_sine(constant_family(), 64.0, 1.0, x_max=5.0, h=1e-3)
+    # cosh(sqrt(20000) 5) ~ 1e307: the forced table f leaves the float range
+    with pytest.raises(OverflowError, match="^sturm solution overflows at "
+                                            "lambda = 20000.0$"):
+        solve_sine(constant_family(), 20000.0, 1.0, x_max=5.0, h=1e-3)
     # the step matrices themselves overflow to inf and NaN here
-    with pytest.raises(OverflowError, match="solution magnitude exceeded"):
+    with pytest.raises(OverflowError, match="^sturm solution overflows at "
+                                            "lambda = 1e[+]300$"):
         solve_phi(constant_family(), 1e300, x_max=1.0, h=1e-2)
 
 

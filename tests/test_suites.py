@@ -8,11 +8,13 @@ import pytest
 
 from hypersine import coset, polyhg, sturm, su2
 from hypersine.core import (ResidualReport, TabulatedFunction,
-                            TheoremViolationError, power_identity_check,
+                            TheoremViolationError, exp_residual,
+                            power_identity_check, sine_residual,
                             two_point_hypergroup)
 from hypersine.sturm import constant_family, solve_phi
 from hypersine.suites import (_FAMILIES, SuiteConfig, SUITE_NAMES,
-                              _coset_samples, _equation_checks, _row,
+                              _Eq, _coset_samples, _equations, _fact,
+                              _judge, _row,
                               dual_vs_fd_report, jsonable, run_suite)
 
 ROW_KEYS = {"suite", "max_abs", "max_rel", "witness", "samples", "pass"}
@@ -131,6 +133,21 @@ def test_sturm_suite_respects_overridden_grid():
     cfg = SuiteConfig(x_max=1.0, h=2e-3, lambdas=(1.0,))
     rep = run_suite("sturm", cfg)
     assert rep.passed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sturm_tables_are_cut_only_at_the_float_range():
+    # |phi| ~ 4e11 on [0, 5] at lambda 30: accurate, and every row passes
+    assert run_suite("sturm", SuiteConfig(lambdas=(30.0,))).passed
+    # |phi| ~ 1e305 at lambda 19800: the tables stay finite, the central
+    # differences of the ODE residual overflow without a warning, and that
+    # row fails on its non-finite value
+    rows = {c.name: c for c in run_suite(
+        "sturm", SuiteConfig(lambdas=(19800.0,))).checks}
+    assert len(rows) == 8
+    bound = rows["sturm:ode-residual-bound"]
+    assert not bound.passed and not math.isfinite(bound.max_abs)
+    assert math.isfinite(rows["sturm:const:phi:lam=19800"].max_abs)
 
 
 _STURM_CLOSED_FORM_ROWS = [
@@ -296,10 +313,11 @@ def test_each_equation_pair_set_is_convolved_once(monkeypatch):
     from hypersine.polyhg import PolynomialHypergroup
     poly = _convolution_batches(monkeypatch, PolynomialHypergroup)
     run_suite("polyone", SuiteConfig(n_max=6, lambdas=(0.3, 0.7, 0.5 + 0.5j)))
-    # per recurrence: one batch for all lambdas and equations, holding the
-    # 28 unordered pairs of the 49 on the grid (a mirror shares its row),
-    # then one for all 10 reconstruct draws (the rows n * 1, n = 1..5)
-    assert poly == [28, 5, 28, 5]
+    # per recurrence: one batch for all 10 reconstruct draws (the rows
+    # n * 1, n = 1..5), and one for all lambdas and equations, holding the
+    # 28 unordered pairs of the 49 on the grid (a mirror shares its row);
+    # the equation batches run once every claim of the suite is made
+    assert sorted(poly) == [5, 5, 28, 28]
     pairs = _convolution_batches(monkeypatch, coset.CosetHypergroup)
     run_suite("coset", SuiteConfig(samples=300))
     assert pairs.count(300) == 1
@@ -388,8 +406,8 @@ def test_each_table_family_satisfies_its_equations(name):
     f, m = fam.pair(1.5, lam, 2 * fam.n_max)
     xs = list(fam.elements(fam.n_max))
     assert max(abs(f(x)) for x in xs) > 0.1   # not the zero function
-    rows = _equation_checks(fam.hg, [(x, y) for x in xs for y in xs], name,
-                            [("", f, m)], 1e-9, 1e-9)
+    rows = _judge(_equations(fam.hg, [(x, y) for x in xs for y in xs], name,
+                             "", f, m, 1e-9, 1e-9))
     assert [row.name for row in rows] == [f"{name}:exp", f"{name}:sine"]
     assert all(row.passed and row.max_rel <= 1e-9 for row in rows), rows
 
@@ -411,3 +429,40 @@ def test_row_names_tell_close_parameters_apart_and_read_back():
     # the default names keep the short g format
     assert "polyone:chebyshev:exp:lam=0.5+0.5j" in {
         c.name for c in run_suite("polyone", SuiteConfig(n_max=2)).checks}
+
+
+def test_judge_keeps_claim_order_and_checks_each_pair_set_once(monkeypatch):
+    from hypersine import suites
+    calls, real = [], suites._errors
+
+    def counting(hg, equations, pairs):
+        calls.append((len(equations), len(pairs)))
+        return real(hg, equations, pairs)
+    monkeypatch.setattr(suites, "_errors", counting)
+    hg = two_point_hypergroup(0.5)
+    f, m = TabulatedFunction([0.0, 1.0]), TabulatedFunction([1.0, -0.5])
+    pairs, diagonal = hg.all_pairs(), [(0, 0), (1, 1)]
+    # equation claims on two pair sets, interleaved with reports as in su2
+    claims = [("a", 1e-12, "rel", _Eq(hg, pairs, None, m)),
+              ("b", 0.0, "abs", _fact(True)),
+              ("c", 1e-12, "abs", _Eq(hg, diagonal, None, m)),
+              ("d", 0.5, "above", _Eq(hg, pairs, f, m)),
+              ("e", 0.5, "above", ResidualReport(1.0, 1.0, "w", 3))]
+    rows = _judge(iter(claims))
+    assert calls == [(2, len(pairs)), (1, 2)]
+    assert rows == [
+        _row("a", exp_residual(hg, m, pairs), 1e-12, "rel"),
+        _row("b", _fact(True), 0.0, "abs"),
+        _row("c", exp_residual(hg, m, diagonal), 1e-12, "abs"),
+        _row("d", sine_residual(hg, f, m, pairs), 0.5, "above"),
+        _row("e", ResidualReport(1.0, 1.0, "w", 3), 0.5, "above")]
+    assert [r.passed for r in rows] == [True, True, True, True, True]
+
+
+def test_su2_rows_interleave_propagation_with_the_equation_batch():
+    lams = (0.3, 1.0)
+    names = [c.name for c in run_suite("su2", SuiteConfig(
+        n_max=4, lambdas=lams)).checks]
+    assert names == ["su2:weight-sums"] + [
+        f"su2:{kind}:lam={lam:g}" for lam in lams
+        for kind in ("exp", "sine", "propagation")] + ["su2:additive"]

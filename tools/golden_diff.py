@@ -7,7 +7,9 @@ Usage: python tools/golden_diff.py BASE_SRC HEAD_SRC
 BASE_SRC and HEAD_SRC are the ``src`` directories of two checkouts.  Each
 golden configuration runs once per tree in a fresh interpreter with
 PYTHONPATH set to that tree.  For ``verify``, ``wall_time`` is dropped and
-every other field must match byte for byte; the tool prints
+every other field must match byte for byte, and so must each row's ``tol``
+and ``rule``, which the report does not hold: the child wraps
+``hypersine.cli.run_suite`` and writes them to a file.  The tool prints
 ``identical``, or one line per differing row field: ``name field base ->
 head``.  For the tables, which hold no ``wall_time``, the exit code and the
 stdout bytes must match; the tool prints ``identical``, or the exit codes
@@ -135,19 +137,50 @@ def ultraspherical():
             "c": [n / (2 * n + 2 * alpha + 1) for n in ns]}
 
 
-def run(src, argv, cwd):
-    """(exit code, stdout bytes) of ``hypersine argv`` on src."""
+# the child of ``run`` given a rules path: ``hypersine`` with every report
+# of cli.run_suite recorded, and [name, tol, rule] per row written there
+RULES_CHILD = """
+import json, sys
+from hypersine import cli
+run_suite, rows = cli.run_suite, []
+def recording(*args):
+    report = run_suite(*args)
+    rows.extend((c.name, c.tol, c.rule) for c in report.checks)
+    return report
+cli.run_suite = recording
+try:
+    sys.exit(cli.main(sys.argv[2:]))
+finally:
+    with open(sys.argv[1], "w") as fh:
+        json.dump(rows, fh)
+"""
+
+
+def run(src, argv, cwd, rules=None):
+    """(exit code, stdout bytes) of ``hypersine argv`` on src; given a path
+    ``rules``, the run also writes there the [name, tol, rule] of each row
+    it judged (``RULES_CHILD``)."""
+    child = ("-m", "hypersine") if rules is None else ("-c", RULES_CHILD,
+                                                       rules)
     proc = subprocess.run(
-        [sys.executable, "-m", "hypersine", *argv], cwd=cwd,
+        [sys.executable, *child, *argv], cwd=cwd,
         env=dict(os.environ, PYTHONPATH=str(Path(src).resolve())),
         capture_output=True, check=False)
     return proc.returncode, proc.stdout
 
 
 def run_verify(src, argv, cwd):
-    """(exit code, parsed report) of ``hypersine verify argv`` on src."""
-    code, out = run(src, ["verify", *argv], cwd)
-    return code, json.loads(out) if out else {}
+    """(exit code, parsed report) of ``hypersine verify argv`` on src, each
+    row with the ``tol`` and ``rule`` that judged it."""
+    rules = Path(cwd, "rules.json")
+    rules.unlink(missing_ok=True)
+    code, out = run(src, ["verify", *argv], cwd, rules=str(rules))
+    report = json.loads(out) if out else {}
+    judged = {name: (tol, rule) for name, tol, rule in (
+        json.loads(rules.read_text()) if rules.exists() else [])}
+    for row in report.get("checks", []):
+        row.update(zip(("tol", "rule"), judged.get(row["suite"], ())))
+    return code, report
 
 
 def line_diff(base, head):
