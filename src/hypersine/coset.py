@@ -68,25 +68,28 @@ class CosetHypergroup(Hypergroup):
         return coset_of(group_inv(p))
 
 
+def _power(lam, ax):
+    """ax^lam = exp(lam ln ax) for ax > 0, by the complex exp (as cmath's:
+    numpy's real exp rounds differently); OverflowError naming lam where it
+    leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(np.exp(complex(lam) * np.log(ax)), "coset closed form",
+                       lam)
+
+
 def coset_exponential(lam):
-    """Exponential (ax, au) -> ax^lam = exp(lam ln ax) on canonical pairs or
-    on a batch of them; lam may be complex."""
-    def m(p):
-        ax, _ = p
-        # the complex exp, as cmath's: numpy's real exp rounds differently
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(np.exp(lam * np.log(ax) + 0j),
-                           "coset closed form", lam)
-    return m
+    """Exponential (ax, au) -> ax^lam on canonical pairs or on a batch of
+    them; lam may be complex."""
+    return lambda p: _power(lam, p[0])
 
 
 def coset_sine(c, lam):
-    """Sine function (ax, au) -> c ax^lam ln(ax) for the exponential at lam."""
+    """Sine function (ax, au) -> c ax^lam ln(ax) for the exponential at lam;
+    the product may overflow where ax^lam does not."""
     def f(p):
         ax, _ = p
-        lg = np.log(ax)
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(_cmul(c, np.exp(complex(lam) * lg)) * lg,
+            return _finite(_cmul(c, _power(lam, ax)) * np.log(ax),
                            "coset closed form", lam)
     return f
 
@@ -101,11 +104,10 @@ def falsify_dalembert_alpha(lam, alpha, samples):
     exponential and is rejected as input."""
     if alpha == 0:
         raise ValueError("alpha = 0 is the exponential itself; nothing to refute")
-    lam = complex(lam)
     x, u, y, v = (np.array(c, dtype=float) for c in zip(*samples))
 
     def m(x, u):
-        return _cmul(np.exp(lam * np.log(np.abs(x))), np.cosh(alpha * u + 0j))
+        return _cmul(_power(lam, np.abs(x)), np.cosh(alpha * u + 0j))
 
     lhs = m(x * y, x * v + u) + m(x * y, x * v - u)
     rhs = _cmul(2.0 * m(x, u), m(y, v))
@@ -121,12 +123,10 @@ def falsify_square_term(lam, a, pairs):
     positive (forcing a = 0 in the classification); a = 0 is rejected."""
     if a == 0:
         raise ValueError("a = 0 is the genuine sine function; nothing to refute")
-    lam = complex(lam)
 
     def f(p):
         ax, au = p
-        lg = np.log(ax)
-        return _cmul(np.exp(lam * lg), lg + a * au * au)
+        return _cmul(_power(lam, ax), np.log(ax) + a * au * au)
     return sine_residual(CosetHypergroup(), f, coset_exponential(lam), pairs)
 
 
@@ -160,7 +160,7 @@ def group_sine_check(lam, pairs):
         return np.log(np.abs(p[0]))
 
     def m(p):
-        return np.exp(complex(lam) * a(p))
+        return _power(lam, np.abs(p[0]))
     errors = _errors(_Group(), [(a, lambda p: 1.0),
                                 (lambda p: a(p) * m(p), m)], pairs)
     return _interleaved(errors, pairs, ("additive", "sine"))

@@ -282,22 +282,13 @@ class PolynomialHypergroup(Hypergroup):
         return super().convolve(n, k, tol=NEGATIVE_COEFF_TOL)
 
 
-def _reconstruct(rec, lams, f1s, n_max, rtol=1e-9):
-    """``reconstruct_sine`` at each lams[d], f1s[d], all propagated by one
-    ``core._propagate``: its result, or the error it would raise."""
-    sines, exps = zip(*(_sine_and_exp(rec, n_max, lam, float(rec.a(0)))
-                        for lam in lams))
-    fs = _propagate(PolynomialHypergroup(rec), exps, f1s, n_max)
-    return [_certify(f, sine.values * f1, rtol, range(n_max + 1),
-                     "reconstructed value") or TabulatedFunction(f)
-            for f, sine, f1 in zip(fs, sines, f1s)]
-
-
 def reconstruct_sine(rec, lam, f1, n_max, rtol=1e-9):
     """The sine function propagated from f(0) = 0, f(1) = f1, certified
     against f1 * a_0 * P_n'(lam), the unique sine function with that value
     at 1: TheoremViolationError beyond rtol (``core._certify``)."""
-    [f] = _reconstruct(rec, [lam], [f1], n_max, rtol)
-    if isinstance(f, Exception):
-        raise f
-    return f
+    sine, exp = _sine_and_exp(rec, n_max, lam, float(rec.a(0)))
+    [f] = _propagate(PolynomialHypergroup(rec), [exp], [f1], n_max)
+    if error := _certify(f, sine.values * f1, rtol, range(n_max + 1),
+                         "reconstructed value"):
+        raise error
+    return TabulatedFunction(f)

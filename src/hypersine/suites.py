@@ -27,14 +27,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import coset, su2
-from .core import (PairBatch, ResidualReport, TabulatedFunction, _cmul,
-                   _errors, _integrate_many, _residual, _scan, _uniforms,
-                   exp_residual, exponentials, integrate,
+from .core import (VERIFY_WEIGHT_TOL, PairBatch, ResidualReport,
+                   TabulatedFunction, _cmul, _errors, _integrate_many,
+                   _propagate, _residual, _scan, _uniforms, exp_residual,
+                   exponentials, integrate,
                    power_identity_check, s3_conjugacy_hypergroup,
                    sine_space, two_point_hypergroup)
 from .dual import central_difference
 from .multipoly import ProductPolyHypergroup
-from .polyhg import (PolynomialHypergroup, _reconstruct, _sine_and_exp,
+from .polyhg import (PolynomialHypergroup, _sine_and_exp,
                      chebyshev_recurrence, legendre_recurrence,
                      recurrence_from_file)
 from . import sturm as sturm_mod
@@ -49,7 +50,7 @@ class SuiteConfig:
     the same name."""
 
     seed = 0
-    tol = 1e-9            # exponential-equation tolerance (compact)
+    tol = VERIFY_WEIGHT_TOL   # exponential-equation tolerance (compact)
     lambdas = ()          # per-suite defaults when empty
     n_max = 0             # per-suite default when 0
     x_max = 5.0
@@ -311,10 +312,15 @@ def run_polyone(cfg):
         draws = [(complex(rng.uniform(-1.25, 1.25), rng.uniform(-0.5, 0.5)),
                   complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
                  for _ in range(10)]
-        fails = [str(f) for f in _reconstruct(rec, *zip(*draws), n_max, 1e-9)
-                 if isinstance(f, Exception)]
-        yield f"polyone:{name}:reconstruct", 0.0, "abs", _fact(
-            not fails, len(draws), fails[-1] if fails else None)
+        # each draw propagated from f1 against f1 times the sine with
+        # f(1) = 1 (c = a_0), witnessed at (lam, f1, n)
+        lams, f1s = zip(*draws)
+        sines, exps = zip(*(fam.pair(float(rec.a(0)), lam, n_max)
+                            for lam in lams))
+        want = np.ravel([s.values * f1 for s, f1 in zip(sines, f1s)])
+        yield f"polyone:{name}:reconstruct", 1e-9, "rel", _scan(*_residual(
+            _propagate(fam.hg, exps, f1s, n_max).ravel(), [want]),
+            [(*d, n) for d in draws for n in range(n_max + 1)])
         sines, exps = fam.pair(1.0, 0.3, 5)
         prods = fam.pair(1.0, 1.0, 5)[0].values * exps.values
         sv = np.linalg.svd(np.column_stack([sines.values, prods]),

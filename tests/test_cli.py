@@ -300,6 +300,14 @@ def test_rec_file_with_nan_coefficient_is_config_error(tmp_path, capsys):
     assert "b_15" in capsys.readouterr().err
 
 
+def test_sine_space_spec_without_a_tensor_is_config_error(tmp_path, capsys):
+    path = tmp_path / "no-tensor.json"
+    path.write_text(json.dumps({"size": 2, "name": "no-tensor"}))
+    assert run(["sine-space", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: malformed hypergroup spec {str(path)!r}: ")
+
+
 def test_tabulate_chebyshev_sine_column(capsys):
     assert run(["tabulate", "--family", "chebyshev", "--lambda", "1",
                 "--n-max", "5"]) == 0

@@ -239,6 +239,14 @@ def test_finite_hypergroup_validation():
     bad[1, 1, 0] = 0.6  # row sums to 0.6 only
     with pytest.raises(NotHypergroupError):
         FiniteHypergroup(bad)
+    with pytest.raises(NotHypergroupError,
+                       match=r"tensor shape \(2, 2, 3\) is not \(N, N, N\)"):
+        FiniteHypergroup(np.full((2, 2, 3), 1.0 / 3.0))
+    # probability rows, but the identity times itself is (1/2, 1/2)
+    spread = [[[0.5, 0.5], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
+    with pytest.raises(NotHypergroupError,
+                       match="identity rows are not exact point masses"):
+        FiniteHypergroup(spread)
 
 
 def test_finite_hypergroup_checks_associativity_and_involution():

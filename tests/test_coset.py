@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,6 +113,15 @@ def test_sine_values_are_c_m_log():
     x = 3.0
     assert f((x, 7.0)) == pytest.approx(2.0 * x ** 1.5 * math.log(x))
 
+
+
+def test_sine_product_overflowing_past_a_finite_power_is_named():
+    # 100^154 is about 1e308, still finite; times ln 100 it is not
+    point = (np.array([100.0]), np.array([0.0]))
+    assert np.isfinite(coset_exponential(154)(point)).all()
+    with pytest.raises(OverflowError,
+                       match=r"^coset closed form overflows at lambda = 154$"):
+        coset_sine(1.0, 154)(point)
 
 
 def test_falsify_dalembert_recorded_sample():

@@ -387,6 +387,21 @@ def test_convolve_names_the_negative_pair():
         reconstruct_sine(rec, 0.5, 1.0, 2)
 
 
+def test_exact_linearization_decides_a_weight_within_the_float_rule():
+    # ultraspherical at alpha = -1/2 - 1e-11: the exact weight of P_2 in
+    # P_2 * P_2 is about -1.3e-11, above the float rule's -1e-10, so only
+    # the exact sign decision rejects the pair
+    alpha, ns = -0.5 - 1e-11, range(17)
+    rec = recurrence_from_lists(
+        [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1) for n in ns],
+        [0.0] * len(ns), [n / (2 * n + 2 * alpha + 1) for n in ns],
+        name="ultraspherical(-1/2 - 1e-11)")
+    with pytest.raises(NotHypergroupError,
+                       match=r"^negative linearization coefficient at "
+                             r"\(2, 2\)$"):
+        linearize(rec, 2, 2, exact=True)
+
+
 def test_first_negative_weight_is_named_in_reduction_order():
     # P_1 P_k >= 0 since b_k >= b_0, so the first negative weight is at m = 2
     # (one, at k = 4); for k <= 7 the rows m = 3, 4, 5 hold 5, 4 and 3 more.

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypersine import su2
 from hypersine.core import (TabulatedFunction, _propagate, exp_residual,
                             sine_residual)
-from hypersine.polyhg import (PolynomialHypergroup, _reconstruct, exp_fn,
+from hypersine.polyhg import (PolynomialHypergroup, exp_fn,
                               legendre_recurrence, reconstruct_sine,
                               recurrence_from_lists, sine_fn)
 from hypersine.suites import SuiteConfig, run_suite
@@ -142,10 +142,9 @@ def test_batched_propagation_rows_equal_lone_calls():
     rec = legendre_recurrence()
     rows = _propagate(PolynomialHypergroup(rec),
                       [exp_fn(rec, lam, n_max) for lam in lams], f1s, n_max)
-    for row, f, lam, f1 in zip(rows, _reconstruct(rec, lams, f1s, n_max),
-                               lams, f1s):
+    for row, lam, f1 in zip(rows, lams, f1s):
         lone = reconstruct_sine(rec, lam, f1, n_max).values.tobytes()
-        assert row.tobytes() == f.values.tobytes() == lone
+        assert row.tobytes() == lone
 
 
 def test_propagation_needs_enough_terms():

@@ -359,26 +359,74 @@ def test_coset_suite_hands_no_long_tuple_list_to_the_batcher(monkeypatch):
     assert batches.count(4000) == 1   # every equation row, one convolution
 
 
-def test_reconstruct_row_names_the_last_failing_draw(monkeypatch):
-    # rtol -1 fails every draw; the row keeps the last draw's message
-    real = polyhg._reconstruct
-    monkeypatch.setattr("hypersine.suites._reconstruct",
-                        lambda rec, lams, f1s, n_max, rtol: real(
-                            rec, lams, f1s, n_max, -1.0))
+def _polyone_draws(seed):
+    """The polyone suite's ten (lam, f1) draws per built-in recurrence,
+    chebyshev's then legendre's, in the suite's order."""
+    rng = random.Random(seed)
+    return [[(complex(rng.uniform(-1.25, 1.25), rng.uniform(-0.5, 0.5)),
+              complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+             for _ in range(10)] for _ in range(2)]
+
+
+def _scaled_propagation(monkeypatch, scale):
+    """Patch the suite's and reconstruct_sine's propagation: the row of
+    each draw is multiplied by scale(f1), the same in a batch and alone."""
+    real = polyhg._propagate
+
+    def scaled(hg, ms, f1s, n_max):
+        f = real(hg, ms, f1s, n_max)
+        return f * np.array([scale(f1) for f1 in f1s])[:, None]
+    for module in ("suites", "polyhg"):
+        monkeypatch.setattr(f"hypersine.{module}._propagate", scaled)
+
+
+def test_reconstruct_row_fails_a_perturbed_draw_at_its_lam_f1_and_degree(
+        monkeypatch):
+    n_max, draws = 6, _polyone_draws(3)
+    bad = [d[3][1] for d in draws]   # the fourth draw of each recurrence
+    exact = {rec.name: [polyhg.reconstruct_sine(rec, *d, n_max).values
+                        for d in ds] for rec, ds in zip(
+        (polyhg.chebyshev_recurrence(), polyhg.legendre_recurrence()), draws)}
+    _scaled_propagation(monkeypatch, lambda f1: 1 + 1e-6 * (f1 in bad))
     rows = {c.name: c for c in run_suite(
-        "polyone", SuiteConfig(seed=3, n_max=6, lambdas=(0.3,))).checks}
-    rng = random.Random(3)
-    for rec in (polyhg.chebyshev_recurrence(), polyhg.legendre_recurrence()):
-        messages = []
-        for _ in range(10):   # the suite's draws, in the suite's order
-            lam = complex(rng.uniform(-1.25, 1.25), rng.uniform(-0.5, 0.5))
-            f1 = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            with pytest.raises(TheoremViolationError) as exc:
-                polyhg.reconstruct_sine(rec, lam, f1, 6, rtol=-1.0)
-            messages.append(str(exc.value))
-        row = rows[f"polyone:{rec.name}:reconstruct"]
-        assert not row.passed and row.samples == 10
-        assert row.witness == messages[-1] != messages[-2]
+        "polyone", SuiteConfig(seed=3, n_max=n_max, lambdas=(0.3,))).checks}
+    for (name, values), ds in zip(exact.items(), draws):
+        row = rows[f"polyone:{name}:reconstruct"]
+        assert not row.passed and (row.tol, row.rule) == (1e-9, "rel")
+        assert row.samples == 10 * (n_max + 1)
+        lam, f1, n = row.witness
+        # the worst value is the perturbed draw's largest, which
+        # reconstruct_sine(rec, lam, f1, n_max) reproduces unperturbed
+        assert (lam, f1) == ds[3]
+        assert n == int(np.argmax(np.abs(values[3])))
+        assert row.max_abs == pytest.approx(1e-6 * abs(values[3][n]),
+                                            rel=1e-6)
+        assert row.max_rel > 1e-9
+
+
+def test_reconstruct_row_passes_exactly_when_every_draw_reconstructs(
+        monkeypatch):
+    # a relative error near |f1|^2 / 5 * 1e-9 puts the draws with |f1|
+    # near sqrt(5) at the tolerance: some rows pass and some fail
+    _scaled_propagation(monkeypatch, lambda f1: 1 + 2e-10 * abs(f1) ** 2)
+    verdicts = []
+    for seed in range(6):
+        rows = {c.name: c.passed for c in run_suite(
+            "polyone", SuiteConfig(seed=seed, n_max=8, lambdas=(0.3,))).checks}
+        for rec, draws in zip((polyhg.chebyshev_recurrence(),
+                               polyhg.legendre_recurrence()),
+                              _polyone_draws(seed)):
+            verdicts.append(all(map(_reconstructs, [rec] * 10, draws)))
+            assert rows[f"polyone:{rec.name}:reconstruct"] == verdicts[-1]
+    assert set(verdicts) == {True, False}
+
+
+def _reconstructs(rec, draw):
+    try:
+        polyhg.reconstruct_sine(rec, *draw, 8, rtol=1e-9)
+    except TheoremViolationError:
+        return False
+    return True
 
 
 def test_su2_propagation_rows_keep_their_values():
