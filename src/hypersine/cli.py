@@ -17,8 +17,8 @@ from .core import (NotHypergroupError, _errors, _sine_space, exponentials,
                    load_finite_hypergroup)
 from .polyhg import BUILTIN_RECURRENCES
 from . import sturm as sturm_mod
-from .suites import (_FAMILIES, SUITE_NAMES, SuiteConfig, _rows_to_text,
-                     jsonable, run_suite)
+from .suites import (_FAMILIES, SUITE_NAMES, SuiteConfig, _json_default,
+                     _rows_to_text, run_suite)
 
 TABULATE_FAMILIES = (*_FAMILIES, "sturm")
 
@@ -163,10 +163,10 @@ def cmd_sine_space(args):
     rows = []
     for mv in ms:
         basis, worst = _sine_space(hg, mv, exp_tol=args.tol)
-        rows.append((json.dumps(jsonable([complex(v) for v in mv])),
-                     len(basis),
-                     json.dumps([jsonable([complex(b(i)) for i in
-                                           range(hg.size)]) for b in basis]),
+        rows.append((json.dumps([complex(v) for v in mv],
+                                default=_json_default), len(basis),
+                     json.dumps([[complex(b(i)) for i in range(hg.size)]
+                                 for b in basis], default=_json_default),
                      repr(worst)))
         print(f"m={rows[-1][0]}: sine-space dimension {len(basis)}",
               file=sys.stderr)

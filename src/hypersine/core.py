@@ -153,8 +153,9 @@ class TabulatedFunction:
 
 class PairBatch:
     """The pairs (xs[i], ys[i]) of two element batches (see ``_pair_batch``),
-    usable wherever a list of pairs is: pair i is built on demand as the
-    tuple of plain Python numbers the list would hold (``_element``)."""
+    indexed and sized like a list of pairs: pair i is built on demand as the
+    tuple of plain Python numbers the list would hold (``_element``).  The
+    certifier never iterates one; iteration would build every pair."""
 
     __slots__ = ("xs", "ys")
 
@@ -468,7 +469,9 @@ def _errors(hg, equations, pairs):
                   for v in (np.minimum(xs, ys), np.maximum(xs, ys)))
         _, first, row = np.unique(lo * (int(hi.max()) + 1) + hi,
                                   return_index=True, return_inverse=True)
-        order = np.argsort(first)   # the unique keys, back in pair order
+        # the unique pairs back in pair order, as the per-pair path meets
+        # them: _integrate_many's EvaluationError names the first bad element
+        order = np.argsort(first)
         first, row = first[order], np.argsort(order)[row]
     support, weights = hg.convolve_many(xs[first], ys[first])
     errors, last = [], None
@@ -484,9 +487,11 @@ def _errors(hg, equations, pairs):
 
 def _interleaved(errors, pairs, tags):
     """``_scan`` of the ``_errors`` of one equation per tag, alternating pair
-    by pair; the witnesses are tagged (tag, x, y)."""
-    return _scan(*(np.column_stack(col).ravel() for col in zip(*errors)),
-                 [(tag, *pair) for pair in pairs for tag in tags])
+    by pair; the witness is tagged (tag, x, y), and only it is built."""
+    report = _scan(*(np.column_stack(col).ravel() for col in zip(*errors)),
+                   range(len(tags) * len(pairs)))
+    i, t = divmod(report.witness, len(tags))
+    return report._replace(witness=(tags[t], *pairs[i]))
 
 
 def _propagate(hg, ms, f1s, n_max):

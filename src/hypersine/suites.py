@@ -97,7 +97,7 @@ class CheckResult(NamedTuple):
             "suite": self.name,
             "max_abs": float(self.max_abs),
             "max_rel": float(self.max_rel),
-            "witness": jsonable(self.witness),
+            "witness": self.witness,
             "samples": int(self.samples),
             "pass": bool(self.passed),
         }
@@ -119,12 +119,14 @@ class SuiteReport(NamedTuple):
             "wall_time": self.wall_time,
             "checks": [c.row() for c in self.checks],
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2,
+                          default=_json_default) + "\n"
 
     def to_csv(self):
         return _rows_to_text(
             [(row["suite"], repr(row["max_abs"]), repr(row["max_rel"]),
-              json.dumps(row["witness"], sort_keys=True), row["samples"],
+              json.dumps(row["witness"], sort_keys=True,
+                         default=_json_default), row["samples"],
               row["pass"]) for row in (c.row() for c in self.checks)],
             ["suite", "max_abs", "max_rel", "witness", "samples", "pass"],
             "csv")
@@ -144,22 +146,12 @@ def _rows_to_text(rows, header, fmt):
     return buf.getvalue()
 
 
-def jsonable(obj):
-    """Witnesses contain ints, floats, complex numbers, and tuples; map them
-    to JSON-stable values."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
+def _json_default(obj):
+    """JSON text of the one witness value json cannot write: a complex
+    number (numpy's complex128 is one), as its repr."""
+    if isinstance(obj, complex):
         return repr(complex(obj))
-    if isinstance(obj, (tuple, list)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return repr(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _fmt(x, sign=""):
@@ -229,7 +221,7 @@ def _sine_dim(tag, label, hg, m, tol):
 
 
 def _pairs_grid(n_max):
-    return [(n, k) for n in range(n_max + 1) for k in range(n_max + 1)]
+    return PairBatch(*np.divmod(np.arange((n_max + 1) ** 2), n_max + 1))
 
 
 # ---------------------------------------------------------------- families
@@ -402,8 +394,8 @@ def run_sturm(cfg):
             yield (f"sturm:{tag}:{what}:lam={_fmt_lam(lam)}",
                    STURM_CLOSED_FORM_RTOL, "rel",
                    _scan(*_residual(values, [ref]), grid.tolist()))
-    pairs = _uniforms(random.Random(cfg.seed), 80, 0.05, 2.5).reshape(
-        40, 2).tolist()
+    pairs = PairBatch(*_uniforms(random.Random(cfg.seed), 80, 0.05,
+                                 2.5).reshape(40, 2).T)
     for lam in (0.8, 1.0, 2.0):
         yield (f"sturm:cosh-check:lam={_fmt_lam(lam)}", 1e-10, "abs",
                sturm_mod.cosh_hypergroup_check(lam, pairs))

@@ -138,6 +138,8 @@ def test_main_compares_every_sine_space_table(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out.count("sine-space s3.json --format json: DIFFERS") == 1
     assert sum(line.endswith("DIFFERS") for line in out) == 1
+    total = len(golden_diff.CONFIGS) + len(golden_diff.TABLES)
+    assert out[-1] == f"{total} configurations, {total - 1} identical"
 
 
 def test_main_compares_each_csv_report_byte_for_byte(monkeypatch, capsys):
@@ -163,3 +165,14 @@ def test_main_compares_each_csv_report_byte_for_byte(monkeypatch, capsys):
         "verify compact --format csv: DIFFERS"]
     at = out.index("verify compact --format csv: DIFFERS")
     assert out[at + 1:at + 3] == ["  @@ -1,0 +2 @@", "  +changed"]
+
+
+def test_main_ends_with_the_count_of_identical_configurations(monkeypatch,
+                                                              capsys):
+    monkeypatch.setattr(golden_diff, "run",
+                        lambda src, argv, cwd, rules=None: (0, b"{}"))
+    assert golden_diff.main(["base", "head"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    total = len(golden_diff.CONFIGS) + len(golden_diff.TABLES)
+    assert total == len(out) - 1
+    assert out[-1] == f"{total} configurations, {total} identical"

@@ -721,3 +721,24 @@ def test_interleaved_checks_equal_their_reference_bit_for_bit(data, lam):
             assert (np.float64(getattr(got, value)).tobytes()
                     == np.float64(getattr(want, value)).tobytes())
         assert (got.witness, got.samples) == (want.witness, want.samples)
+
+
+def test_interleaved_checks_build_only_the_reported_witness(monkeypatch):
+    # 200 raw group pairs, as the coset suite's group-sine row, and 40 cosh
+    # pairs, as the sturm suite's: the scan builds one tagged witness
+    group, group_list = _coset_batch(3, 200)
+    xs, ys = np.random.default_rng(4).uniform(0.05, 2.5, (2, 40))
+    line, line_list = PairBatch(xs, ys), list(zip(xs.tolist(), ys.tolist()))
+    calls, real = [], PairBatch.__getitem__
+
+    def counting(batch, i):
+        calls.append(i)
+        return real(batch, i)
+    monkeypatch.setattr(PairBatch, "__getitem__", counting)
+    for check, lam, batch, pairs in (
+            (group_sine_check, 1 + 1j, group, group_list),
+            (cosh_hypergroup_check, 1.0, line, line_list)):
+        calls.clear()
+        got = check(lam, batch)
+        assert len(calls) == 1
+        assert got == check(lam, pairs)

@@ -1,4 +1,7 @@
 import cmath
+import csv
+import io
+import itertools
 import json
 import math
 import random
@@ -12,10 +15,10 @@ from hypersine.core import (ResidualReport, TabulatedFunction,
                             power_identity_check, sine_residual,
                             two_point_hypergroup)
 from hypersine.sturm import constant_family, solve_phi
-from hypersine.suites import (_FAMILIES, SuiteConfig, SUITE_NAMES,
-                              _Eq, _coset_samples, _equations, _fact,
-                              _judge, _row,
-                              dual_vs_fd_report, jsonable, run_suite)
+from hypersine.suites import (_FAMILIES, CheckResult, SuiteConfig,
+                              SuiteReport, SUITE_NAMES, _Eq, _coset_samples,
+                              _equations, _fact, _judge, _row,
+                              dual_vs_fd_report, run_suite)
 
 ROW_KEYS = {"suite", "max_abs", "max_rel", "witness", "samples", "pass"}
 
@@ -277,10 +280,23 @@ def test_witnesses_are_plain_python_numbers(size):
     assert [c.name for c in rep.checks if _holds_numpy_scalar(c.witness)] == []
 
 
-def test_jsonable_handles_composites():
-    assert jsonable((1, 2.5, 1 + 2j)) == [1, 2.5, repr(1 + 2j)]
-    assert jsonable(None) is None
-    assert json.dumps(jsonable({"x": 1})) is not None
+def test_reports_write_a_complex_witness_as_its_repr_and_nothing_else():
+    def report(witness):
+        return SuiteReport("compact", [CheckResult(
+            "row", 0.0, 0.0, witness, 1, True, 0.0, "abs")])
+
+    written = [1, 2.5, "(1+2j)", [3, -0.0]]
+    rep = report((1, 2.5, 1 + 2j, (3, -0.0)))
+    doc = json.loads(rep.to_json())
+    doc["checks"][0]["witness"] = written
+    assert rep.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert next(itertools.islice(csv.reader(io.StringIO(rep.to_csv())), 1,
+                                 None))[3] == json.dumps(written)
+    # a numpy integer is no witness: it fails, as json itself fails
+    for write in (report((np.int64(1),)).to_json,
+                  report((np.int64(1),)).to_csv):
+        with pytest.raises(TypeError, match="int64"):
+            write()
 
 
 def test_dual_vs_fd_cross_check():

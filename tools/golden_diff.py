@@ -14,8 +14,9 @@ and ``rule``, which the report does not hold: the child wraps
 head``.  For the tables, which hold no ``wall_time``, the exit code and the
 stdout bytes must match; the tool prints ``identical``, or the exit codes
 and every differing line, as a unified diff with no context (``@@`` hunk
-headers, ``-`` base lines, ``+`` head lines).  The exit status is 0 only if
-every configuration is identical.
+headers, ``-`` base lines, ``+`` head lines).  A last line counts the
+configurations and the identical ones: ``N configurations, K identical``.
+The exit status is 0 only if every configuration is identical.
 The CLI reads most of these command lines from its option table; those
 with a prefix such as ``--n`` or a separate negative value go through
 argparse, so both ways of parsing are compared.
@@ -233,7 +234,7 @@ def main(argv=None):
         print(next(line for line in __doc__.splitlines()
                    if line.startswith("Usage:")), file=sys.stderr)
         return 2
-    same = True
+    same = []   # per configuration: identical or not
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, REC_FILE).write_text(json.dumps(ultraspherical()))
         for name, spec in SPECS.items():
@@ -248,15 +249,16 @@ def main(argv=None):
                   f"{'identical' if not lines else 'DIFFERS'}")
             for line in lines:
                 print(f"  {line}")
-            same = same and not lines
+            same.append(not lines)
         for config in TABLES:
             lines = line_diff(*(run(src, config, tmp) for src in argv))
             print(f"{' '.join(config)}: "
                   f"{'identical' if not lines else 'DIFFERS'}")
             for line in lines:
                 print(f"  {line}")
-            same = same and not lines
-    return 0 if same else 1
+            same.append(not lines)
+    print(f"{len(same)} configurations, {sum(same)} identical")
+    return 0 if all(same) else 1
 
 
 if __name__ == "__main__":
