@@ -374,8 +374,17 @@ def _cmul(a, b):
 
 
 def _cabs(z):
-    """|z| elementwise by hypot, as Python's abs of a complex."""
-    return np.hypot(np.real(z), np.imag(z))
+    """|z| elementwise by hypot, as Python's abs of a complex; of a real z,
+    np.abs, which is hypot(z, 0) exactly (up to the sign bit of a NaN)."""
+    return np.hypot(z.real, z.imag) if np.iscomplexobj(z) else np.abs(z)
+
+
+def _real(values, *params):
+    """values.real (float64) when every parameter is real, an imaginary part
+    of +0 or -0 included, else values.  A table at a real spectral
+    parameter has zero imaginary parts, so a residual scan over its real
+    parts finds the same errors in real arithmetic."""
+    return values.real if all(complex(p).imag == 0 for p in params) else values
 
 
 def _scan(errs, rels, witnesses):
@@ -485,13 +494,18 @@ def _errors(hg, equations, pairs):
     return errors
 
 
+def _scan_built(errs, rels, witness):
+    """``_scan`` of full-length errors whose witness is witness(i) for the
+    sample i it reports: only that one witness is built."""
+    report = _scan(errs, rels, range(len(errs)))
+    return report._replace(witness=witness(report.witness))
+
+
 def _interleaved(errors, pairs, tags):
     """``_scan`` of the ``_errors`` of one equation per tag, alternating pair
     by pair; the witness is tagged (tag, x, y), and only it is built."""
-    report = _scan(*(np.column_stack(col).ravel() for col in zip(*errors)),
-                   range(len(tags) * len(pairs)))
-    i, t = divmod(report.witness, len(tags))
-    return report._replace(witness=(tags[t], *pairs[i]))
+    return _scan_built(*(np.column_stack(col).ravel() for col in zip(*errors)),
+                       lambda k: (tags[k % len(tags)], *pairs[k // len(tags)]))
 
 
 def _propagate(hg, ms, f1s, n_max):

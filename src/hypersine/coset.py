@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (Hypergroup, _cmul, _errors, _finite, _interleaved,
-                   _reject, _residual, _scan, sine_residual)
+                   _real, _reject, _residual, _scan, sine_residual)
 
 
 def group_mul(p, q):
@@ -70,11 +70,11 @@ class CosetHypergroup(Hypergroup):
 
 def _power(lam, log_ax):
     """ax^lam = exp(lam ln ax) from log_ax = ln ax, by the complex exp (as
-    cmath's: numpy's real exp rounds differently); OverflowError naming lam
-    where it leaves the float range."""
+    cmath's: numpy's real exp rounds differently), real at a real lam;
+    OverflowError naming lam where it leaves the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(np.exp(complex(lam) * log_ax), "coset closed form",
-                       lam)
+        return _finite(_real(np.exp(complex(lam) * log_ax), lam),
+                       "coset closed form", lam)
 
 
 def coset_exponential(lam):
@@ -84,13 +84,13 @@ def coset_exponential(lam):
 
 
 def coset_sine(c, lam):
-    """Sine function (ax, au) -> c ax^lam ln(ax) for the exponential at lam;
-    the product may overflow where ax^lam does not."""
+    """Sine function (ax, au) -> c ax^lam ln(ax) for the exponential at lam,
+    float at a real lam and c; it may overflow where ax^lam does not."""
     def f(p):
         log_ax = np.log(p[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(_cmul(c, _power(lam, log_ax)) * log_ax,
-                           "coset closed form", lam)
+            return _finite(_real(_cmul(c, _power(lam, log_ax)) * log_ax,
+                                 lam, c), "coset closed form", lam)
     return f
 
 

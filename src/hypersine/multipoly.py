@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .core import Hypergroup, TheoremViolationError, _certify, _cmul
+from .core import Hypergroup, TheoremViolationError, _certify, _cmul, _real
 from .polyhg import PolynomialHypergroup, _finite_p_and_dp
 
 
@@ -55,9 +55,9 @@ class ProductPolyHypergroup(Hypergroup):
         return support, weights
 
     def _factor_values(self, x, lam):
-        """Per factor, (P, P') at its coordinate of x (an element or a batch);
-        OverflowError naming the factor's lambda where they leave the float
-        range."""
+        """Per factor, (P, P') at its coordinate of x (an element or a batch),
+        float at a real lam; OverflowError naming the factor's lambda where
+        they leave the float range."""
         self._check_element(x)
         if len(lam) != self.dimension:
             raise ValueError(
@@ -69,7 +69,7 @@ class ProductPolyHypergroup(Hypergroup):
             if xj.min() < 0:
                 raise ValueError(f"degree must be >= 0, got {xj.min()}")
             p, dp = _finite_p_and_dp(rec, int(xj.max()), lj)
-            out.append((p[xj], dp[xj]))
+            out.append((_real(p[xj], *lam), _real(dp[xj], *lam)))
         return out
 
     def q_eval(self, x, lam):
@@ -89,7 +89,7 @@ class ProductPolyHypergroup(Hypergroup):
 
     def multi_sine(self, c, lam):
         """The sine function x -> sum_j c_j dQ_x/dlam_j for the exponential
-        at lam, at one element or a batch."""
+        at lam, at one element or a batch, float at a real lam and c."""
         if len(c) != self.dimension:
             raise ValueError(
                 f"coefficients {c!r} have {len(c)} entries, expected "
@@ -100,7 +100,7 @@ class ProductPolyHypergroup(Hypergroup):
             total = 0
             for cj, gj in zip(c, self.q_grad(x, lam)):
                 total = total + _cmul(cj, gj)
-            return total
+            return _real(total, *lam, *c)
         return f
 
     def unit_elements(self):
@@ -142,8 +142,9 @@ class ProductPolyHypergroup(Hypergroup):
 
 
 def _product(values):
-    """Left-to-right product from 1, rounded as math.prod rounds."""
-    return functools.reduce(_cmul, values, 1 + 0j)
+    """Left-to-right product from 1, 1.0 if all are real, as math.prod."""
+    return functools.reduce(_cmul, values, 1.0 if all(
+        map(np.isrealobj, values)) else 1 + 0j)
 
 
 def elements_of_total_degree(d, max_total):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (FiniteMeasure, Hypergroup, NotHypergroupError,
                    TabulatedFunction, _certify, _compact, _finite,
-                   _propagate, _reject)
+                   _propagate, _real, _reject)
 
 NEGATIVE_COEFF_TOL = 1e-10   # below this a linearization weight is an error
 DROP_COEFF_TOL = 1e-13       # floating-point zeros created by cancellation
@@ -174,13 +174,14 @@ def _sine_and_exp(rec, n_max, lam, c=1.0):
     """``sine_fn`` and ``exp_fn`` on 0..n_max from one recurrence run."""
     p, dp = _finite_p_and_dp(rec, n_max, lam)
     # Python complex products: numpy's fused multiply-add rounds differently
-    return (TabulatedFunction([0j] + [c * d for d in dp[1:].tolist()]),
-            TabulatedFunction(p))
+    sine = np.array([0j] + [c * d for d in dp[1:].tolist()])
+    return (TabulatedFunction(_real(sine, lam, c)),
+            TabulatedFunction(_real(p, lam)))
 
 
 def exp_fn(rec, lam, n_max=256):
-    """Exponential n -> P_n(lam) as a tabulated function."""
-    return TabulatedFunction(_finite_p_and_dp(rec, n_max, lam)[0])
+    """Exponential n -> P_n(lam) as a tabulated function (``core._real``)."""
+    return TabulatedFunction(_real(_finite_p_and_dp(rec, n_max, lam)[0], lam))
 
 
 def sine_fn(rec, c, lam, n_max=256):
@@ -215,12 +216,14 @@ def _linearize_block(coeffs, lo, hi):
     low = np.zeros((m_max + 1, k_max - k_min + 1), dtype)   # row minima
     cur = np.eye(k_max - k_min + 1, k_max + 1, k_min, dtype)   # P_k
     prev = np.zeros((len(cur), k_max), dtype)
+    order = np.argsort(lo, kind="stable")   # the pairs grouped by lo
+    ends = np.searchsorted(lo[order], np.arange(m_max + 2))
     for m in range(m_max + 1):
         if m:
             drop = int(m > k_min)   # column m - 1 is no longer read
             cur, prev = _linearize_step(cur[drop:], prev[drop:], m - 1,
                                         *coeffs)
-        low[m, -len(cur):], at = cur.min(axis=1), lo == m
+        low[m, -len(cur):], at = cur.min(axis=1), order[ends[m]:ends[m + 1]]
         rows[at, :cur.shape[1]] = cur[hi[at] - (k_max + 1 - len(cur))]
     for m, k in np.argwhere(low < -NEGATIVE_COEFF_TOL)[:1]:   # the first
         raise NotHypergroupError(f"negative linearization coefficient "

@@ -29,8 +29,8 @@ import numpy as np
 from . import coset, su2
 from .core import (VERIFY_WEIGHT_TOL, PairBatch, ResidualReport,
                    TabulatedFunction, _cmul, _errors, _integrate_many,
-                   _propagate, _residual, _scan, _uniforms, exp_residual,
-                   exponentials, integrate,
+                   _propagate, _real, _residual, _scan, _scan_built,
+                   _uniforms, exp_residual, exponentials, integrate,
                    power_identity_check, s3_conjugacy_hypergroup,
                    sine_space, two_point_hypergroup)
 from .dual import central_difference
@@ -254,9 +254,10 @@ _FAMILIES = {   # name -> the builder of its _Family, in `hypersine list` order
     "chebyshev": lambda: _poly_family(chebyshev_recurrence()),
     "legendre": lambda: _poly_family(legendre_recurrence()),
     "su2": lambda: _Family(su2.Su2Hypergroup(), lambda c, lam, n: (
-        TabulatedFunction(_cmul(c, su2.sine_fn(n, lam).values)),
-        su2.phi_fn(n, lam)), (0.3,), 8, lambda n: range(n + 1), 1, (2, 9),
-        (0.4, 0.2 + 0.3j)),
+        TabulatedFunction(_real(_cmul(c, su2.sine_fn(n, lam).values), lam,
+                                c)),
+        TabulatedFunction(_real(su2.phi_fn(n, lam).values, lam))),
+        (0.3,), 8, lambda n: range(n + 1), 1, (2, 9), (0.4, 0.2 + 0.3j)),
     "product": _product_family,
     "coset": lambda: _Family(coset.CosetHypergroup(), lambda c, lam, n: (
         coset.coset_sine(c, lam), coset.coset_exponential(lam)), (1.0,), 8,
@@ -310,9 +311,9 @@ def run_polyone(cfg):
         sines, exps = zip(*(fam.pair(float(rec.a(0)), lam, n_max)
                             for lam in lams))
         want = np.ravel([s.values * f1 for s, f1 in zip(sines, f1s)])
-        yield f"polyone:{name}:reconstruct", 1e-9, "rel", _scan(*_residual(
-            _propagate(fam.hg, exps, f1s, n_max).ravel(), [want]),
-            [(*d, n) for d in draws for n in range(n_max + 1)])
+        yield f"polyone:{name}:reconstruct", 1e-9, "rel", _scan_built(
+            *_residual(_propagate(fam.hg, exps, f1s, n_max).ravel(), [want]),
+            lambda i: (*draws[i // (n_max + 1)], i % (n_max + 1)))
         sines, exps = fam.pair(1.0, 0.3, 5)
         prods = fam.pair(1.0, 1.0, 5)[0].values * exps.values
         sv = np.linalg.svd(np.column_stack([sines.values, prods]),
@@ -383,17 +384,17 @@ def run_sturm(cfg):
     # phi and f against a closed form, witnessed at the grid x of the worst
     # error: cosh for the constant weight at every lambda, 0F1 for the power
     for fam, lam in [*((const, lam) for lam in lambdas), (power, 1.0)]:
-        ssol = sturm_mod.solve_sine(fam, lam, 1.0, x_max=x_max, h=h)
-        grid, phi = ssol.grid, ssol.forcing
+        grid, phi, _, f, _ = sturm_mod._integrate(fam, lam, 1.0, x_max, h)
         refs = ((sturm_mod.line_phi(grid, lam), sturm_mod.line_dphi(grid, lam))
                 if fam is const else sturm_mod._hyp0f1(
                     power.origin_exponent, lam, 1.0, grid)[::2])
         tag = "const" if fam is const else power_tag
-        for what, values, ref in zip(("phi", "sine-closed-form"),
-                                     (phi, ssol.values), refs):
+        for what, values, ref in zip(("phi", "sine-closed-form"), (phi, f),
+                                     refs):
             yield (f"sturm:{tag}:{what}:lam={_fmt_lam(lam)}",
                    STURM_CLOSED_FORM_RTOL, "rel",
-                   _scan(*_residual(values, [ref]), grid.tolist()))
+                   _scan_built(*_residual(values, [ref]),
+                               lambda i: grid[i].item()))
     pairs = PairBatch(*_uniforms(random.Random(cfg.seed), 80, 0.05,
                                  2.5).reshape(40, 2).T)
     for lam in (0.8, 1.0, 2.0):

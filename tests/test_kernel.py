@@ -466,6 +466,22 @@ def test_scan_matches_the_two_pass_scan(count, data):
     assert got[2:] == want[2:]
 
 
+@given(count=st.integers(1, 8), data=st.data())
+@settings(max_examples=100)
+def test_scan_built_builds_only_the_witness_scan_reports(count, data):
+    errs, rels = (np.array(data.draw(st.lists(
+        special_floats, min_size=count, max_size=count))) for _ in range(2))
+    witnesses, built = [(i, -i) for i in range(count)], []
+
+    def witness(i):
+        built.append(i)
+        return witnesses[i]
+    got = core._scan_built(errs, rels, witness)
+    want = _scan(errs, rels, witnesses)
+    _same_bits(np.array(got[:2]), np.array(want[:2]))
+    assert got[2:] == want[2:] and len(built) == 1
+
+
 def test_scan_rejects_an_empty_sample_set():
     with pytest.raises(ValueError, match="empty sample set"):
         _scan([], [], [])

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypersine.core import (NotHypergroupError, TheoremViolationError,
                             sine_residual)
 from hypersine.polyhg import (PolynomialHypergroup, ThreeTermRecurrence,
-                              _linearize_block,
+                              _linearize_block, _linearize_step,
                               chebyshev_recurrence, eval_P,
                               eval_P_with_derivative, exp_fn,
                               legendre_recurrence, linearize,
@@ -370,6 +370,43 @@ def test_batch_rows_match_lone_pairs(family, pairs):
                if w != 0}
         assert all(abs(got.get(l, 0.0) - w) <= 1e-12 for l, w in exact)
         assert all(exact.weight(l) != 0 for l in got)
+
+
+def _linearize_block_by_mask(coeffs, lo, hi):
+    """``_linearize_block`` scattering step m's rows by the mask lo == m,
+    as it did before the pairs were grouped by lo."""
+    m_max, k_min, k_max = int(lo.max()), int(hi.min()), int(hi.max())
+    dtype = coeffs.dtype
+    rows = np.zeros((len(lo), m_max + k_max + 1), dtype)
+    cur = np.eye(k_max - k_min + 1, k_max + 1, k_min, dtype)
+    prev = np.zeros((len(cur), k_max), dtype)
+    for m in range(m_max + 1):
+        if m:
+            drop = int(m > k_min)
+            cur, prev = _linearize_step(cur[drop:], prev[drop:], m - 1,
+                                        *coeffs)
+        at = lo == m
+        rows[at, :cur.shape[1]] = cur[hi[at] - (k_max + 1 - len(cur))]
+    return rows
+
+
+@given(family=st.one_of(st.floats(min_value=-0.5, max_value=2.0),
+                        st.sampled_from(["chebyshev", "legendre"])),
+       pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                      min_size=1, max_size=12).flatmap(
+           lambda ps: st.lists(st.sampled_from(ps), min_size=1,
+                               max_size=2 * len(ps))))
+@settings(max_examples=80, deadline=None)
+@example(family="chebyshev", pairs=[(4, 7), (2, 2), (4, 7), (7, 4), (0, 0)])
+@example(family=0.7, pairs=[(5, 5)])
+@example(family="legendre", pairs=[(12, 9)])
+def test_rows_grouped_by_lo_equal_rows_scattered_by_mask(family, pairs):
+    rec = _batch_recurrence(family)
+    ns, ks = (np.array(col) for col in zip(*pairs))
+    lo, hi = np.minimum(ns, ks), np.maximum(ns, ks)
+    coeffs = rec._float_coeffs(int(lo.max()) + int(hi.max()))
+    assert (_linearize_block(coeffs, lo, hi).tobytes()
+            == _linearize_block_by_mask(coeffs, lo, hi).tobytes())
 
 
 def test_convolve_names_the_negative_pair():

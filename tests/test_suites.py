@@ -280,6 +280,17 @@ def test_witnesses_are_plain_python_numbers(size):
     assert [c.name for c in rep.checks if _holds_numpy_scalar(c.witness)] == []
 
 
+def test_sturm_rows_compute_no_ode_residual(monkeypatch):
+    # the rows read the tables of the one pass; the central-difference
+    # diagnostic of OdeSolution is for library callers
+    def unread(*args, **kwargs):
+        raise AssertionError("ODE residual computed")
+    for name in ("ode_defect", "ode_residual"):
+        monkeypatch.setattr(sturm, name, unread)
+    rep = run_suite("sturm", SuiteConfig(x_max=0.3, h=2e-3))
+    assert rep.passed and len(rep.checks) == 13
+
+
 def test_reports_write_a_complex_witness_as_its_repr_and_nothing_else():
     def report(witness):
         return SuiteReport("compact", [CheckResult(

@@ -66,6 +66,9 @@ CONFIGS = (
      "9"),
     # a prefix and a separate negative value: argparse parses this one
     ("polyone", "--n", "12", "--lambda", "-0.5"),
+    # real lambdas written as complex ones, -0.0 too: float tables
+    ("coset", "--lambda=2,0", "--lambda=-0.5,-0.0"),
+    ("polyone", "--n-max", "16", "--lambda=0.4,0"),
 )
 # the report as CSV, compared byte for byte: compact and the suite-all size
 VERIFY_CSV_CONFIGS = tuple((*config, "--format", "csv") for config in (
@@ -91,6 +94,9 @@ TABULATE_CONFIGS = tuple(
     # P_2 overflows here, but the one row reads only P_0 and P_1
     ("--family", "chebyshev", "--n-max", "0", "--lambda", "1e100"),
     ("--family", "chebyshev", "--lam", "0.5", "--n", "6"),   # prefixes
+    # a real lambda with a complex c: a float m and a complex sine
+    ("--family", "su2", "--lambda", "0.7", "--c", "1,1"),
+    ("--family", "coset", "--lambda=-3"),   # ln x = 0 at x = 1
 )
 
 
