@@ -223,11 +223,11 @@ class Hypergroup:
     Subclasses implement ``convolve_many(xs, ys) -> (support, weights)``,
     the convolutions of xs[i] and ys[i] for batches of elements (see
     ``_pair_batch``): [P, K] weights padded with zeros, and a support of
-    that shape (a tuple of them for tuple elements) whose padding slots
-    hold valid elements.  The residual checks (``_errors``) call it once
-    per pair set, for every equation checked there; a subclass whose
-    convolve_many(ys, xs) has the rows of convolve_many(xs, ys) bit for
-    bit declares ``_mirror_rows``, and mirrored pairs then share one
+    that shape (for tuple elements, a tuple of coordinates that broadcast
+    to it) whose padding slots hold valid elements.  ``_errors`` calls it
+    once per pair set, for every equation checked there; a subclass whose
+    convolve_many(ys, xs) has the rows of convolve_many(xs, ys) bit for bit
+    declares ``_mirror_rows``, and mirrored pairs then share one
     convolution (the polynomial and su2 hypergroups).  The identity must
     satisfy convolve(o, x) = convolve(x, o) = point mass at x.
     """
@@ -239,12 +239,8 @@ class Hypergroup:
         raise NotImplementedError
 
     def convolve(self, x, y, tol=WEIGHT_TOL):
-        """The convolution of the point masses at x and y as a FiniteMeasure,
-        read from ``convolve_many``."""
-        support, weights = self.convolve_many(*_pair_batch([(x, y)]))
-        return FiniteMeasure(((_element(support, (0, j)), w)
-                              for j, w in enumerate(weights[0].tolist())
-                              if w != 0.0), tol=tol)
+        """The convolution of the point masses at x and y (``_powers``)."""
+        return next(_powers(self, x, y, 1, DEFAULT_SUPPORT_CAP, tol))
 
     def involution(self, x):
         return x
@@ -470,7 +466,7 @@ def _errors(hg, equations, pairs):
     convolved and integrated, in the order the per-pair path meets them,
     and a pair reads its integral there; right-hand terms are per pair.
     Each equation integrates first; consecutive equations with the same m
-    share m(xs) and m(ys), and only the current m's values are held."""
+    share every value they read (``at``), and only the current m's are held."""
     xs, ys = _pair_batch(pairs)
     first = row = slice(None)   # every pair, as given
     if _mirrored(hg, xs, ys):
@@ -483,14 +479,28 @@ def _errors(hg, equations, pairs):
         order = np.argsort(first)
         first, row = first[order], np.argsort(order)[row]
     support, weights = hg.convolve_many(xs[first], ys[first])
-    errors, last = [], None
+    errors, last, points = [], None, (support, xs, ys)
+
+    # at(g, i) is g(points[i]), or of(*its parts' values) where g has a
+    # form (of, *parts).  A value is held until a read marked final, or
+    # until m changes; m's own values are read again by m's next equation.
+    def at(g, i, final=False):
+        if (id(g), i) in held:
+            return held.pop((id(g), i)) if final else held[id(g), i]
+        of, *parts = getattr(g, "form", (g, None))   # None: the points
+        args = [points[i] if part is None else
+                at(part, i, final and part is not m) for part in parts]
+        if final and i == 0:   # f's integral reads the support last
+            held.pop((id(m), 0), None)
+        return of(*args) if final else held.setdefault((id(g), i), of(*args))
     for f, m in equations:
-        if m is not last:   # m_at(0) is m(xs), m_at(1) m(ys), each once met
-            last, m_at = m, functools.cache(lambda i, m=m: m((xs, ys)[i]))
-        lhs = _integrate_many(m if f is None else f, support, weights)[row]
-        errors.append(_residual(lhs, [_cmul(m_at(0), m_at(1))] if f is None
-                                else [_cmul(f(xs), m_at(1)),
-                                      _cmul(f(ys), m_at(0))]))
+        last, held = m, ({} if m is not last else held)
+        lhs = _integrate_many(lambda _: at(m, 0) if f is None
+                              else at(f, 0, True), support, weights)[row]
+        errors.append(_residual(lhs, [_cmul(at(m, 1), at(m, 2))] if f is None
+                                else [_cmul(at(f, 1, True), at(m, 2)),
+                                      _cmul(at(f, 2, True), at(m, 1))]))
+    del at   # at refers to itself: free its values now, not at a collection
     return errors
 
 
@@ -543,15 +553,17 @@ def exp_residual(hg, m, pairs):
     return _scan(*_errors(hg, [(None, m)], pairs)[0], pairs)
 
 
-def _powers(hg, x, y, n_max, cap):
-    """d_x * d_y^n for n = 1..n_max, one ``convolve_many`` call per power."""
+def _powers(hg, x, y, n_max, cap, tol=WEIGHT_TOL):
+    """d_x * d_y^n at tol for n = 1..n_max, one ``convolve_many`` per power."""
     mu = FiniteMeasure.point(x)
     for n in range(1, n_max + 1):
         support, weights = hg.convolve_many(
             *_pair_batch([(el, y) for el in mu.support]))
+        if isinstance(support, tuple):   # coordinates as wide as weights
+            support = tuple(np.broadcast_arrays(weights, *support)[1:])
         i, j = np.nonzero(weights)   # row by row; a NaN weight is kept
         mu = FiniteMeasure(zip([_element(support, ij) for ij in zip(i, j)],
-                               np.array(mu.weights)[i] * weights[i, j]))
+                               np.array(mu.weights)[i] * weights[i, j]), tol)
         if len(mu) > cap:
             raise SupportCapError(
                 f"support grew past cap {cap} while forming {x!r} * {y!r}^{n}")
@@ -618,7 +630,7 @@ def _sine_space(hg, m, exp_tol=VERIFY_WEIGHT_TOL):
     cutoff = max(a.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
     rank = int((s > cutoff).sum())
     basis = [TabulatedFunction(vec.conj()) for vec in vh[rank:]]
-    errors = _errors(hg, [(fb, m_fn) for fb in basis], pairs)
+    errors = basis and _errors(hg, [(fb, m_fn) for fb in basis], pairs)
     worst = float(np.max([err.max() for err, _ in errors], initial=0.0))
     if not worst <= max(exp_tol, 10 * cutoff * n):   # NaN fails too
         raise RuntimeError(

@@ -59,39 +59,52 @@ class CosetHypergroup(Hypergroup):
         y, v = qs
         _reject((x <= 0) | (y <= 0) | (u < 0) | (v < 0),
                 "elements must be canonical pairs", ps, qs)
-        ax = np.abs(x * y)
-        support = (np.column_stack([ax, ax]),
+        support = (np.abs(x * y)[:, None],   # both points' |xy|, broadcast
                    np.column_stack([np.abs(x * v + u), np.abs(-x * v + u)]))
-        return support, np.full((len(ax), 2), 0.5)
+        return support, np.full((len(x), 2), 0.5)
 
     def involution(self, p):
         return coset_of(group_inv(p))
 
 
+def _log(p):
+    """ln |x| of an element (x, u) or of a batch of them."""
+    return np.log(np.abs(p[0]))
+
+
+def _formed(of, *parts):
+    """p -> of(*[part(p) for part in parts]), with ``form`` (of, *parts):
+    ``core._errors`` forms its values from the parts' values."""
+    def fn(p):
+        return of(*[part(p) for part in parts])
+    fn.form = (of, *parts)
+    return fn
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _power(lam, log_ax):
     """ax^lam = exp(lam ln ax) from log_ax = ln ax, by the complex exp (as
     cmath's: numpy's real exp rounds differently), real at a real lam;
     OverflowError naming lam where it leaves the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(_real(np.exp(complex(lam) * log_ax), lam),
-                       "coset closed form", lam)
+    return _finite(_real(np.exp(complex(lam) * log_ax), lam),
+                   "coset closed form", lam)
 
 
 def coset_exponential(lam):
     """Exponential (ax, au) -> ax^lam on canonical pairs or on a batch of
     them; lam may be complex."""
-    return lambda p: _power(lam, np.log(p[0]))
+    return _formed(lambda log_ax: _power(lam, log_ax), _log)
 
 
 def coset_sine(c, lam):
     """Sine function (ax, au) -> c ax^lam ln(ax) for the exponential at lam,
-    float at a real lam and c; it may overflow where ax^lam does not."""
-    def f(p):
-        log_ax = np.log(p[0])
+    float at a real lam and c; it may overflow where ax^lam does not.  Its
+    form reads its own exponential, ``form[1]``, and ln ax."""
+    def sine(m, log_ax):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite(_real(_cmul(c, _power(lam, log_ax)) * log_ax,
-                                 lam, c), "coset closed form", lam)
-    return f
+            return _finite(_real(_cmul(c, m) * log_ax, lam, c),
+                           "coset closed form", lam)
+    return _formed(sine, coset_exponential(lam), _log)
 
 
 def falsify_dalembert_alpha(lam, alpha, samples):
@@ -107,7 +120,7 @@ def falsify_dalembert_alpha(lam, alpha, samples):
     x, u, y, v = (np.array(c, dtype=float) for c in zip(*samples))
 
     def m(x, u):
-        return _cmul(_power(lam, np.log(np.abs(x))), np.cosh(alpha * u + 0j))
+        return _cmul(_power(lam, _log((x, u))), np.cosh(alpha * u + 0j))
 
     lhs = m(x * y, x * v + u) + m(x * y, x * v - u)
     rhs = _cmul(2.0 * m(x, u), m(y, v))
@@ -123,12 +136,10 @@ def falsify_square_term(lam, a, pairs):
     positive (forcing a = 0 in the classification); a = 0 is rejected."""
     if a == 0:
         raise ValueError("a = 0 is the genuine sine function; nothing to refute")
-
-    def f(p):
-        ax, au = p
-        log_ax = np.log(ax)
-        return _cmul(_power(lam, log_ax), log_ax + a * au * au)
-    return sine_residual(CosetHypergroup(), f, coset_exponential(lam), pairs)
+    m = coset_exponential(lam)   # f = m (ln|x| + a u^2), formed from m
+    return sine_residual(CosetHypergroup(), _formed(
+        lambda m, log_ax, au: _cmul(m, log_ax + a * au * au),
+        m, _log, lambda p: p[1]), m, pairs)
 
 
 def square_norm_check(samples):
@@ -157,16 +168,8 @@ def group_sine_check(lam, pairs):
     ``_errors`` on ``_Group``, the additivity of a (the sine equation for
     m = 1) and the sine equation for f = a m over pairs of raw group
     elements; witnesses are tagged ('additive'|'sine', p, q)."""
-    def a(p):
-        return np.log(np.abs(p[0]))
-
-    def m(p):
-        return _power(lam, a(p))
-
-    def f(p):
-        log_ax = a(p)
-        return log_ax * _power(lam, log_ax)
-    errors = _errors(_Group(), [(a, lambda p: 1.0), (f, m)], pairs)
+    f = coset_sine(1.0, lam)   # a m, formed from a = ln|x| and m
+    errors = _errors(_Group(), [(_log, lambda p: 1.0), (f, f.form[1])], pairs)
     return _interleaved(errors, pairs, ("additive", "sine"))
 
 

@@ -260,7 +260,7 @@ _FAMILIES = {   # name -> the builder of its _Family, in `hypersine list` order
         (0.3,), 8, lambda n: range(n + 1), 1, (2, 9), (0.4, 0.2 + 0.3j)),
     "product": _product_family,
     "coset": lambda: _Family(coset.CosetHypergroup(), lambda c, lam, n: (
-        coset.coset_sine(c, lam), coset.coset_exponential(lam)), (1.0,), 8,
+        f := coset.coset_sine(c, lam), f.form[1]), (1.0,), 8,   # f's own m
         lambda n: [(float(np.exp(t / 4.0)), float(t)) for t in range(n + 1)],
         (2.0, 1.0), ((2.0, 1.0), (0.5, 3.0)), (0.7, 1.5)),
 }

@@ -199,6 +199,17 @@ def test_s3_exponentials_and_sine_spaces():
         assert compact_vanishing_check(hg, TabulatedFunction(list(m)), basis)
 
 
+def test_an_empty_sine_space_convolves_only_for_its_exponential_check(
+        monkeypatch):
+    # an empty basis leaves the basis check no equation, so no convolution
+    hg, calls = s3_conjugacy_hypergroup(), []
+    convolve_many = hg.convolve_many
+    monkeypatch.setattr(hg, "convolve_many", lambda xs, ys: (
+        calls.append(len(xs)), convolve_many(xs, ys))[1])
+    assert sine_space(hg, [1.0, 1.0, 1.0]) == []
+    assert calls == [9]
+
+
 def test_sine_space_rejects_non_exponential():
     hg = two_point_hypergroup(0.3)
     with pytest.raises(ValueError):

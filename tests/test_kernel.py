@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersine import core, su2
+from hypersine import core, coset as coset_mod, su2, suites
 from hypersine.core import (EvaluationError, FiniteHypergroup, FiniteMeasure,
                             PairBatch, TabulatedFunction, _cmul, _compact,
                             _errors, _integrate_many, _pair_batch, _residual,
@@ -27,7 +27,8 @@ from hypersine.multipoly import ProductPolyHypergroup
 from hypersine.polyhg import (PolynomialHypergroup, chebyshev_recurrence,
                               legendre_recurrence, recurrence_from_lists,
                               sine_fn)
-from hypersine.sturm import cosh_hypergroup_check, line_dphi, line_phi
+from hypersine.sturm import (CoshLineHypergroup, cosh_hypergroup_check,
+                             line_dphi, line_phi)
 
 
 def _reference(hg, f, m, pairs):
@@ -758,3 +759,34 @@ def test_interleaved_checks_build_only_the_reported_witness(monkeypatch):
         got = check(lam, batch)
         assert len(calls) == 1
         assert got == check(lam, pairs)
+
+
+def _contract_batches():
+    """(name, hypergroup, xs, ys) for every hypergroup the package builds:
+    the table families, finite tensors, the cosh line and the affine
+    group of point masses."""
+    ns, ks = np.array([0, 3, 5, 2, 1]), np.array([1, 3, 0, 4, 1])
+    coset_xs = (np.array([2.0, 0.5, 1.0, 3.0, 0.25]), ns * 1.5)
+    coset_ys = (np.array([0.5, 4.0, 1.0, 2.0, 8.0]), ks * 0.5)
+    elements = {"product": ((ns, ks), (ks, ns)), "coset": (coset_xs, coset_ys)}
+    for name, build in suites._FAMILIES.items():
+        yield (name, build().hg, *elements.get(name, (ns, ks)))
+    yield "two-point", two_point_hypergroup(0.3), ns % 2, ks % 2
+    yield "s3", s3_conjugacy_hypergroup(), ns % 3, ks % 3
+    yield "cosh-line", CoshLineHypergroup(), ns * 0.5, ks * 0.25
+    yield ("affine-group", coset_mod._Group(),
+           (-coset_xs[0], coset_xs[1] - 2.0), coset_ys)
+
+
+@pytest.mark.parametrize("hg,xs,ys", [pytest.param(*case, id=name)
+                                      for name, *case in _contract_batches()])
+def test_every_support_broadcasts_to_the_weights(hg, xs, ys):
+    # a support of the weights' shape, or for tuple elements a tuple of
+    # coordinates that broadcast to it (the coset's |xy| is [P, 1])
+    support, weights = hg.convolve_many(xs, ys)
+    assert weights.ndim == 2 and len(weights) == len(ys[0] if isinstance(
+        ys, tuple) else ys)
+    if not isinstance(support, tuple):
+        assert support.shape == weights.shape
+    for coord in support if isinstance(support, tuple) else ():
+        assert np.broadcast_shapes(coord.shape, weights.shape) == weights.shape

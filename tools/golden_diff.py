@@ -97,6 +97,10 @@ TABULATE_CONFIGS = tuple(
     # a real lambda with a complex c: a float m and a complex sine
     ("--family", "su2", "--lambda", "0.7", "--c", "1,1"),
     ("--family", "coset", "--lambda=-3"),   # ln x = 0 at x = 1
+    # the coset sine formed from its exponential's values: a real lambda
+    # with a complex c, and a complex c whose zero imaginary part is dropped
+    ("--family", "coset", "--lambda", "0.7", "--c", "1,1"),
+    ("--family", "coset", "--lambda", "0.5", "--c", "2,-0.0"),
 )
 
 
