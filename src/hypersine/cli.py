@@ -67,7 +67,8 @@ _SHARED = {   # add_argument keywords; each subcommand names its own
                      help="spectral parameter; repeatable; accepts "
                           "re, re+imj, or re,im"),
     "--n-max": dict(type=int),
-    "--xmax": dict(type=_finite(float), default=SuiteConfig.x_max),
+    "--xmax": dict(dest="x_max", type=_finite(float),
+                   default=SuiteConfig.x_max),
     "--h": dict(type=_finite(float), default=SuiteConfig.h),
     "--out": dict(help="write the report here instead of stdout"),
     "--format": dict(choices=("json", "csv"),
@@ -93,13 +94,10 @@ def _c(z):
 def cmd_verify(args):
     if args.n_max is not None and args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
-    cfg = SuiteConfig(
-        seed=args.seed, tol=args.tol,
-        lambdas=tuple(args.lambdas or ()),
-        n_max=args.n_max or 0, x_max=args.xmax, h=args.h,
-        thetas=tuple(args.theta or SuiteConfig.thetas),
-        alpha=args.alpha, samples=args.samples,
-        rec_file=args.rec_file or "")
+    # each option's dest is its SuiteConfig field; an unset one is None
+    cfg = SuiteConfig(**{name: value for name, value in vars(args).items()
+                         if value is not None and name not in (
+                             "command", "suite", "out", "format")})
     report = run_suite(args.suite, cfg)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(),
           args.out)
@@ -118,7 +116,7 @@ def _tabulate_sturm(args):
     lam = (args.lambdas or [1.0])[0]
     family = (sturm_mod.constant_family() if args.alpha is None
               else sturm_mod.power_family(args.alpha))
-    sol = sturm_mod.solve_sine(family, lam, args.c, x_max=args.xmax, h=args.h)
+    sol = sturm_mod.solve_sine(family, lam, args.c, args.x_max, args.h)
     phi, f = sol.forcing, sol.values
     res = np.pad(sturm_mod.ode_defect(sol.grid, f, family.ratio, sol.lam,
                                       sol.c, phi)[0], 1)
@@ -187,7 +185,7 @@ def cmd_list(_args):
 COMMANDS = {
     "verify": (cmd_verify, "run a verification suite and emit its report", (
         *_SHARED.items(), ("suite", dict(choices=SUITE_NAMES + ("all",))),
-        ("--theta", dict(type=_finite(float), action="append",
+        ("--theta", dict(dest="thetas", type=_finite(float), action="append",
                          help="two-point family parameter; repeatable")),
         ("--alpha", dict(type=_finite(float), default=SuiteConfig.alpha,
                          help="power-weight parameter for the ODE family")),

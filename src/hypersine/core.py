@@ -230,17 +230,20 @@ class Hypergroup:
     declares ``_mirror_rows``, and mirrored pairs then share one
     convolution (the polynomial and su2 hypergroups).  The identity must
     satisfy convolve(o, x) = convolve(x, o) = point mass at x.
+    ``weight_tol`` is the one tolerance at which every path judges its
+    convolutions probability measures (``_powers``).
     """
 
     identity = None
     commutative = True
+    weight_tol = WEIGHT_TOL
 
     def convolve_many(self, xs, ys):
         raise NotImplementedError
 
-    def convolve(self, x, y, tol=WEIGHT_TOL):
+    def convolve(self, x, y):
         """The convolution of the point masses at x and y (``_powers``)."""
-        return next(_powers(self, x, y, 1, DEFAULT_SUPPORT_CAP, tol))
+        return next(_powers(self, x, y, 1, DEFAULT_SUPPORT_CAP))
 
     def involution(self, x):
         return x
@@ -252,7 +255,8 @@ class FiniteHypergroup(Hypergroup):
     Element 0 is the identity.  Each row c[i][j][:] must be a probability
     vector, the identity rows must be exact point masses, the convolution
     must be associative, and each i must have exactly one j whose product
-    with it charges the identity; i -> j must be an involution.
+    with it charges the identity; i -> j must be an involution.  All at
+    ``tol``, which stays the hypergroup's ``weight_tol``.
     """
 
     def __init__(self, tensor, name="", tol=WEIGHT_TOL):
@@ -287,7 +291,7 @@ class FiniteHypergroup(Hypergroup):
         if (inverse[inverse] != np.arange(n)).any():
             raise NotHypergroupError("inverse map is not an involution")
         tensor.flags.writeable = False
-        self.tensor = tensor
+        self.tensor, self.weight_tol = tensor, tol
         # row x n + y holds x * y, padded to the widest row of the tensor
         self._cols, self._weights = _compact(tensor.reshape(n * n, n))
         self.size = n
@@ -385,17 +389,18 @@ def _real(values, *params):
 
 def _scan(errs, rels, witnesses):
     """Report over per-sample absolute and relative errors: the witness is
-    witnesses[i] for the first i attaining the largest absolute error, or
-    for the first non-finite one, whose own values are then reported."""
-    count = len(witnesses)
-    if count == 0:
+    witnesses[i], or witnesses(i) for a function of the sample index, for
+    the first i attaining the largest absolute error, or for the first
+    non-finite one, whose own values are then reported.  Only that one
+    witness is built."""
+    errs, rels = np.asarray(errs, float), np.asarray(rels, float)
+    if len(errs) == 0:
         raise ValueError("empty sample set")
-    errs, rels = (v if v.shape == (count,) else np.broadcast_to(v, (count,))
-                  for v in (np.asarray(errs, float), np.asarray(rels, float)))
     finite = np.isfinite(errs)
     i = int(errs.argmax() if finite.all() else finite.argmin())
     max_rel = rels.max() if finite[i] else rels[i]
-    return ResidualReport(float(errs[i]), float(max_rel), witnesses[i], count)
+    return ResidualReport(float(errs[i]), float(max_rel), witnesses(i)
+                          if callable(witnesses) else witnesses[i], len(errs))
 
 
 def _residual(lhs, terms):
@@ -504,18 +509,11 @@ def _errors(hg, equations, pairs):
     return errors
 
 
-def _scan_built(errs, rels, witness):
-    """``_scan`` of full-length errors whose witness is witness(i) for the
-    sample i it reports: only that one witness is built."""
-    report = _scan(errs, rels, range(len(errs)))
-    return report._replace(witness=witness(report.witness))
-
-
 def _interleaved(errors, pairs, tags):
     """``_scan`` of the ``_errors`` of one equation per tag, alternating pair
     by pair; the witness is tagged (tag, x, y), and only it is built."""
-    return _scan_built(*(np.column_stack(col).ravel() for col in zip(*errors)),
-                       lambda k: (tags[k % len(tags)], *pairs[k // len(tags)]))
+    return _scan(*(np.column_stack(col).ravel() for col in zip(*errors)),
+                 lambda k: (tags[k % len(tags)], *pairs[k // len(tags)]))
 
 
 def _propagate(hg, ms, f1s, n_max):
@@ -553,8 +551,9 @@ def exp_residual(hg, m, pairs):
     return _scan(*_errors(hg, [(None, m)], pairs)[0], pairs)
 
 
-def _powers(hg, x, y, n_max, cap, tol=WEIGHT_TOL):
-    """d_x * d_y^n at tol for n = 1..n_max, one ``convolve_many`` per power."""
+def _powers(hg, x, y, n_max, cap):
+    """d_x * d_y^n for n = 1..n_max, one ``convolve_many`` per power, each
+    judged a probability measure at hg.weight_tol."""
     mu = FiniteMeasure.point(x)
     for n in range(1, n_max + 1):
         support, weights = hg.convolve_many(
@@ -563,7 +562,8 @@ def _powers(hg, x, y, n_max, cap, tol=WEIGHT_TOL):
             support = tuple(np.broadcast_arrays(weights, *support)[1:])
         i, j = np.nonzero(weights)   # row by row; a NaN weight is kept
         mu = FiniteMeasure(zip([_element(support, ij) for ij in zip(i, j)],
-                               np.array(mu.weights)[i] * weights[i, j]), tol)
+                               np.array(mu.weights)[i] * weights[i, j]),
+                         hg.weight_tol)
         if len(mu) > cap:
             raise SupportCapError(
                 f"support grew past cap {cap} while forming {x!r} * {y!r}^{n}")

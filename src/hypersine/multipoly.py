@@ -25,6 +25,8 @@ class DegenerateParameterError(ValueError):
 class ProductPolyHypergroup(Hypergroup):
     """Finite product of polynomial hypergroups, elements are degree tuples."""
 
+    weight_tol = PolynomialHypergroup.weight_tol   # its factors' rule
+
     def __init__(self, factors):
         self.factors = tuple(factors)
         if not self.factors:
@@ -32,7 +34,6 @@ class ProductPolyHypergroup(Hypergroup):
         self._hgs = tuple(PolynomialHypergroup(rec) for rec in self.factors)
         self.dimension = len(self.factors)
         self.identity = (0,) * self.dimension
-        self.commutative = True
 
     def _check_element(self, x):
         if len(x) != self.dimension:

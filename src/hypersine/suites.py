@@ -29,7 +29,7 @@ import numpy as np
 from . import coset, su2
 from .core import (VERIFY_WEIGHT_TOL, PairBatch, ResidualReport,
                    TabulatedFunction, _cmul, _errors, _integrate_many,
-                   _propagate, _real, _residual, _scan, _scan_built,
+                   _propagate, _real, _residual, _scan,
                    _uniforms, exp_residual, exponentials, integrate,
                    power_identity_check, s3_conjugacy_hypergroup,
                    sine_space, two_point_hypergroup)
@@ -47,7 +47,8 @@ STURM_CLOSED_FORM_RTOL = 1e-8
 
 class SuiteConfig:
     """Suite parameters; each argument defaults to the class attribute of
-    the same name."""
+    the same name.  lambdas and thetas are held as tuples; seed, n_max and
+    samples must be integers (numpy's too)."""
 
     seed = 0
     tol = VERIFY_WEIGHT_TOL   # exponential-equation tolerance (compact)
@@ -63,10 +64,15 @@ class SuiteConfig:
     def __init__(self, seed=seed, tol=tol, lambdas=lambdas, n_max=n_max,
                  x_max=x_max, h=h, thetas=thetas, alpha=alpha,
                  samples=samples, rec_file=rec_file):
-        self.seed, self.tol, self.lambdas = seed, tol, lambdas
+        self.seed, self.tol, self.lambdas = seed, tol, tuple(lambdas)
         self.n_max, self.x_max, self.h = n_max, x_max, h
-        self.thetas, self.alpha = thetas, alpha
+        self.thetas, self.alpha = tuple(thetas), alpha
         self.samples, self.rec_file = samples, rec_file
+        for name in ("seed", "n_max", "samples"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):   # 2.5 is no count
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         for name in ("tol", "lambdas", "x_max", "h", "thetas", "alpha"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -311,7 +317,7 @@ def run_polyone(cfg):
         sines, exps = zip(*(fam.pair(float(rec.a(0)), lam, n_max)
                             for lam in lams))
         want = np.ravel([s.values * f1 for s, f1 in zip(sines, f1s)])
-        yield f"polyone:{name}:reconstruct", 1e-9, "rel", _scan_built(
+        yield f"polyone:{name}:reconstruct", 1e-9, "rel", _scan(
             *_residual(_propagate(fam.hg, exps, f1s, n_max).ravel(), [want]),
             lambda i: (*draws[i // (n_max + 1)], i % (n_max + 1)))
         sines, exps = fam.pair(1.0, 0.3, 5)
@@ -393,8 +399,7 @@ def run_sturm(cfg):
                                      refs):
             yield (f"sturm:{tag}:{what}:lam={_fmt_lam(lam)}",
                    STURM_CLOSED_FORM_RTOL, "rel",
-                   _scan_built(*_residual(values, [ref]),
-                               lambda i: grid[i].item()))
+                   _scan(*_residual(values, [ref]), lambda i: grid[i].item()))
     pairs = PairBatch(*_uniforms(random.Random(cfg.seed), 80, 0.05,
                                  2.5).reshape(40, 2).T)
     for lam in (0.8, 1.0, 2.0):

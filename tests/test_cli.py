@@ -75,6 +75,43 @@ def test_verify_n_max_below_one_is_usage_error(n_max, capsys):
     assert "--n-max" in captured.err and captured.out == ""
 
 
+# each verify option off its default, and the SuiteConfig field it sets
+VERIFY_OPTIONS = {
+    "--seed=5": ("seed", 5), "--tol=1e-10": ("tol", 1e-10),
+    "--lambda=0.6": ("lambdas", (0.6 + 0j,)), "--n-max=6": ("n_max", 6),
+    "--xmax=0.4": ("x_max", 0.4), "--h=2e-3": ("h", 2e-3),
+    "--theta=0.4": ("thetas", (0.4,)), "--alpha=1.3": ("alpha", 1.3),
+    "--samples=40": ("samples", 40), "--rec-file=rec.json": ("rec_file",
+                                                              "rec.json")}
+
+
+def test_each_verify_option_reaches_its_config_field(monkeypatch, tmp_path):
+    fields = dict(VERIFY_OPTIONS.values())
+    assert set(fields) == set(vars(suites.SuiteConfig)) - {
+        "__module__", "__doc__", "__init__", "__dict__", "__weakref__"}
+    assert all(getattr(suites.SuiteConfig, k) != v for k, v in fields.items())
+    configs = []
+
+    def recording(name, cfg):
+        configs.append(cfg)
+        return SuiteReport(name)
+    monkeypatch.setattr(cli, "run_suite", recording)
+    argv = ["verify", "compact", *VERIFY_OPTIONS,
+            "--out", str(tmp_path / "report.json")]
+    assert cli._parse(argv) is not None   # the option table's own parse
+    assert run(argv) == 0
+    assert cli.cmd_verify(cli.build_parser().parse_args(argv)) == 0
+    for cfg in configs:
+        assert {k: getattr(cfg, k) for k in fields} == fields
+
+
+def test_verify_passes_an_unknown_option_to_config_as_an_error():
+    args = cli.build_parser().parse_args(["verify", "compact"])
+    args.bogus = 1   # an option whose dest is no SuiteConfig field
+    with pytest.raises(TypeError, match="bogus"):
+        cli.cmd_verify(args)
+
+
 def test_tabulate_n_max_zero_is_one_row(capsys):
     assert run(["tabulate", "--family", "su2", "--n-max", "0"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersine.core import (DEFAULT_SUPPORT_CAP, EvaluationError,
-                            FiniteMeasure, Hypergroup, NotHypergroupError,
+                            FiniteHypergroup, FiniteMeasure, Hypergroup, NotHypergroupError,
                             SupportCapError, TabulatedFunction, _powers,
                             _propagate, _uniforms, compact_vanishing_check,
                             convolve_power, dump_finite_hypergroup,
@@ -275,6 +275,31 @@ def test_finite_hypergroup_checks_associativity_and_involution():
             no_inverse[i, j, max(i, j)] = 1.0
     with pytest.raises(NotHypergroupError, match="inverses"):
         FiniteHypergroup(no_inverse)
+
+
+def test_finite_hypergroup_rejects_inverses_that_are_no_involution():
+    # x * 2 charges the identity with 0.25 and x * 1 does not: each of 1
+    # and 2 has the one inverse 2, so 1 -> 2 -> 2.  At tol 0.2 the
+    # associativity defect 0.297 passes (<= 3 tol) and 0 counts as no weight
+    tensor = np.zeros((3, 3, 3))
+    tensor[0], tensor[:, 0] = np.eye(3), np.eye(3)
+    tensor[1:, 1] = [0.0, 0.5, 0.5]
+    tensor[1:, 2] = [0.25, 0.375, 0.375]
+    with pytest.raises(NotHypergroupError,
+                       match="^inverse map is not an involution$"):
+        FiniteHypergroup(tensor, tol=0.2)
+
+
+def test_exponentials_of_the_one_element_hypergroup():
+    [m] = exponentials(FiniteHypergroup([[[1.0]]]))
+    assert m.tolist() == [1.0]
+
+
+def test_power_identity_check_needs_a_power():
+    hg = two_point_hypergroup(0.5)
+    m = TabulatedFunction([1.0, -0.5])
+    with pytest.raises(ValueError, match="^n_max must be >= 1, got 0$"):
+        power_identity_check(hg, m, m, 0, 1, 0)
 
 
 def test_tensor_is_a_read_only_copy():

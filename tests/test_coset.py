@@ -294,3 +294,10 @@ def test_coset_measures_and_powers_read_the_broadcast_support():
                                    coset_exponential(lam), (2.0, 1.5),
                                    (0.5, 3.0), 6)
         assert (rep.max_abs, rep.max_rel, rep.witness) == want
+
+
+def test_a_zero_first_coordinate_is_no_group_element():
+    for fn in (group_inv, coset_of):
+        with pytest.raises(ValueError, match="^group elements need nonzero "
+                                             "first coordinate$"):
+            fn((0.0, 1.0))

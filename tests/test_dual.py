@@ -82,3 +82,15 @@ def test_dual_matches_central_difference_generic(t):
     d = derivative(f, t)
     fd = central_difference(f, t)
     assert abs(d - fd) <= 1e-6 * (1.0 + abs(fd))
+
+
+def test_reflected_and_unary_operators():
+    d = DualScalar(4.0, 2.0)
+    assert 1 - d == DualScalar(-3.0, -2.0)
+    assert 2 / d == DualScalar(0.5, -0.25)
+    assert +d is d
+    assert d ** 0 == DualScalar(1.0, 0.0)
+    assert not d == 4 and DualScalar(2.0) == 2
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        d + "x"
+    assert log(1j) == cmath.log(1j)

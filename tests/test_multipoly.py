@@ -173,3 +173,24 @@ def test_product_power_measure(cheb_leg):
     mu = convolve_power(cheb_leg, (1, 1), 2)
     nu = cheb_leg.convolve((1, 1), (1, 1))
     assert mu.allclose(nu, tol=1e-14)
+
+
+def test_malformed_product_input_is_rejected_by_name():
+    with pytest.raises(ValueError,
+                       match="^at least one factor recurrence is required$"):
+        ProductPolyHypergroup([])
+    hg = ProductPolyHypergroup([chebyshev_recurrence(), legendre_recurrence()])
+    lam = (0.5, 0.5)
+    for call, message in [
+            (lambda: hg.q_eval((1,), lam),
+             r"^element \(1,\) has 1 coordinates, expected 2$"),
+            (lambda: hg.q_eval((1, 1), (0.5,)),
+             r"^lambda \(0\.5,\) has 1 coordinates, expected 2$"),
+            (lambda: hg.multi_sine((1.0,), lam),
+             r"^coefficients \(1\.0,\) have 1 entries, expected 2$"),
+            (lambda: hg.multi_sine((1.0, 1.0), lam)((1, 2, 3)),
+             r"^element \(1, 2, 3\) has 3 coordinates, expected 2$"),
+            (lambda: hg.q_eval((2, -1), lam),
+             r"^degree must be >= 0, got -1$")]:
+        with pytest.raises(ValueError, match=message):
+            call()

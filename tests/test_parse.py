@@ -152,5 +152,5 @@ def test_parse_applies_defaults_dest_and_append():
     assert vars(fast) == _argparse(["verify", "--lambda=-0.5", "coset",
                                     "--seed", "3", "--lambda", "1,2",
                                     "--theta= 0.5"])
-    assert fast.lambdas == [-0.5, 1 + 2j] and fast.theta == [0.5]
+    assert fast.lambdas == [-0.5, 1 + 2j] and fast.thetas == [0.5]
     assert (fast.suite, fast.seed, fast.n_max) == ("coset", 3, None)

@@ -512,3 +512,12 @@ def test_cancelled_weights_leave_the_support():
     for (n, k), row_s, row_w in zip(pairs, support, weights):
         exact = linearize(rec, n, k, exact=True)
         assert row_s[row_w != 0].tolist() == list(exact.support), (n, k)
+
+
+def test_a_negative_degree_is_rejected_by_name():
+    rec = chebyshev_recurrence()
+    with pytest.raises(ValueError, match=r"^degree must be >= 0, got -1$"):
+        eval_P(rec, -1, 0.5)
+    with pytest.raises(ValueError,
+                       match=r"^degrees must be >= 0, got -1, 2$"):
+        linearize(rec, -1, 2)

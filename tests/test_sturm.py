@@ -337,3 +337,9 @@ def test_series_at_lambda_zero_is_exact():
     assert not dphi.any()
     assert np.array_equal(f, 3.0 / 6.0 * x * x)
     assert np.array_equal(df, 3.0 / 3.0 * x)
+
+
+def test_a_zero_step_is_rejected():
+    with pytest.raises(ValueError, match=r"^x_max and h must be positive, "
+                                         r"got 1\.0, 0\.0$"):
+        solve_phi(constant_family(), 1.0, x_max=1.0, h=0.0)

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,28 @@ def test_report_records_are_immutable_tuples():
 def test_config_rejects_non_finite_values_and_negative_n_max(name, value):
     with pytest.raises(ValueError, match=name):
         SuiteConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_max", 2.5), ("samples", 2.5), ("seed", 1.5), ("seed", np.float64(2)),
+    ("samples", "7")])
+def test_config_rejects_a_non_integer_count_by_name(name, value):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{name} must be an integer, got "
+                                       f"{value!r}")):
+        SuiteConfig(**{name: value})
+
+
+def test_config_takes_numpy_integers_and_holds_tuples():
+    cfg = SuiteConfig(seed=np.int64(3), n_max=np.uint8(4),
+                      samples=np.int32(5), lambdas=[0.5], thetas=[0.25])
+    assert [(type(v), v) for v in (cfg.seed, cfg.n_max, cfg.samples)] == [
+        (int, 3), (int, 4), (int, 5)]
+    assert (cfg.lambdas, cfg.thetas) == ((0.5,), (0.25,))
+    plain = SuiteConfig(seed=3, samples=5)
+    numpy = SuiteConfig(seed=np.int64(3), samples=np.int64(5))
+    assert ([c.row() for c in run_suite("coset", numpy).checks]
+            == [c.row() for c in run_suite("coset", plain).checks])
 
 
 def test_unknown_suite_rejected():

@@ -33,11 +33,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-REC_FILE = "ultraspherical-0.7.json"
+REC_FILES = {   # recurrence spec files: name -> ultraspherical alpha
+    "ultraspherical-0.7.json": 0.7,
+    # the weight of P_2 in P_2 * P_2 is -1.33e-11, inside the float rule
+    "ultraspherical-near-half.json": -0.5 - 1e-11,
+}
+REC_FILE, NEAR_HALF_FILE = REC_FILES
 CONFIGS = (
     ("all", "--seed", "11"),
     ("all", "--seed", "11", "--n-max", "10", "--samples", "3", "--xmax",
      "0.3", "--h", "2e-3"),
+    # every verify option off its default: a dropped option shows as a diff
+    ("all", "--seed", "5", "--n-max", "6", "--samples", "40", "--xmax", "0.4",
+     "--h", "2e-3", "--alpha", "1.3", "--theta", "0.4", "--theta", "0.8",
+     "--tol", "1e-10", "--lambda=0.6"),
     ("coset", "--samples", "4000", "--seed", "1"),
     ("coset", "--samples", "4000", "--seed", "7", "--lambda=-0.8",
      "--lambda=1.28,-0.57", "--lambda=-1.5,0.4"),
@@ -57,6 +66,7 @@ CONFIGS = (
     ("sturm", "--h", "2e-5", "--xmax", "0.35"),
     ("su2", "--lambda", "0,3.141592653589793", "--n-max", "12"),
     ("polyone", "--rec-file", REC_FILE, "--n-max", "32"),
+    ("polyone", "--rec-file", NEAR_HALF_FILE, "--n-max", "16"),
     # chebyshev's errors are exactly 0 at lambda = +-1: each witness is the
     # first ordered pair; su2 at lambda 0 witnesses pairs off the diagonal
     ("polyone", "--n-max", "16", "--lambda", "1", "--lambda=-1"),
@@ -140,11 +150,11 @@ TABLES = ([("verify", *c) for c in VERIFY_CSV_CONFIGS]
           + [("sine-space", *c) for c in SINE_SPACE_CONFIGS])
 
 
-def ultraspherical():
-    """Recurrence spec of the ultraspherical polynomials with alpha = 0.7,
-    degrees 0..64."""
-    alpha, ns = 0.7, range(65)
-    return {"name": "ultraspherical-0.7",
+def ultraspherical(alpha, name):
+    """Recurrence spec of the ultraspherical polynomials with parameter
+    alpha, degrees 0..64."""
+    ns = range(65)
+    return {"name": name,
             "a": [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1) for n in ns],
             "b": [0.0] * len(ns),
             "c": [n / (2 * n + 2 * alpha + 1) for n in ns]}
@@ -246,7 +256,9 @@ def main(argv=None):
         return 2
     same = []   # per configuration: identical or not
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, REC_FILE).write_text(json.dumps(ultraspherical()))
+        for name, alpha in REC_FILES.items():
+            Path(tmp, name).write_text(json.dumps(ultraspherical(
+                alpha, name.removesuffix(".json"))))
         for name, spec in SPECS.items():
             Path(tmp, name).write_text(json.dumps(spec))
         for config in CONFIGS:
