@@ -42,8 +42,8 @@ class FiniteMeasure:
     """Finitely supported measure; by default a probability measure.
 
     Duplicate elements are merged on construction.  Weights must be real,
-    >= -tol, and sum to 1 within tol unless ``normalized=False``.
-    """
+    >= -tol, and sum to 1 within tol times their number (at least tol)
+    unless ``normalized=False``: the one rule for every convolution row."""
 
     __slots__ = ("_elements", "_weights")
 
@@ -252,27 +252,28 @@ class Hypergroup:
 class FiniteHypergroup(Hypergroup):
     """Hypergroup on {0, .., N-1} given by a convolution tensor c[i][j][l].
 
-    Element 0 is the identity.  Each row c[i][j][:] must be a probability
-    vector, the identity rows must be exact point masses, the convolution
-    must be associative, and each i must have exactly one j whose product
-    with it charges the identity; i -> j must be an involution.  All at
-    ``tol``, which stays the hypergroup's ``weight_tol``.
-    """
+    Element 0 is the identity.  Each row c[i][j][:] is the measure
+    ``convolve(i, j)`` returns and must pass ``FiniteMeasure``, the
+    identity rows must be exact point masses, the convolution associative,
+    and each i must have exactly one inverse j, whose product with it
+    charges the identity; i -> j is ``involution`` and must be one.  All
+    at ``tol``, which stays the hypergroup's ``weight_tol``."""
 
     def __init__(self, tensor, name="", tol=WEIGHT_TOL):
         tensor = np.array(tensor, dtype=float)   # a copy, made read-only
-        if tensor.ndim != 3 or len(set(tensor.shape)) != 1:
-            raise NotHypergroupError(f"tensor shape {tensor.shape} is not (N, N, N)")
-        n = tensor.shape[0]
-        bad = np.argwhere(~(tensor >= -tol))   # NaN fails too
-        if len(bad):
-            i, j, l = bad[0]
+        if tensor.ndim != 3 or len(set(tensor.shape)) != 1 or not tensor.size:
             raise NotHypergroupError(
-                f"convolution weight {float(tensor[i, j, l])!r} at "
-                f"[{i}][{j}][{l}] is not >= {-tol!r}")
-        sums = tensor.sum(axis=2)
-        if not np.abs(sums - 1.0).max() <= max(tol, tol * n):
-            raise NotHypergroupError("convolution rows do not sum to 1")
+                f"tensor shape {tensor.shape} is not (N, N, N), N >= 1")
+        n = tensor.shape[0]
+        # row x n + y holds x * y, padded to the widest row of the tensor
+        self._cols, self._weights = _compact(tensor.reshape(n * n, n))
+        for (i, j), cols, ws in zip(np.ndindex(n, n), self._cols.tolist(),
+                                    self._weights.tolist()):
+            try:   # the measure convolve(i, j) returns, by the same rule
+                FiniteMeasure([(l, w) for l, w in zip(cols, ws) if w], tol)
+            except NotHypergroupError as exc:
+                raise NotHypergroupError(
+                    f"convolution [{i}][{j}]: {exc}") from None
         eye = np.eye(n)
         if not (np.array_equal(tensor[0], eye) and np.array_equal(tensor[:, 0], eye)):
             raise NotHypergroupError("identity rows are not exact point masses")
@@ -292,8 +293,7 @@ class FiniteHypergroup(Hypergroup):
             raise NotHypergroupError("inverse map is not an involution")
         tensor.flags.writeable = False
         self.tensor, self.weight_tol = tensor, tol
-        # row x n + y holds x * y, padded to the widest row of the tensor
-        self._cols, self._weights = _compact(tensor.reshape(n * n, n))
+        self._inverse = dict(enumerate(inverse.tolist()))
         self.size = n
         self.name = name
         self.identity = 0
@@ -304,6 +304,9 @@ class FiniteHypergroup(Hypergroup):
                 f"elements outside range 0..{self.size - 1}", xs, ys)
         rows = xs * self.size + ys
         return self._cols[rows], self._weights[rows]
+
+    def involution(self, x):
+        return self._inverse[x]
 
     def elements(self):
         return range(self.size)

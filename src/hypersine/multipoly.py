@@ -19,7 +19,8 @@ from .polyhg import PolynomialHypergroup, _finite_p_and_dp
 
 
 class DegenerateParameterError(ValueError):
-    """The fit system at this lambda is singular."""
+    """A singular fit system.  No fit raises it: the system of
+    ``fit_coefficients`` is diag(1/a_0) at every lambda, never singular."""
 
 
 class ProductPolyHypergroup(Hypergroup):
@@ -113,21 +114,17 @@ class ProductPolyHypergroup(Hypergroup):
         at the unit tuples; f is called on batches, as by ``sine_residual``,
         and its result is broadcast to the batch.
 
-        The d-by-d system has matrix M[i][j] = dQ_(e_i)/dlam_j; a singular
-        matrix raises DegenerateParameterError.  When ``n_max`` is given the
+        Q_(e_i) = P_1(lam_i) = (lam_i - b_0)/a_0 of factor i, so f(e_i) =
+        c_i / a_0 at every lam and c_j = a_0 f(e_j).  Given ``n_max``, the
         fitted combination is checked against f on all elements of total
         degree <= n_max (``core._certify``, NaN fails); without it, a value
         of f at a unit tuple that is not finite raises TheoremViolationError
         naming the tuple.
         """
         units = tuple(np.array(self.unit_elements()).T)
-        mat = np.array(self.q_grad(units, lam), dtype=complex).T
         vec = np.broadcast_to(f(units), self.dimension).astype(complex)
-        sing = np.linalg.svd(mat, compute_uv=False)
-        if sing[-1] <= len(mat) * np.finfo(float).eps * sing[0]:
-            raise DegenerateParameterError(
-                f"fit system singular at lambda = {lam!r}")
-        c = np.linalg.solve(mat, vec)
+        with np.errstate(invalid="ignore"):   # NaN reaches the checks below
+            c = np.array([float(rec.a(0)) for rec in self.factors]) * vec
         if n_max is not None and n_max >= 0:   # no element below degree 0
             elements = list(elements_of_total_degree(self.dimension, n_max))
             batch = tuple(np.array(elements).T)

@@ -14,6 +14,7 @@ from hypersine.core import (ResidualReport, dump_finite_hypergroup,
                             s3_conjugacy_hypergroup, two_point_hypergroup)
 from hypersine.sturm import power_family, solve_sine
 from hypersine.suites import _FAMILIES, SuiteReport, _row
+from test_weight_rule import z5_row_off
 
 
 def run(argv):
@@ -514,7 +515,17 @@ def test_sine_space_names_a_nan_weight(tmp_path, capsys):
     spec.write_text(json.dumps({"size": 2, "tensor": tensor}))
     assert run(["sine-space", str(spec)]) == 2
     assert capsys.readouterr().err == (
-        "error: convolution weight nan at [1][1][0] is not >= -1e-12\n")
+        "error: convolution [1][1]: weight nan at element 0 is not >= "
+        "-1e-12\n")
+
+
+def test_sine_space_rejects_a_row_sum_that_convolve_rejects(tmp_path, capsys):
+    spec = tmp_path / "z5.json"
+    spec.write_text(json.dumps({"size": 5, "tensor": z5_row_off().tolist()}))
+    assert run(["sine-space", str(spec)]) == 2
+    assert capsys.readouterr().err == (
+        "error: convolution [1][1]: weights sum to 1.000000000003, "
+        "expected 1\n")
 
 
 def test_sine_space_rejects_non_associative_table(tmp_path, capsys):

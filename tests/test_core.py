@@ -18,6 +18,7 @@ from hypersine.core import (DEFAULT_SUPPORT_CAP, EvaluationError,
 from hypersine.coset import CosetHypergroup
 from hypersine.polyhg import (PolynomialHypergroup, chebyshev_recurrence,
                               legendre_recurrence)
+from test_kernel import finite_hypergroups
 
 
 def test_point_mass_and_merge():
@@ -253,6 +254,10 @@ def test_finite_hypergroup_validation():
     with pytest.raises(NotHypergroupError,
                        match=r"tensor shape \(2, 2, 3\) is not \(N, N, N\)"):
         FiniteHypergroup(np.full((2, 2, 3), 1.0 / 3.0))
+    with pytest.raises(NotHypergroupError,
+                       match=r"tensor shape \(0, 0, 0\) is not \(N, N, N\), "
+                             r"N >= 1"):
+        FiniteHypergroup(np.zeros((0, 0, 0)))
     # probability rows, but the identity times itself is (1/2, 1/2)
     spread = [[[0.5, 0.5], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
     with pytest.raises(NotHypergroupError,
@@ -288,6 +293,32 @@ def test_finite_hypergroup_rejects_inverses_that_are_no_involution():
     with pytest.raises(NotHypergroupError,
                        match="^inverse map is not an involution$"):
         FiniteHypergroup(tensor, tol=0.2)
+
+
+def _cyclic(n):
+    """Z/n: i * j is the point mass at i + j mod n."""
+    return FiniteHypergroup(np.eye(n)[np.add.outer(range(n), range(n)) % n],
+                            name=f"z{n}")
+
+
+@given(hg=st.one_of(finite_hypergroups,
+                    st.sampled_from([3, 5]).map(_cyclic)))
+@settings(max_examples=30)
+def test_involution_is_the_inverse_the_validator_finds(hg):
+    # the orbit hypergroups (7, 2) and (8, 3) swap 1 and 2, 1 and 4
+    for x in hg.elements():
+        inv = hg.involution(x)
+        assert hg.involution(inv) == x
+        assert [y for y in hg.elements() if hg.convolve(x, y).weight(0)
+                > hg.weight_tol] == [inv]
+
+
+def test_involution_of_z3_is_negation():
+    hg = _cyclic(3)
+    assert [hg.involution(x) for x in hg.elements()] == [0, 2, 1]
+    assert hg.convolve(1, hg.involution(1)).items() == ((0, 1.0),)
+    with pytest.raises(KeyError):
+        hg.involution(-1)
 
 
 def test_exponentials_of_the_one_element_hypergroup():

@@ -3,8 +3,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from hypersine.core import s3_conjugacy_hypergroup, two_point_hypergroup
+from hypersine.core import (FiniteHypergroup, NotHypergroupError,
+                            s3_conjugacy_hypergroup, two_point_hypergroup)
 
 _spec = importlib.util.spec_from_file_location(
     "golden_diff", Path(__file__).parents[1] / "tools" / "golden_diff.py")
@@ -115,6 +117,22 @@ def test_product_spec_is_the_product_of_two_point_hypergroups():
     assert sorted(set(np.count_nonzero(tensor, axis=2).ravel())) == [1, 2, 4]
 
 
+def test_cyclic_specs_are_z3_and_z5_with_one_row_off():
+    specs = {name: json.loads(json.dumps(golden_diff.SPECS[name]))
+             for name in ("z3.json", "z5-row-off.json")}
+    z3, z5 = (np.eye(n)[np.add.outer(range(n), range(n)) % n] for n in (3, 5))
+    assert specs["z3.json"]["size"] == 3
+    assert np.array_equal(specs["z3.json"]["tensor"], z3)
+    FiniteHypergroup(specs["z3.json"]["tensor"])
+    tensor = np.array(specs["z5-row-off.json"]["tensor"])
+    assert specs["z5-row-off.json"]["size"] == 5
+    assert np.argwhere(tensor != z5).tolist() == [[1, 1, 2]]
+    assert tensor[1, 1, 2] == 1 + 3e-12
+    with pytest.raises(NotHypergroupError, match=r"^convolution \[1\]\[1\]: "
+                                                 r"weights sum to"):
+        FiniteHypergroup(tensor)
+
+
 def test_main_compares_every_sine_space_table(monkeypatch, capsys):
     calls = []
 
@@ -133,7 +151,8 @@ def test_main_compares_every_sine_space_table(monkeypatch, capsys):
               if src == "head" and argv[0] == "sine-space"]
     assert spaces == [("sine-space", spec, "--format", fmt)
                       for spec in ("two-point-0.5.json", "s3.json",
-                                   "two-point-product.json")
+                                   "two-point-product.json", "z3.json",
+                                   "z5-row-off.json")
                       for fmt in ("csv", "json")]
     out = capsys.readouterr().out.splitlines()
     assert out.count("sine-space s3.json --format json: DIFFERS") == 1

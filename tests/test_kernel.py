@@ -29,6 +29,7 @@ from hypersine.polyhg import (PolynomialHypergroup, chebyshev_recurrence,
                               sine_fn)
 from hypersine.sturm import (CoshLineHypergroup, cosh_hypergroup_check,
                              line_dphi, line_phi)
+from recurrences import ultraspherical_lists
 
 
 def _reference(hg, f, m, pairs):
@@ -143,10 +144,8 @@ def test_finite_hypergroups_match_reference(hg, seed):
 def test_ultraspherical_tables_match_reference(alpha, n_max, seed):
     # Gasper (Canad. J. Math. 22, 1970): nonnegative for alpha >= -1/2
     top = 2 * n_max
-    a = [1.0] + [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1)
-                 for n in range(1, top + 1)]
-    c = [0.0] + [n / (2 * n + 2 * alpha + 1) for n in range(1, top + 1)]
-    hg = PolynomialHypergroup(recurrence_from_lists(a, [0.0] * (top + 1), c))
+    hg = PolynomialHypergroup(recurrence_from_lists(
+        *ultraspherical_lists(alpha, top)))
     rng = np.random.default_rng(seed)
     f, m = _tabulated(rng, top + 1), _tabulated(rng, top + 1)
     pairs = list(itertools.product(range(n_max + 1), repeat=2))
@@ -306,11 +305,8 @@ def test_integrate_many_keeps_no_batch_sized_temporary():
     # values (1089 x 33 complex) take 574,992 B of the peak; the sum adds
     # at most 64 KiB (a finiteness mask, the sums and a column of
     # products), not a product per slot of every row
-    top, alpha = 64, 0.7
-    rec = recurrence_from_lists(
-        [1.0] + [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1)
-                 for n in range(1, top + 1)], [0.0] * (top + 1),
-        [0.0] + [n / (2 * n + 2 * alpha + 1) for n in range(1, top + 1)])
+    top = 64
+    rec = recurrence_from_lists(*ultraspherical_lists(0.7, top))
     pairs = [(n, k) for n in range(33) for k in range(33)]
     support, weights = PolynomialHypergroup(rec).convolve_many(
         *_pair_batch(pairs))
@@ -567,10 +563,8 @@ def test_finite_convolve_many_compacts_no_rows_after_construction(
 def _ultraspherical_hypergroup(alpha, top=24):
     """The ultraspherical polynomial hypergroup (see
     ``test_ultraspherical_tables_match_reference``) on degrees 0..top."""
-    a = [1.0] + [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1)
-                 for n in range(1, top + 1)]
-    c = [0.0] + [n / (2 * n + 2 * alpha + 1) for n in range(1, top + 1)]
-    return PolynomialHypergroup(recurrence_from_lists(a, [0.0] * (top + 1), c))
+    return PolynomialHypergroup(recurrence_from_lists(
+        *ultraspherical_lists(alpha, top)))
 
 
 # (hypergroup, largest element of a pair): the families declaring

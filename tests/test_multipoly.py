@@ -7,7 +7,7 @@ import pytest
 from hypersine.core import TheoremViolationError, convolve_power, integrate
 from hypersine.multipoly import ProductPolyHypergroup, elements_of_total_degree
 from hypersine.polyhg import (chebyshev_recurrence, legendre_recurrence,
-                              linearize)
+                              linearize, recurrence_from_lists)
 
 
 @pytest.fixture
@@ -80,6 +80,29 @@ def test_fit_recovers_coefficients(factors, lam, c):
     hg = ProductPolyHypergroup([recs[k] for k in factors])
     got = hg.fit_coefficients(hg.multi_sine(c, lam), lam, n_max=6, rtol=1e-9)
     assert np.abs(got - np.array(c, dtype=complex)).max() <= 1e-9
+
+
+def test_fit_reads_the_coefficients_off_the_unit_tuples(monkeypatch):
+    # Jacobi(1, 0) normalized to P_n(1) = 1 has a_0 = 4/3, b_0 = -1/3: the
+    # fit system is diag(3/4, 1, 3/4) at every lambda, and nothing solves it
+    ns = range(9)
+    a = [(n + 2) ** 2 / ((n + 1) * (2 * n + 3)) for n in ns]
+    c = [n * n / ((2 * n + 1) * (n + 1)) for n in ns]
+    jacobi = recurrence_from_lists(a, [1 - x - y for x, y in zip(a, c)], c)
+    hg = ProductPolyHypergroup([jacobi, legendre_recurrence(), jacobi])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_coefficients solved a system")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for lam in ((0.3, 0.5, -7.0), (0.5 + 0.2j, 0.3, 0.5 - 0.2j)):
+        want = (1.5, -2.0, 0.25)
+        got = hg.fit_coefficients(hg.multi_sine(want, lam), lam, n_max=4)
+        assert np.abs(got - np.array(want)).max() <= 1e-12
+    # no fit raises it, but the package still exports it
+    from hypersine import DegenerateParameterError
+    assert issubclass(DegenerateParameterError, ValueError)
 
 
 def test_fit_rejects_non_sine(cheb_leg):

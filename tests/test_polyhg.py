@@ -16,6 +16,7 @@ from hypersine.polyhg import (PolynomialHypergroup, ThreeTermRecurrence,
                               legendre_recurrence, linearize,
                               reconstruct_sine, recurrence_from_file,
                               recurrence_from_lists, sine_fn)
+from recurrences import ultraspherical_coefficients, ultraspherical_lists
 
 
 def test_chebyshev_closed_form():
@@ -107,10 +108,9 @@ def test_exact_linearization_returns_the_floats_of_the_fraction_row():
 
 def _rational_ultraspherical(alpha):
     """x P_n = (n + 2 alpha + 1) P_(n+1) + n P_(n-1), over 2n + 2 alpha + 1."""
-    return ThreeTermRecurrence(
-        a=lambda n: (n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1),
-        b=lambda n: Fraction(0),
-        c=lambda n: n / (2 * n + 2 * alpha + 1), name="ultraspherical")
+    a, c = ultraspherical_coefficients(alpha)
+    return ThreeTermRecurrence(a=a, b=lambda n: Fraction(0), c=c,
+                               name="ultraspherical")
 
 
 def _fraction_P(rec, x, top):
@@ -276,12 +276,8 @@ def test_sine_values_match_derivative_route():
 
 
 def _ultraspherical(alpha, top):
-    """Jacobi(alpha, alpha) recurrence normalized to P_n(1) = 1, degrees
-    0..top.  a_0 = 1 also at alpha = -1/2, where the formula reads 0/0."""
-    a = [1.0] + [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1)
-                 for n in range(1, top + 1)]
-    c = [0.0] + [n / (2 * n + 2 * alpha + 1) for n in range(1, top + 1)]
-    return recurrence_from_lists(a, [0.0] * (top + 1), c,
+    """The ultraspherical recurrence on degrees 0..top."""
+    return recurrence_from_lists(*ultraspherical_lists(alpha, top),
                                  name=f"ultraspherical({alpha!r})")
 
 
@@ -428,11 +424,8 @@ def test_exact_linearization_decides_a_weight_within_the_float_rule():
     # ultraspherical at alpha = -1/2 - 1e-11: the exact weight of P_2 in
     # P_2 * P_2 is about -1.3e-11, above the float rule's -1e-10, so only
     # the exact sign decision rejects the pair
-    alpha, ns = -0.5 - 1e-11, range(17)
-    rec = recurrence_from_lists(
-        [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1) for n in ns],
-        [0.0] * len(ns), [n / (2 * n + 2 * alpha + 1) for n in ns],
-        name="ultraspherical(-1/2 - 1e-11)")
+    rec = recurrence_from_lists(*ultraspherical_lists(-0.5 - 1e-11, 16),
+                                name="ultraspherical(-1/2 - 1e-11)")
     with pytest.raises(NotHypergroupError,
                        match=r"^negative linearization coefficient at "
                              r"\(2, 2\)$"):

@@ -12,6 +12,7 @@ import pytest
 from hypersine import core, coset, multipoly, polyhg, suites
 from hypersine.core import TabulatedFunction, _cabs, _errors
 from hypersine.polyhg import recurrence_from_file
+from recurrences import ultraspherical_spec
 
 LAMS = (0.0, -0.0, 0.7, -0.5, 1.0, -1.0, 2.5, complex(0.7, 0.0),
         complex(0.7, -0.0), complex(-0.5, -0.0))
@@ -32,13 +33,9 @@ def complex_evaluation():
 
 
 def ultraspherical(tmp_path):
-    alpha, ns = 0.7, range(2 * N + 2)
     path = tmp_path / "ultraspherical.json"
-    path.write_text(json.dumps({
-        "name": "ultraspherical-0.7",
-        "a": [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1) for n in ns],
-        "b": [0.0] * len(ns),
-        "c": [n / (2 * n + 2 * alpha + 1) for n in ns]}))
+    path.write_text(json.dumps(ultraspherical_spec(0.7, 2 * N + 1,
+                                                   "ultraspherical-0.7")))
     return recurrence_from_file(path)
 
 

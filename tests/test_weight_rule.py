@@ -3,27 +3,27 @@ convolutions into measures judges them at its ``weight_tol``."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersine import core, coset, suites
 from hypersine.core import (NotHypergroupError, FiniteHypergroup,
-                            TabulatedFunction, WEIGHT_TOL, convolve_power,
-                            exp_residual, power_identity_check,
+                            FiniteMeasure, TabulatedFunction, WEIGHT_TOL,
+                            convolve_power, exp_residual, power_identity_check,
                             s3_conjugacy_hypergroup, two_point_hypergroup)
 from hypersine.multipoly import ProductPolyHypergroup
 from hypersine.polyhg import (NEGATIVE_COEFF_TOL, PolynomialHypergroup,
                               chebyshev_recurrence, linearize,
                               recurrence_from_lists)
 from hypersine.sturm import CoshLineHypergroup
+from recurrences import ultraspherical_lists
+from test_kernel import finite_hypergroups
 
 
 def near_half():
     """Ultraspherical at alpha = -1/2 - 1e-11 on degrees 0..16: the weight
     of 2 in 2 * 2 is about -1.33e-11, inside the float rule's -1e-10."""
-    alpha, ns = -0.5 - 1e-11, range(17)
-    return recurrence_from_lists(
-        [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1) for n in ns],
-        [0.0] * len(ns), [n / (2 * n + 2 * alpha + 1) for n in ns],
-        name="ultraspherical(-1/2 - 1e-11)")
+    return recurrence_from_lists(*ultraspherical_lists(-0.5 - 1e-11, 16),
+                                 name="ultraspherical(-1/2 - 1e-11)")
 
 
 def near_one_tensor():
@@ -59,8 +59,44 @@ def test_finite_hypergroup_keeps_the_tolerance_it_was_checked_at():
 
 def test_a_default_finite_hypergroup_rejects_the_near_one_tensor():
     with pytest.raises(NotHypergroupError,
-                       match=r"at \[1\]\[1\]\[1\] is not >= -1e-12"):
+                       match=r"^convolution \[1\]\[1\]: weight -5\.0\d*e-11 "
+                             r"at element 1 is not >= -1e-12$"):
         FiniteHypergroup(near_one_tensor())
+
+
+def z5_row_off():
+    """Z/5 with the weight of 2 in 1 * 1 at 1 + 3e-12: the row's sum is off
+    1 by more than tol times its one weight, by less than tol times 5."""
+    tensor = np.eye(5)[np.add.outer(range(5), range(5)) % 5]
+    tensor[1, 1, 2] = 1 + 3e-12
+    return tensor
+
+
+def test_a_finite_hypergroup_judges_each_row_as_convolve_does():
+    message = "weights sum to 1.000000000003, expected 1"
+    with pytest.raises(NotHypergroupError, match=f"^{message}$"):
+        FiniteMeasure([(2, 1 + 3e-12)])
+    with pytest.raises(NotHypergroupError,
+                       match=rf"^convolution \[1\]\[1\]: {message}$"):
+        FiniteHypergroup(z5_row_off())
+
+
+@given(data=st.data(), hg=finite_hypergroups)
+@settings(max_examples=100)
+def test_every_convolution_of_an_accepted_tensor_returns(data, hg):
+    # one weight of a row moves by delta; some draws fall between tol times
+    # the row's number of weights and tol N, where the row sum once passed
+    n, tol = hg.size, hg.weight_tol
+    tensor = hg.tensor.copy()
+    i, j = (data.draw(st.integers(1, n - 1)) for _ in range(2))
+    l = data.draw(st.sampled_from(np.flatnonzero(tensor[i, j]).tolist()))
+    tensor[i, j, l] += data.draw(st.floats(-2.0 * n, 2.0 * n)) * tol
+    try:
+        moved = FiniteHypergroup(tensor)
+    except NotHypergroupError:
+        return
+    for x, y in moved.all_pairs():
+        moved.convolve(x, y)
 
 
 def test_product_convolve_reads_its_factors_rule():

@@ -127,6 +127,17 @@ def product(s, t):
              for k in bits for m in bits] for i in bits for j in bits]
 
 
+def cyclic(n):
+    """Tensor of the cyclic group Z/n: i * j is the point mass at i + j
+    mod n."""
+    return [[[float(l == (i + j) % n) for l in range(n)] for j in range(n)]
+            for i in range(n)]
+
+
+# row 1 * 1 sums to 1 + 3e-12: off by more than tol times its one weight,
+# the rule convolve judges it by, but by less than tol times N = 5
+Z5_ROW_OFF = cyclic(5)
+Z5_ROW_OFF[1][1][2] = 1 + 3e-12
 THIRD = 1.0 / 3.0
 SPECS = {   # finite hypergroup spec files, as core.dump_finite_hypergroup
     "two-point-0.5.json": {
@@ -141,6 +152,10 @@ SPECS = {   # finite hypergroup spec files, as core.dump_finite_hypergroup
     "two-point-product.json": {
         "name": "two-point(theta=0.5) x two-point(theta=0.25)", "size": 4,
         "tensor": product(two_point(0.5), two_point(0.25))},
+    # complex exponentials: omega and omega^2
+    "z3.json": {"name": "z3", "size": 3, "tensor": cyclic(3)},
+    "z5-row-off.json": {"name": "z5-row-off", "size": 5,
+                        "tensor": Z5_ROW_OFF},
 }
 SINE_SPACE_CONFIGS = tuple((spec, "--format", fmt)
                            for spec in SPECS for fmt in ("csv", "json"))
