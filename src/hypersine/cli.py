@@ -116,12 +116,12 @@ def _tabulate_sturm(args):
     lam = (args.lambdas or [1.0])[0]
     family = (sturm_mod.constant_family() if args.alpha is None
               else sturm_mod.power_family(args.alpha))
-    sol = sturm_mod.solve_sine(family, lam, args.c, args.x_max, args.h)
-    phi, f = sol.forcing, sol.values
-    res = np.pad(sturm_mod.ode_defect(sol.grid, f, family.ratio, sol.lam,
-                                      sol.c, phi)[0], 1)
+    grid, phi, _, f, _ = sturm_mod._integrate(family, lam, args.c,
+                                              args.x_max, args.h)
+    res = np.pad(sturm_mod.ode_defect(grid, f, family.ratio, complex(lam),
+                                      complex(args.c), phi)[0], 1)
     return [tuple(repr(float(v)) for v in row) for row in
-            zip(sol.grid, phi.real, phi.imag, f.real, f.imag, res)]
+            zip(grid, phi.real, phi.imag, f.real, f.imag, res)]
 
 
 def cmd_tabulate(args):

@@ -120,11 +120,8 @@ def integrate(f, mu):
 
 def mix(weighted_measures, normalized=True):
     """Convex/linear combination sum_i alpha_i * mu_i as a FiniteMeasure."""
-    acc = {}
-    for alpha, mu in weighted_measures:
-        for el, w in mu:
-            acc[el] = acc.get(el, 0.0) + alpha * w
-    return FiniteMeasure(acc.items(), normalized=normalized)
+    return FiniteMeasure(((el, alpha * w) for alpha, mu in weighted_measures
+                          for el, w in mu), normalized=normalized)
 
 
 class TabulatedFunction:

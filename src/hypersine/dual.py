@@ -6,11 +6,29 @@ from rounding there is no truncation error.  They are kept for user
 formulas: no family in this package computes with them.  The package's
 own derivatives are cross-checked against ``central_difference`` over
 the family table ``suites._FAMILIES`` by ``suites.dual_vs_fd_report``.
+
+Each binary operator is one rule on two duals behind one operand rule,
+``_operator``; each elementary function is one derivative rule behind one
+chain rule, ``_chain``.
 """
 
 from __future__ import annotations
 
 import cmath
+
+
+def _operator(rule):
+    """The binary method ``rule(self, o)``, o the other operand as a
+    ``DualScalar``; NotImplemented if ``complex`` cannot take that operand."""
+    def method(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else rule(self, o)
+    return method
+
+
+def _quotient(a, b):
+    v = a.value / b.value
+    return DualScalar(v, (a.deriv - v * b.deriv) / b.value)
 
 
 class DualScalar:
@@ -34,14 +52,7 @@ class DualScalar:
     def __repr__(self):
         return f"DualScalar({self.value!r}, {self.deriv!r})"
 
-    def __eq__(self, other):
-        if isinstance(other, DualScalar):
-            return self.value == other.value and self.deriv == other.deriv
-        try:
-            return self.value == complex(other) and self.deriv == 0
-        except (TypeError, ValueError):
-            return NotImplemented
-
+    __eq__ = _operator(lambda a, b: a.value == b.value and a.deriv == b.deriv)
     __hash__ = None
 
     def __neg__(self):
@@ -50,47 +61,16 @@ class DualScalar:
     def __pos__(self):
         return self
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualScalar(self.value + o.value, self.deriv + o.deriv)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualScalar(self.value - o.value, self.deriv - o.deriv)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualScalar(o.value - self.value, o.deriv - self.deriv)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return DualScalar(self.value * o.value,
-                          self.value * o.deriv + self.deriv * o.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        v = self.value / o.value
-        return DualScalar(v, (self.deriv - v * o.deriv) / o.value)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+    __add__ = __radd__ = _operator(
+        lambda a, b: DualScalar(a.value + b.value, a.deriv + b.deriv))
+    __sub__ = _operator(
+        lambda a, b: DualScalar(a.value - b.value, a.deriv - b.deriv))
+    __rsub__ = _operator(
+        lambda a, b: DualScalar(b.value - a.value, b.deriv - a.deriv))
+    __mul__ = __rmul__ = _operator(lambda a, b: DualScalar(
+        a.value * b.value, a.value * b.deriv + a.deriv * b.value))
+    __truediv__ = _operator(_quotient)
+    __rtruediv__ = _operator(lambda a, b: _quotient(b, a))
 
     def __pow__(self, n):
         if isinstance(n, DualScalar):
@@ -115,36 +95,23 @@ def deriv_of(z):
     return z.deriv if isinstance(z, DualScalar) else 0j
 
 
-def exp(z):
-    if isinstance(z, DualScalar):
-        v = cmath.exp(z.value)
-        return DualScalar(v, v * z.deriv)
-    return cmath.exp(z)
+def _chain(f, rule):
+    """``f`` on plain scalars; on a dual z = x + eps d, the dual with value
+    v = f(x) and derivative ``rule(x, v, d)``, that is f'(x) d."""
+    def function(z):
+        if isinstance(z, DualScalar):
+            v = f(z.value)
+            return DualScalar(v, rule(z.value, v, z.deriv))
+        return f(z)
+    function.__name__ = function.__qualname__ = f.__name__
+    return function
 
 
-def log(z):
-    if isinstance(z, DualScalar):
-        return DualScalar(cmath.log(z.value), z.deriv / z.value)
-    return cmath.log(z)
-
-
-def sqrt(z):
-    if isinstance(z, DualScalar):
-        v = cmath.sqrt(z.value)
-        return DualScalar(v, z.deriv / (2.0 * v))
-    return cmath.sqrt(z)
-
-
-def sinh(z):
-    if isinstance(z, DualScalar):
-        return DualScalar(cmath.sinh(z.value), cmath.cosh(z.value) * z.deriv)
-    return cmath.sinh(z)
-
-
-def cosh(z):
-    if isinstance(z, DualScalar):
-        return DualScalar(cmath.cosh(z.value), cmath.sinh(z.value) * z.deriv)
-    return cmath.cosh(z)
+exp = _chain(cmath.exp, lambda x, v, d: v * d)
+log = _chain(cmath.log, lambda x, v, d: d / x)
+sqrt = _chain(cmath.sqrt, lambda x, v, d: d / (2.0 * v))
+sinh = _chain(cmath.sinh, lambda x, v, d: cmath.cosh(x) * d)
+cosh = _chain(cmath.cosh, lambda x, v, d: cmath.sinh(x) * d)
 
 
 def derivative(f, lam):

@@ -96,6 +96,9 @@ TABULATE_CONFIGS = tuple(
     ("--family", "su2", "--lambda", "0,3.141592653589793", "--c", "2"),
     ("--family", "sturm", "--alpha", "1.3", "--lambda", "0.8"),
     ("--family", "sturm", "--lambda", "-0.7", "--c", "-1.5"),
+    # zero forcing, where f stays exactly 0, and a complex lambda
+    ("--family", "sturm", "--c", "0"),
+    ("--family", "sturm", "--lambda", "1,0.5", "--xmax", "2"),
     ("--family", "legendre", "--format", "json"),   # integer element labels
     ("--family", "chebyshev", "--n-max", "0"),   # table to n + 1
     ("--family", "su2", "--n-max", "0"),   # table to n + 1
