@@ -13,8 +13,8 @@ import types
 
 import numpy as np
 
-from .core import (NotHypergroupError, _errors, _sine_space, exponentials,
-                   load_finite_hypergroup)
+from .core import (VERIFY_WEIGHT_TOL, NotHypergroupError, _errors,
+                   _sine_space, exponentials, load_finite_hypergroup)
 from .polyhg import BUILTIN_RECURRENCES
 from . import sturm as sturm_mod
 from .suites import (_FAMILIES, SUITE_NAMES, SuiteConfig, _json_default,
@@ -58,9 +58,6 @@ _values.__name__ = "complex"   # argparse: "invalid complex value"
 
 
 _SHARED = {   # add_argument keywords; each subcommand names its own
-    "--tol": dict(type=_finite(float), default=SuiteConfig.tol,
-                  help="tolerance of the exponential equation in "
-                       "sine-space and the compact suite"),
     "--seed": dict(type=int, default=SuiteConfig.seed),
     "--lambda": dict(dest="lambdas", type=_finite(_parse_lambda),
                      action="append", metavar="LAM",
@@ -158,6 +155,8 @@ def cmd_sine_space(args):
     hg = load_finite_hypergroup(args.spec)
     # sine_space rejects an --m of the wrong length or a non-exponential
     ms = args.m or [list(m) for m in exponentials(hg, tol=args.tol)]
+    if not ms:   # m = 1 is an exponential of every finite hypergroup
+        raise ValueError(f"--tol {args.tol:g} admits no exponential")
     rows = []
     for mv in ms:
         basis, worst = _sine_space(hg, mv, exp_tol=args.tol)
@@ -204,7 +203,9 @@ COMMANDS = {
                               "without it, the constant weight")))),
     "sine-space": (cmd_sine_space, "solve the sine equation on a finite "
                                    "hypergroup spec file", (
-        *((flag, _SHARED[flag]) for flag in ("--tol", "--out", "--format")),
+        ("--tol", dict(type=_finite(float), default=VERIFY_WEIGHT_TOL,
+                       help="tolerance of the exponential equation")),
+        *((flag, _SHARED[flag]) for flag in ("--out", "--format")),
         ("spec", dict(help="JSON file with size, tensor, name")),
         ("--m", dict(type=_values, action="append", metavar="V1,V2,...",
                      help="exponential values; repeatable; default "

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 WEIGHT_TOL = 1e-12          # construction tolerance for probability weights
-VERIFY_WEIGHT_TOL = 1e-9    # tolerance used by verification suites
+VERIFY_WEIGHT_TOL = 1e-9    # exponential-equation default (sine_space)
 DEFAULT_SUPPORT_CAP = 100_000
 
 

@@ -27,10 +27,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import coset, su2
-from .core import (VERIFY_WEIGHT_TOL, PairBatch, ResidualReport,
-                   TabulatedFunction, _cmul, _errors, _integrate_many,
-                   _propagate, _real, _residual, _scan,
-                   _uniforms, exp_residual, exponentials, integrate,
+from .core import (PairBatch, ResidualReport, TabulatedFunction, _cmul,
+                   _errors, _integrate_many, _propagate, _real, _residual,
+                   _scan, _uniforms, exp_residual, exponentials, integrate,
                    power_identity_check, s3_conjugacy_hypergroup,
                    sine_space, two_point_hypergroup)
 from .dual import central_difference
@@ -48,10 +47,10 @@ STURM_CLOSED_FORM_RTOL = 1e-8
 class SuiteConfig:
     """Suite parameters; each argument defaults to the class attribute of
     the same name.  lambdas and thetas are held as tuples; seed, n_max and
-    samples must be integers (numpy's too)."""
+    samples must be integers (numpy's too).  No tolerance is a parameter:
+    each claim pins its own."""
 
     seed = 0
-    tol = VERIFY_WEIGHT_TOL   # exponential-equation tolerance (compact)
     lambdas = ()          # per-suite defaults when empty
     n_max = 0             # per-suite default when 0
     x_max = 5.0
@@ -61,10 +60,10 @@ class SuiteConfig:
     samples = 1000
     rec_file = ""
 
-    def __init__(self, seed=seed, tol=tol, lambdas=lambdas, n_max=n_max,
-                 x_max=x_max, h=h, thetas=thetas, alpha=alpha,
-                 samples=samples, rec_file=rec_file):
-        self.seed, self.tol, self.lambdas = seed, tol, tuple(lambdas)
+    def __init__(self, seed=seed, lambdas=lambdas, n_max=n_max, x_max=x_max,
+                 h=h, thetas=thetas, alpha=alpha, samples=samples,
+                 rec_file=rec_file):
+        self.seed, self.lambdas = seed, tuple(lambdas)
         self.n_max, self.x_max, self.h = n_max, x_max, h
         self.thetas, self.alpha = tuple(thetas), alpha
         self.samples, self.rec_file = samples, rec_file
@@ -73,15 +72,13 @@ class SuiteConfig:
             if not isinstance(value, (int, np.integer)):   # 2.5 is no count
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
-        for name in ("tol", "lambdas", "x_max", "h", "thetas", "alpha"):
+        for name in ("lambdas", "x_max", "h", "thetas", "alpha"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
         if self.seed < 0:   # random.Random(-s) would draw seed s's samples
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_max < 0:   # 0 is the per-suite default
             raise ValueError(f"n_max must be >= 0, got {self.n_max}")
-        if self.tol <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.samples < 1:
             raise ValueError(f"sample count must be >= 1, got {self.samples}")
         if self.h <= 0 or self.x_max <= 0:
@@ -219,9 +216,9 @@ def _equations(hg, pairs, head, tail, f, m, exp_tol, sine_tol):
     yield f"{head}:sine{tail}", sine_tol, "rel", _Eq(hg, pairs, f, m)
 
 
-def _sine_dim(tag, label, hg, m, tol):
+def _sine_dim(tag, label, hg, m):
     """The claim tag:sine-dim-label: the m-sine space is trivial."""
-    basis = sine_space(hg, m, exp_tol=tol)
+    basis = sine_space(hg, m)
     return (f"{tag}:sine-dim-{label}", 0.0, "abs",
             _fact(len(basis) == 0, hg.size ** 2, len(basis)))
 
@@ -282,16 +279,16 @@ def run_compact(cfg):
         yield (f"{tag}:exp", 4 * np.finfo(float).eps, "abs",
                exp_residual(hg, m1, hg.all_pairs()))
         for label, m in (("m0", [1.0, 1.0]), ("m1", [1.0, -theta])):
-            yield _sine_dim(tag, label, hg, m, cfg.tol)
+            yield _sine_dim(tag, label, hg, m)
         # f = [0, 1] is no m1-sine: at n = 2 the residual is 1 + theta
         yield f"{tag}:power-refutation", 0.5, "above", power_identity_check(
             hg, TabulatedFunction([0.0, 1.0]), m1, 0, 1, 8)
     s3 = s3_conjugacy_hypergroup()
-    exps = exponentials(s3, tol=cfg.tol)
+    exps = exponentials(s3)
     yield ("compact:s3:exponential-count", 0.0, "abs",
            _fact(len(exps) == 3, s3.size ** 2, len(exps)))
     for i, m in enumerate(exps):
-        yield _sine_dim("compact:s3", f"m{i}", s3, m, cfg.tol)
+        yield _sine_dim("compact:s3", f"m{i}", s3, m)
 
 
 # ---------------------------------------------------------------- polyone

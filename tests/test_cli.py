@@ -14,6 +14,7 @@ from hypersine.core import (ResidualReport, dump_finite_hypergroup,
                             s3_conjugacy_hypergroup, two_point_hypergroup)
 from hypersine.sturm import power_family, solve_sine
 from hypersine.suites import _FAMILIES, SuiteReport, _row
+from recurrences import ultraspherical_spec
 from test_weight_rule import z5_row_off
 
 
@@ -76,14 +77,17 @@ def test_verify_n_max_below_one_is_usage_error(n_max, capsys):
     assert "--n-max" in captured.err and captured.out == ""
 
 
-# each verify option off its default, and the SuiteConfig field it sets
+# each verify option off its default and off SUITE_ALL, and the
+# SuiteConfig field it sets
 VERIFY_OPTIONS = {
-    "--seed=5": ("seed", 5), "--tol=1e-10": ("tol", 1e-10),
+    "--seed=5": ("seed", 5),
     "--lambda=0.6": ("lambdas", (0.6 + 0j,)), "--n-max=6": ("n_max", 6),
-    "--xmax=0.4": ("x_max", 0.4), "--h=2e-3": ("h", 2e-3),
+    "--xmax=0.4": ("x_max", 0.4), "--h=4e-3": ("h", 4e-3),
     "--theta=0.4": ("thetas", (0.4,)), "--alpha=1.3": ("alpha", 1.3),
     "--samples=40": ("samples", 40), "--rec-file=rec.json": ("rec_file",
                                                               "rec.json")}
+SUITE_ALL = ["verify", "all", "--n-max", "10", "--samples", "3", "--xmax",
+             "0.3", "--h", "2e-3"]
 
 
 def test_each_verify_option_reaches_its_config_field(monkeypatch, tmp_path):
@@ -91,6 +95,21 @@ def test_each_verify_option_reaches_its_config_field(monkeypatch, tmp_path):
     assert set(fields) == set(vars(suites.SuiteConfig)) - {
         "__module__", "__doc__", "__init__", "__dict__", "__weakref__"}
     assert all(getattr(suites.SuiteConfig, k) != v for k, v in fields.items())
+    # each option changes the report: one that leaves it as it is would
+    # certify nothing
+    monkeypatch.chdir(tmp_path)
+    Path("rec.json").write_text(json.dumps(ultraspherical_spec(
+        0.7, 24, "ultraspherical(0.7)")))
+
+    def report(*options):   # the last value of --seed or --h counts
+        assert run([*SUITE_ALL, "--seed=11", *options,
+                    "--out", "report.json"]) in (0, 1)
+        rep = json.loads(Path("report.json").read_text())
+        del rep["wall_time"]
+        return rep
+    base = report()
+    for option in VERIFY_OPTIONS:
+        assert report(option) != base, option
     configs = []
 
     def recording(name, cfg):
@@ -126,7 +145,7 @@ def test_tabulate_n_max_zero_is_one_row(capsys):
     ["verify", "compact", "--theta", "nan"],
     ["verify", "sturm", "--h", "inf"],
     ["verify", "sturm", "--xmax", "nan"],
-    ["verify", "compact", "--tol", "inf"],
+    ["sine-space", "spec.json", "--tol", "inf"],
     ["tabulate", "--family", "chebyshev", "--lambda", "nan"],
     ["verify", "sturm", "--alpha", "nan"],
     ["tabulate", "--family", "sturm", "--alpha", "nan"],
@@ -276,10 +295,6 @@ def _cold_run(runs, modules):
                            json.dumps(runs), json.dumps(modules)],
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
-
-
-SUITE_ALL = ["verify", "all", "--n-max", "10", "--samples", "3", "--xmax",
-             "0.3", "--h", "2e-3"]
 
 
 def test_a_cold_run_does_not_import_numpy_random(tmp_path):
@@ -480,6 +495,18 @@ def test_sine_space_rejects_wrong_length_m(tmp_path, capsys):
     dump_finite_hypergroup(two_point_hypergroup(0.25), spec)
     assert run(["sine-space", str(spec), "--m", "1,-0.25,1"]) == 2
     assert "m has 3 values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "1e-300"])
+def test_sine_space_tolerance_admitting_no_exponential_is_an_error(
+        tol, tmp_path, capsys):
+    # m = 1 is an exponential of every finite hypergroup, so none at --tol
+    # means --tol is below the rounding of the eigenvectors
+    spec = tmp_path / "d.json"
+    dump_finite_hypergroup(two_point_hypergroup(0.5), spec)
+    assert run(["sine-space", str(spec), f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol" in captured.err
 
 
 @pytest.mark.parametrize("m, message", [

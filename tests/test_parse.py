@@ -35,7 +35,7 @@ FLAGS = sorted({name for _, _, arguments in cli.COMMANDS.values()
                 for name, _ in arguments if name[0] == "-"})
 # prefixes argparse expands (--h only on sine-space, where it is --help),
 # an ambiguous one, and the tokens that end or ask for help
-PREFIXES = ["--n", "--lam", "--h", "--he", "--t", "--rec", "--", "-h",
+PREFIXES = ["--n", "--lam", "--h", "--he", "--s", "--rec", "--", "-h",
             "--help"]
 VALUES = ["3", " 3", "-0.5", "-1", "nan", "inf", "0.5,0.5", "1+2j", "1,inf",
           "", "json", "csv", "bogus", "--", "spec.json", "all",
@@ -130,7 +130,7 @@ def test_golden_prefixes_and_negative_values_go_to_argparse(argv):
     ["tabulate"],                      # no --family
     ["verify", "compact", "--bogus", "1"],
     ["verify", "compact", "--n", "3"],
-    ["verify", "compact", "--t=1"],    # ambiguous: --tol or --theta
+    ["verify", "compact", "--s=1"],    # ambiguous: --seed or --samples
     ["sine-space", "spec.json", "--h", "9"],
     ["verify", "compact", "-h"],
     ["verify", "compact", "--help"],

@@ -11,21 +11,22 @@ import numpy as np
 import pytest
 
 from hypersine import coset, polyhg, sturm, su2
-from hypersine.core import (ResidualReport, TabulatedFunction,
-                            TheoremViolationError, exp_residual,
-                            power_identity_check, sine_residual,
-                            two_point_hypergroup)
+from hypersine.core import (NotHypergroupError, ResidualReport,
+                            TabulatedFunction, TheoremViolationError,
+                            exp_residual, power_identity_check,
+                            sine_residual, two_point_hypergroup)
 from hypersine.sturm import constant_family, solve_phi
 from hypersine.suites import (_FAMILIES, CheckResult, SuiteConfig,
                               SuiteReport, SUITE_NAMES, _Eq, _coset_samples,
                               _equations, _fact, _judge, _row,
                               dual_vs_fd_report, run_suite)
+from recurrences import in_gasper_region, jacobi_spec
 
 ROW_KEYS = {"suite", "max_abs", "max_rel", "witness", "samples", "pass"}
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="tol"):   # each claim pins its own
         SuiteConfig(tol=0.0)
     with pytest.raises(ValueError):
         SuiteConfig(samples=0)
@@ -47,7 +48,7 @@ def test_report_records_are_immutable_tuples():
 
 
 @pytest.mark.parametrize("name, value", [
-    ("tol", math.nan), ("lambdas", (0.3, complex(0.5, math.nan))),
+    ("lambdas", (0.3, complex(0.5, math.nan))),
     ("x_max", math.inf), ("h", math.nan), ("thetas", (0.1, math.inf)),
     ("alpha", math.nan), ("n_max", -1)])
 def test_config_rejects_non_finite_values_and_negative_n_max(name, value):
@@ -111,7 +112,7 @@ def test_compact_suite_reports_zero_dimensions():
 def test_compact_sine_dim_rows_fail_on_a_non_trivial_basis(monkeypatch):
     from hypersine import suites
     monkeypatch.setattr(suites, "sine_space",
-                        lambda hg, m, exp_tol: [TabulatedFunction([0.0, 1.0])])
+                        lambda hg, m: [TabulatedFunction([0.0, 1.0])])
     rep = run_suite("compact", SuiteConfig(thetas=(0.25,)))
     dims = [c for c in rep.checks if ":sine-dim-" in c.name]
     assert len(dims) == 5 and not rep.passed
@@ -533,6 +534,30 @@ def test_each_table_family_satisfies_its_equations(name):
                              "", f, m, 1e-9, 1e-9))
     assert [row.name for row in rows] == [f"{name}:exp", f"{name}:sine"]
     assert all(row.passed and row.max_rel <= 1e-9 for row in rows), rows
+
+
+@pytest.mark.parametrize("alpha, beta, negative", [
+    (1, 0, None), (2, 0.5, None), (0.5, -0.5, None), (3, 1, None),
+    (0.3, 0.2, None), (-0.2, 0.3, "-0.304878 at (1, 1)"),
+    (0, 0.5, "-0.222222 at (1, 1)"), (-0.7, -0.8, "-0.574359 at (2, 2)")])
+def test_polyone_on_jacobi_recurrences_follows_gaspers_region(
+        alpha, beta, negative, tmp_path):
+    # b_n != 0: every degree in |n - k|..n + k of P_n P_k carries a weight.
+    # Inside Gasper's region every row passes; outside it the suite names
+    # the first negative weight
+    assert in_gasper_region(alpha, beta) == (negative is None)
+    spec = jacobi_spec(alpha, beta, 64, f"jacobi({alpha}, {beta})")
+    assert spec["b"][0] != 0   # (beta - alpha) / (alpha + beta + 2)
+    path = tmp_path / "jacobi.json"
+    path.write_text(json.dumps(spec))
+    cfg = SuiteConfig(rec_file=str(path), n_max=16)
+    if negative is None:
+        rep = run_suite("polyone", cfg)
+        assert len(rep.checks) == 12 and rep.passed, rep.checks
+    else:
+        with pytest.raises(NotHypergroupError, match=re.escape(
+                f"negative linearization coefficient {negative}")):
+            run_suite("polyone", cfg)
 
 
 def test_row_names_tell_close_parameters_apart_and_read_back():

@@ -19,7 +19,8 @@ configurations and the identical ones: ``N configurations, K identical``.
 The exit status is 0 only if every configuration is identical.
 The CLI reads most of these command lines from its option table; those
 with a prefix such as ``--n`` or a separate negative value go through
-argparse, so both ways of parsing are compared.
+argparse, so both ways of parsing are compared.  The recurrence files are
+written from the lists of ``tests/recurrences.py``.
 """
 
 from __future__ import annotations
@@ -33,12 +34,18 @@ import sys
 import tempfile
 from pathlib import Path
 
-REC_FILES = {   # recurrence spec files: name -> ultraspherical alpha
-    "ultraspherical-0.7.json": 0.7,
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from recurrences import jacobi_spec, ultraspherical_spec  # noqa: E402
+
+REC_FILES = {   # recurrence spec files, degrees 0..64: name -> (spec, params)
+    "ultraspherical-0.7.json": (ultraspherical_spec, 0.7),
     # the weight of P_2 in P_2 * P_2 is -1.33e-11, inside the float rule
-    "ultraspherical-near-half.json": -0.5 - 1e-11,
+    "ultraspherical-near-half.json": (ultraspherical_spec, -0.5 - 1e-11),
+    # b_n != 0, inside Gasper's region
+    "jacobi-1-0.json": (jacobi_spec, 1, 0),
+    "jacobi-2-0.5.json": (jacobi_spec, 2, 0.5),
 }
-REC_FILE, NEAR_HALF_FILE = REC_FILES
+REC_FILE, NEAR_HALF_FILE, JACOBI_FILE, JACOBI_HALF_FILE = REC_FILES
 CONFIGS = (
     ("all", "--seed", "11"),
     ("all", "--seed", "11", "--n-max", "10", "--samples", "3", "--xmax",
@@ -46,7 +53,7 @@ CONFIGS = (
     # every verify option off its default: a dropped option shows as a diff
     ("all", "--seed", "5", "--n-max", "6", "--samples", "40", "--xmax", "0.4",
      "--h", "2e-3", "--alpha", "1.3", "--theta", "0.4", "--theta", "0.8",
-     "--tol", "1e-10", "--lambda=0.6"),
+     "--lambda=0.6"),
     ("coset", "--samples", "4000", "--seed", "1"),
     ("coset", "--samples", "4000", "--seed", "7", "--lambda=-0.8",
      "--lambda=1.28,-0.57", "--lambda=-1.5,0.4"),
@@ -67,6 +74,8 @@ CONFIGS = (
     ("su2", "--lambda", "0,3.141592653589793", "--n-max", "12"),
     ("polyone", "--rec-file", REC_FILE, "--n-max", "32"),
     ("polyone", "--rec-file", NEAR_HALF_FILE, "--n-max", "16"),
+    ("polyone", "--rec-file", JACOBI_FILE, "--n-max", "32"),
+    ("polyone", "--rec-file", JACOBI_HALF_FILE, "--n-max", "32"),
     # chebyshev's errors are exactly 0 at lambda = +-1: each witness is the
     # first ordered pair; su2 at lambda 0 witnesses pairs off the diagonal
     ("polyone", "--n-max", "16", "--lambda", "1", "--lambda=-1"),
@@ -168,16 +177,6 @@ TABLES = ([("verify", *c) for c in VERIFY_CSV_CONFIGS]
           + [("sine-space", *c) for c in SINE_SPACE_CONFIGS])
 
 
-def ultraspherical(alpha, name):
-    """Recurrence spec of the ultraspherical polynomials with parameter
-    alpha, degrees 0..64."""
-    ns = range(65)
-    return {"name": name,
-            "a": [(n + 2 * alpha + 1) / (2 * n + 2 * alpha + 1) for n in ns],
-            "b": [0.0] * len(ns),
-            "c": [n / (2 * n + 2 * alpha + 1) for n in ns]}
-
-
 # the child of ``run`` given a rules path: ``hypersine`` with every report
 # of cli.run_suite recorded, and [name, tol, rule] per row written there
 RULES_CHILD = """
@@ -274,9 +273,9 @@ def main(argv=None):
         return 2
     same = []   # per configuration: identical or not
     with tempfile.TemporaryDirectory() as tmp:
-        for name, alpha in REC_FILES.items():
-            Path(tmp, name).write_text(json.dumps(ultraspherical(
-                alpha, name.removesuffix(".json"))))
+        for name, (spec, *params) in REC_FILES.items():
+            Path(tmp, name).write_text(json.dumps(spec(
+                *params, 64, name.removesuffix(".json"))))
         for name, spec in SPECS.items():
             Path(tmp, name).write_text(json.dumps(spec))
         for config in CONFIGS:
