@@ -47,9 +47,13 @@ def test_report_records_are_immutable_tuples():
     assert rep == (0.5, 0.25, ("x", 1), 3) and len(sol) == 7
 
 
+# Tuple values get explicit ids: pytest would number them by list position,
+# so a case added or dropped before them would rename them.
 @pytest.mark.parametrize("name, value", [
-    ("lambdas", (0.3, complex(0.5, math.nan))),
-    ("x_max", math.inf), ("h", math.nan), ("thetas", (0.1, math.inf)),
+    pytest.param("lambdas", (0.3, complex(0.5, math.nan)),
+                 id="lambdas-value1"),
+    ("x_max", math.inf), ("h", math.nan),
+    pytest.param("thetas", (0.1, math.inf), id="thetas-value4"),
     ("alpha", math.nan), ("n_max", -1)])
 def test_config_rejects_non_finite_values_and_negative_n_max(name, value):
     with pytest.raises(ValueError, match=name):
